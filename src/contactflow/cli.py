@@ -388,6 +388,8 @@ def run_coupled(cfg, params, outdir, fit_report=False):
         "max_recenter_drift": stats["max_recenter"],
         "contact_speeds_final": list(saved[-1][0].contact_speeds),
         "omega": problem.surface.omega,
+        "saddle_solver": problem.saddle_solver.counts(),
+        "heat_solver": problem.heat_solver.counts(),
     }
     if fit_report:
         fit = diag.fit_decay(times, e_tot, skip=len(times) // 5)

@@ -27,10 +27,16 @@ faces, p in cells. The pieces:
     tension correction) load the right-hand side explicitly.
 
 Advection, buoyancy and the mesh-motion term are explicit, so the overall
-splitting is first order in dt while each implicit solve is a single sparse
-factorization. The kinematic update eta += dt Ztop u reuses the same Z2 top
-row, which closes the energy bookkeeping: the implicit surface blocks are
-exactly the discrete gradients of the surface energies.
+splitting is first order in dt and each step is one linear saddle solve.
+The kinematic update eta += dt Ztop u reuses the same Z2 top row, which
+closes the energy bookkeeping: the implicit surface blocks are exactly the
+discrete gradients of the surface energies.
+
+Near rest the saddle matrix moves by O(|eta|) from one step to the next, so
+a run factors it once and solves later steps by GMRES right-preconditioned
+with that lagged LU (LaggedLU), refactoring only when the GMRES result misses
+a 1e-13 relative residual; see Benzi, Golub & Liesen, Acta Numerica 14
+(2005) on lagged-factorization preconditioners.
 
 The curvature remainder
 
@@ -180,6 +186,86 @@ def _extrap_end(c, side):
 
 
 # ============================================================
+# lagged factorization
+# ============================================================
+
+LAG_RTOL = 1e-13      # accepted residual ||b - A x|| / ||b|| of a reused LU
+LAG_RESTART = 20      # Krylov dimension of the single GMRES cycle
+
+
+class LaggedLU:
+    """Solves a sequence of nearby sparse systems with one held LU.
+
+    The first system, and any whose shape or dt differ from the held
+    factor's, is factored and solved directly. Later systems get one GMRES
+    cycle right-preconditioned by the held LU, started from its solution;
+    the result is kept only when it is finite and its explicitly computed
+    residual is at most LAG_RTOL ||b||. Otherwise the held factor is
+    dropped before refactoring, so two factors never coexist.
+
+    Each solve takes the caller's scipy.sparse.linalg handle, so every
+    factorization is made through the calling module's own `spla`.
+    """
+
+    def __init__(self):
+        self._lu = None
+        self._key = None
+        self.factorizations = 0
+        self.reused_solves = 0
+        self.max_gmres_iterations = 0
+        self.fallbacks = 0
+
+    def counts(self):
+        return {"factorizations": self.factorizations,
+                "reused_solves": self.reused_solves,
+                "max_gmres_iterations": self.max_gmres_iterations,
+                "fallbacks": self.fallbacks}
+
+    def solve(self, linalg, A, b, dt):
+        """x with A x = b (A in CSC form); raises StabilityError on NaN/inf."""
+        if not np.all(np.isfinite(b)):
+            raise StabilityError("non-finite right-hand side")
+        if not np.any(b):
+            return np.zeros_like(b)   # keeps the rest state an exact fixed point
+        key = (A.shape, dt)
+        x = None
+        if self._lu is not None and self._key == key:
+            x = self._gmres(linalg, A, b)
+            if x is None:
+                self.fallbacks += 1
+                self._lu = None
+            else:
+                self.reused_solves += 1
+        if x is None:
+            self._lu = linalg.splu(A)
+            self._key = key
+            self.factorizations += 1
+            x = self._lu.solve(b)
+            if not np.all(np.isfinite(x)):
+                raise StabilityError("sparse solve returned non-finite values")
+        return x
+
+    def _gmres(self, linalg, A, b):
+        """One preconditioned GMRES cycle; None unless it meets LAG_RTOL."""
+        lu = self._lu
+        x0 = lu.solve(b)
+        target = LAG_RTOL * np.linalg.norm(b)
+        residuals = []        # one entry per inner GMRES iteration
+        preconditioned = linalg.LinearOperator(
+            A.shape, dtype=float, matvec=lambda y: A @ lu.solve(y))
+        y, _ = linalg.gmres(preconditioned, b - A @ x0, atol=target,
+                            rtol=0.0, restart=LAG_RESTART, maxiter=1,
+                            callback=residuals.append,
+                            callback_type="pr_norm")
+        self.max_gmres_iterations = max(self.max_gmres_iterations,
+                                        len(residuals))
+        x = x0 + lu.solve(y)
+        if np.all(np.isfinite(x)) and np.linalg.norm(b - A @ x) <= target:
+            return x
+        return None
+
+
+# ============================================================
 # state
 # ============================================================
 
@@ -254,6 +340,11 @@ class CoupledProblem:
     recenter: bool = True
     exps: object = None
     cfl: float = 0.9
+    # lagged factorizations of the saddle and heat systems, one per problem
+    saddle_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
+                                    repr=False, compare=False)
+    heat_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
+                                  repr=False, compare=False)
 
     def contact_model(self):
         return ContactModel(kappa=self.params.kappa,
@@ -514,9 +605,12 @@ def momentum_step(problem, fields, state, theta=None, dt=None,
     """One implicit momentum/pressure/surface step.
 
     theta: node temperatures driving buoyancy and the thermal tension
-    correction (None for isothermal runs). Returns the advanced FlowState;
-    raises StabilityError on CFL violation and SpillError when the surface
-    leaves the channel.
+    correction (None for isothermal runs). The saddle system is solved by
+    problem.saddle_solver, which reuses the LU of an earlier step as a
+    GMRES preconditioner and refactors only when that misses its residual
+    bound. Returns the advanced FlowState; raises StabilityError on CFL
+    violation (a NaN velocity counts as one) or a non-finite solve, and
+    SpillError when the surface leaves the channel.
     """
     if dt is None:
         raise ValueError("dt is required")
@@ -526,7 +620,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None,
 
     speed = (np.max(np.abs(state.u1)) / grid.hx
              + np.max(np.abs(state.u2)) / grid.hs)
-    if speed * dt > problem.cfl:
+    if not speed * dt <= problem.cfl:
         raise StabilityError("advective CFL %.3g exceeds %.2f"
                              % (speed * dt, problem.cfl))
 
@@ -579,7 +673,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None,
     sys = sp.bmat([[ops.A_dof, ops.B_dof.T], [ops.B_dof, None]],
                   format="csc")
     rhs_dof = np.concatenate([ops.P.T @ rhs, np.zeros(ops.ncell)])
-    sol = spla.splu(sys).solve(rhs_dof)
+    sol = problem.saddle_solver.solve(spla, sys, rhs_dof, dt)
     ndof = ops.free.size
     ufull_new = ops.P @ sol[:ndof]
     p_new = sol[ndof:].reshape(nx, grid.ny)
@@ -594,7 +688,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None,
         eta_new = eta_new - drift
 
     zeta = grid.zeta0_c + eta_new
-    if np.min(zeta) <= 0.0 or np.max(zeta) > params.big_l:
+    if not (0.0 < np.min(zeta) and np.max(zeta) <= params.big_l):
         raise SpillError("surface range [%g, %g] outside (0, big_l]"
                          % (np.min(zeta), np.max(zeta)))
 
@@ -631,7 +725,8 @@ def coupled_step(problem, flow, heat_state, dt):
     fields = geometry.build_geometry(problem.grid, flow.eta, flow.zdot)
     u_nodes = velocity_at_nodes(flow)
     heat_new = heat_mod.step_fd(fields, problem.params.k, heat_state, dt,
-                                transport=u_nodes)
+                                transport=u_nodes,
+                                solver=problem.heat_solver)
     flow_new = momentum_step(problem, fields, flow, theta=heat_new.theta,
                              dt=dt)
     return flow_new, heat_new, fields

@@ -214,12 +214,15 @@ def _load_vector(ops, f8, f9):
 # time stepping
 # ============================================================
 
-def step_fd(fields, k_cond, state, dt, transport=None, f8=None, f9=None):
+def step_fd(fields, k_cond, state, dt, transport=None, f8=None, f9=None,
+            solver=None):
     """One Crank-Nicolson step of the nodal scheme.
 
     transport: node-sampled velocity (2, nx+1, ny+1) or None. Advection and
     mesh motion are treated explicitly with the two-level extrapolant
     1.5 theta^n - 0.5 theta^{n-1} so the implicit matrix stays symmetric.
+    solver: a flow.LaggedLU that carries one factorization across steps on
+    moving geometry; without it the exact LU is cached on the fields.
     """
     ops = heat_operators(fields, k_cond)
     th = state.theta.ravel()
@@ -233,8 +236,11 @@ def step_fd(fields, k_cond, state, dt, transport=None, f8=None, f9=None):
     if np.any(adv):
         rhs += ops.M @ adv.ravel()
 
-    lu = ops.lu(("cn", round(dt, 14)), ops.M_ff / dt + ops.B_ff * 0.5)
-    sol = lu.solve(rhs[ops.free])
+    mat = ops.M_ff / dt + ops.B_ff * 0.5
+    if solver is None:
+        sol = ops.lu(("cn", round(dt, 14)), mat).solve(rhs[ops.free])
+    else:
+        sol = solver.solve(spla, mat.tocsc(), rhs[ops.free], dt)
     theta_new = ops.embed(sol).reshape(state.theta.shape)
     return state.advanced(theta_new, dt)
 

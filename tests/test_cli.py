@@ -297,6 +297,34 @@ def test_decay_mode_report_and_series(tmp_path):
     assert 0.0 < e_last < e_first
 
 
+def test_decay_report_counts_lagged_solves(tmp_path):
+    cfg = dict(TINY, mode="decay")
+    cfg["initial"] = dict(TINY["initial"], theta_amp=0.01)
+    rc, outdir = _run(tmp_path, cfg)
+    assert rc == 0
+    rep = _report(outdir)
+    for key in ("saddle_solver", "heat_solver"):
+        # 20 steps: one factorization, every later step reuses it
+        assert rep[key]["factorizations"] == 1
+        assert rep[key]["reused_solves"] == 19
+        assert rep[key]["fallbacks"] == 0
+        assert 1 <= rep[key]["max_gmres_iterations"] <= 20
+
+
+def test_non_finite_state_exits_three(tmp_path, capsys, monkeypatch):
+    def nan_theta(cfg, grid):
+        theta = np.zeros((grid.nx + 1, grid.ny + 1))
+        theta[3, 3] = np.nan
+        return theta
+
+    monkeypatch.setattr(cli, "initial_theta", nan_theta)
+    rc, outdir = _run(tmp_path, dict(TINY, mode="decay"))
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+    assert not (outdir / "series.csv").exists()
+
+
 def test_corner_probe_mode_report(tmp_path):
     om = 3.0 * math.pi / 4.0
     cfg = {"mode": "corner-probe",

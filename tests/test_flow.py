@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from contactflow import equilibrium as eq
 from contactflow import flow as fl
 from contactflow import geometry as geo
 from contactflow import heat as ht
@@ -150,6 +154,15 @@ def test_spill_raises(problem, grid):
         fl.momentum_step(problem, fields, state, dt=1e-3)
 
 
+def test_nan_velocity_raises(problem, zero_fields, grid):
+    # comparisons with NaN are False, so the CFL guard must be a negated <=
+    state = fl.zero_flow_state(grid)
+    state.u1 = state.u1.copy()
+    state.u1[3, 2] = np.nan
+    with pytest.raises(fl.StabilityError):
+        fl.momentum_step(problem, zero_fields, state, dt=0.05)
+
+
 # ------------------------------------------------------------
 # surface tension diagnostics
 # ------------------------------------------------------------
@@ -202,6 +215,109 @@ def test_coupled_step_advances_both_clocks(problem, grid):
     assert flow2.time == pytest.approx(0.02)
     assert heat2.time == pytest.approx(0.02)
     assert fields.grid is grid
+
+
+# ------------------------------------------------------------
+# lagged factorization
+# ------------------------------------------------------------
+
+def _curved_problem(params, jump):
+    params = dataclasses.replace(params, gamma_jump=jump)
+    surface = eq.solve_equilibrium(params, 1.0)
+    grid = geo.make_grid(surface, 24, 16, params.depth)
+    return fl.CoupledProblem(params=params, surface=surface, grid=grid)
+
+
+def _perturbed_start(problem):
+    grid = problem.grid
+    flow = fl.construct_flow_initial_data(
+        problem, _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)))
+    X, S = np.meshgrid(grid.xf, grid.sf, indexing="ij")
+    theta = 1e-2 * np.sin(math.pi * (X + grid.ell) / (2.0 * grid.ell)) \
+        * np.sin(0.5 * math.pi * S)
+    return flow, ht.HeatState(theta=theta)
+
+
+def _run_steps(problem, flow, heat_state, dts, fresh):
+    """(flow, heat) after each step; fresh=True factors every system anew."""
+    out = []
+    for dt in dts:
+        stepper = dataclasses.replace(problem) if fresh else problem
+        flow, heat_state, _ = fl.coupled_step(stepper, flow, heat_state, dt)
+        out.append((flow, heat_state))
+    return out
+
+
+def _assert_trajectories_match(lagged, fresh, rel=1e-10):
+    for (fa, ha), (fb, hb) in zip(lagged, fresh):
+        for name in ("u1", "u2", "p", "eta", "zdot"):
+            ref = getattr(fb, name)
+            err = np.max(np.abs(getattr(fa, name) - ref))
+            assert err <= rel * np.max(np.abs(ref)), name
+        assert np.max(np.abs(ha.theta - hb.theta)) \
+            <= rel * np.max(np.abs(hb.theta))
+
+
+@pytest.mark.parametrize("jump", [0.3, -0.5])
+def test_lagged_solves_match_fresh_factorizations(params, jump):
+    problem = _curved_problem(params, jump)
+    grid = problem.grid
+    rest = fl.zero_flow_state(grid)
+    cold = ht.HeatState(theta=np.zeros((grid.nx + 1, grid.ny + 1)))
+    for flow, heat_state in _run_steps(problem, rest, cold, [0.02] * 3,
+                                       fresh=False):
+        assert not np.any(flow.u1) and not np.any(flow.u2)
+        assert not np.any(flow.eta) and not np.any(heat_state.theta)
+    assert problem.saddle_solver.factorizations == 0
+
+    flow, heat_state = _perturbed_start(problem)
+    dts = [0.02] * 20
+    lagged = _run_steps(problem, flow, heat_state, dts, fresh=False)
+    fresh = _run_steps(problem, flow, heat_state, dts, fresh=True)
+    _assert_trajectories_match(lagged, fresh)
+    for state, _ in lagged:
+        assert state.div_residual < 1e-12
+        assert abs(np.sum(state.eta)) * grid.hx < 1e-13
+        assert state.recenter_log < 1e-15
+    for solver in (problem.saddle_solver, problem.heat_solver):
+        assert solver.factorizations == 1
+        assert solver.reused_solves == 19
+        assert solver.fallbacks == 0
+
+
+def test_dt_change_refactors_once(problem):
+    problem = dataclasses.replace(problem)
+    flow, heat_state = _perturbed_start(problem)
+    dts = [0.02] * 6 + [0.01] * 6
+    lagged = _run_steps(problem, flow, heat_state, dts, fresh=False)
+    fresh = _run_steps(problem, flow, heat_state, dts, fresh=True)
+    _assert_trajectories_match(lagged, fresh)
+    for solver in (problem.saddle_solver, problem.heat_solver):
+        assert solver.factorizations == 2
+        assert solver.reused_solves == 10
+        assert solver.fallbacks == 0
+
+
+def test_lagged_lu_falls_back_on_a_distant_system():
+    n = 80
+    rng = np.random.default_rng(3)
+    base = (sp.random(n, n, density=0.1, random_state=rng)
+            + 4.0 * sp.eye(n)).tocsc()
+    near = (base + 1e-3 * sp.diags(rng.standard_normal(n))).tocsc()
+    far = (sp.random(n, n, density=0.1, random_state=rng)
+           - 2.0 * sp.eye(n)).tocsc()
+    b = rng.standard_normal(n)
+    solver = fl.LaggedLU()
+    assert not np.any(solver.solve(spla, base, np.zeros(n), 0.1))
+    assert solver.factorizations == 0
+    for A in (base, near, far):
+        x = solver.solve(spla, A, b, 0.1)
+        assert np.linalg.norm(b - A @ x) <= fl.LAG_RTOL * np.linalg.norm(b)
+    assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
+                               "max_gmres_iterations": fl.LAG_RESTART,
+                               "fallbacks": 1}
+    with pytest.raises(fl.StabilityError):
+        solver.solve(spla, far, np.full(n, np.nan), 0.1)
 
 
 # ------------------------------------------------------------
