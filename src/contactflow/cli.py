@@ -28,10 +28,12 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time as _time
 
 import numpy as np
+import scipy
 
 from . import corner as corner_mod
 from . import diagnostics as diag
@@ -48,8 +50,6 @@ ENV_PREFIX = "CONTACTFLOW_"
 def default_config():
     return {
         "mode": "decay",
-        "seed": 0,
-        "threads": 0,
         "out": "runs/out",
         "svg": False,
         "mean_height": 1.0,
@@ -127,8 +127,28 @@ def load_config(path=None, environ=None, overrides=None):
     return cfg
 
 
+def _non_finite_leaf(node, path=""):
+    """Dotted path of the first NaN or infinite number in node, else None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return None
+    for key, val in children:
+        found = _non_finite_leaf(val, "%s.%s" % (path, key) if path else key)
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(cfg):
     """Raise ConstraintError on anything a run would choke on."""
+    bad = _non_finite_leaf(cfg)
+    if bad is not None:
+        raise ConstraintError("%s must be a finite number" % bad)
     modes = ("equilibrium", "heat", "coupled", "decay", "corner-probe",
              "epsilon-sweep")
     if cfg["mode"] not in modes:
@@ -491,13 +511,6 @@ def run_epsilon_sweep(cfg, params, outdir):
 # entry point
 # ============================================================
 
-def _apply_threads(n):
-    if n and n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="contactflow",
@@ -508,8 +521,6 @@ def main(argv=None):
                          "corner-probe | epsilon-sweep")
     ap.add_argument("--config", default=None, help="JSON config file")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--threads", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--validate-only", action="store_true")
     try:
         args = ap.parse_args(argv)
@@ -521,10 +532,6 @@ def main(argv=None):
         overrides["mode"] = args.mode
     if args.out is not None:
         overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.seed is not None:
-        overrides["seed"] = args.seed
 
     try:
         cfg = load_config(args.config, overrides=overrides)
@@ -537,8 +544,6 @@ def main(argv=None):
         print("config ok")
         return 0
 
-    _apply_threads(cfg["threads"])
-    np.random.seed(cfg["seed"])
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
 
@@ -563,7 +568,9 @@ def main(argv=None):
     write_json(os.path.join(outdir, "report.json"), report)
     write_json(os.path.join(outdir, "meta.json"),
                {"config": cfg, "columns": list(diag.SERIES_COLUMNS),
-                "versions": {"numpy": np.__version__}})
+                "versions": {"numpy": np.__version__,
+                             "scipy": scipy.__version__,
+                             "python": platform.python_version()}})
     if rows is not None:
         write_series_csv(os.path.join(outdir, "series.csv"), rows)
         if cfg["svg"]:

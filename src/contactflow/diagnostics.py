@@ -69,7 +69,7 @@ def _periodic_diff(g, hx):
     return (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * hx)
 
 
-def surface_norm(values, s, ell, q=2.0, dip=0.0):
+def surface_norm(values, s, ell, q=2.0):
     """W^{s,q} norm of top-boundary cell samples via the even extension.
 
     s = m + sigma with integer m >= 0 and sigma in [0, 1). Integer part:
@@ -77,7 +77,7 @@ def surface_norm(values, s, ell, q=2.0, dip=0.0):
     part: Gagliardo seminorm of the m-th derivative.
     """
     values = np.asarray(values, float)
-    _, ext = geometry.extend_surface(values, ell, dip=dip)
+    _, ext = geometry.extend_surface(values, ell)
     hx = 2.0 * ell / values.size
     m = int(math.floor(s + 1e-12))
     sigma = s - m

@@ -47,7 +47,6 @@ law kappa(dt_eta + W(dt_eta)) = -+ sigma1 (flux at +-ell) closes the system
 at the moving contact points, with W(z) = w3 z^3 by default.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,13 +81,6 @@ def remainder_r(s0, s):
             - s / (1.0 + s0 * s0) ** 1.5)
 
 
-def dt_remainder_r(s0, s, ds):
-    """d/dt R = [f'(s0+s) - f'(s0)] ds for a time-dependent slope s(t)."""
-    s0 = np.asarray(s0, float)
-    s = np.asarray(s, float)
-    return ((1.0 + (s0 + s) ** 2) ** -1.5 - (1.0 + s0 * s0) ** -1.5) * ds
-
-
 @dataclass(frozen=True)
 class ContactModel:
     kappa: float
@@ -97,9 +89,6 @@ class ContactModel:
 
     def response(self, z):
         return self.w3 * np.asarray(z, float) ** 3
-
-    def d_response(self, z):
-        return 3.0 * self.w3 * np.asarray(z, float) ** 2
 
 
 def _solve_contact_scalar(model, rhs):
@@ -140,42 +129,6 @@ def apply_contact_law(model, slopes, dslopes, eps, wall_slopes=(0.0, 0.0)):
                 + float(remainder_r(s0, slopes[side])))
         out.append(float(_solve_contact_scalar(model, sign * model.sigma1 * flux)))
     return tuple(out)
-
-
-def surface_tension_operator(fields, eta, deta, theta_top, eps, params,
-                             model=None):
-    """Direct evaluation of the surface traction and contact defects.
-
-    Returns (traction at top cell centers, contact residuals (left, right)).
-    traction = g eta - (sigma1 - sigma2 theta) d1[flux] with the exact
-    nonlinear flux f(zeta0' + d1 eta) - f(zeta0') + eps-regularization;
-    the residuals measure how far the current endpoint speeds are from the
-    contact law. Used for diagnostics and cross-checks, not for stepping
-    (the stepper works with the weak, integrated-by-parts form).
-    """
-    grid = fields.grid
-    if model is None:
-        model = ContactModel(kappa=params.kappa, sigma1=params.sigma1)
-    srf_n = fields.surface("nodes")
-    s0 = srf_n["dzeta0"]
-    d1e = srf_n["d1_eta"]
-    d1de = srf_n["dt_d1_eta"]
-    flux = (d1e + eps * d1de) / (1.0 + s0 * s0) ** 1.5 + remainder_r(s0, d1e)
-    dflux = np.gradient(flux, grid.hx)
-    sigma = params.sigma1 - params.sigma2 * np.asarray(theta_top, float)
-    # eta and theta_top live at centers; average the node flux derivative
-    dflux_c = 0.5 * (dflux[:-1] + dflux[1:])
-    sig_c = sigma if sigma.size == grid.nx else 0.5 * (sigma[:-1] + sigma[1:])
-    traction = params.g * np.asarray(eta, float) - sig_c * dflux_c
-
-    z_ends = (_extrap_end(deta, 0), _extrap_end(deta, 1))
-    resid = []
-    for side, sign in ((0, +1.0), (1, -1.0)):
-        fl = flux[0] if side == 0 else flux[-1]
-        z = z_ends[side]
-        resid.append(float(model.kappa * (z + model.response(z))
-                           - sign * model.sigma1 * fl))
-    return traction, tuple(resid)
 
 
 def _extrap_end(c, side):
@@ -771,19 +724,13 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
     return state
 
 
-def check_compatibility(problem, fields, state, j=0):
-    """Discrete residuals of the order-j compatibility conditions.
-
-    j = 0 checks the constraints the stepper enforces structurally
-    (divergence, wall flux, kinematic trace, zero mean). j >= 1 applies the
-    transported derivative D_t = d_t - R to backward differences of the
-    stored velocity levels and measures its collocated divergence; these
-    are O(dt) diagnostics, not solver constraints.
-    """
+def check_compatibility(problem, fields, state):
+    """Discrete residuals of the constraints the stepper enforces
+    structurally: divergence, wall flux, kinematic trace and zero mean."""
     grid = problem.grid
     ops = FlowOperators(fields, problem.params, problem.eps, 1.0)
     ufull = ops.full_vector(state.u1, state.u2)
-    out = {
+    return {
         "div": float(np.max(np.abs(ops.Div @ ufull))),
         "wall_flux": float(max(np.max(np.abs(state.u1[0])),
                                np.max(np.abs(state.u1[-1])))),
@@ -791,217 +738,3 @@ def check_compatibility(problem, fields, state, j=0):
             np.asarray(ops.Ztop @ ufull).ravel() - state.zdot))),
         "mean_eta": abs(float(np.sum(state.eta) * grid.hx)),
     }
-    if j >= 1 and state.levels:
-        un = velocity_at_nodes(state)
-        R = geometry.transport_matrix_r(fields)
-        dstate = FlowState(u1=state.dt_field("u1"), u2=state.dt_field("u2"),
-                           p=state.dt_field("p"), eta=state.zdot,
-                           zdot=state.d2t_eta())
-        dun = velocity_at_nodes(dstate)
-        dtu = dun - np.einsum("ij...,j...->i...", R, un)
-        out["div_dt1"] = float(np.max(np.abs(
-            geometry.div_a(fields, dtu))))
-    return out
-
-
-# ============================================================
-# forcing assembly (collocated diagnostics)
-# ============================================================
-
-@dataclass
-class TrajectoryPoint:
-    """Node-collocated snapshot of all fields and time derivatives.
-
-    eta (and its derivatives) live at top cell centers; everything else on
-    the (nx+1, ny+1) node grid. Omitted entries default to zero. The fields
-    argument to assemble_flow_forcing must be built from the same eta and
-    dt eta as this point.
-    """
-    u: np.ndarray = None
-    du: np.ndarray = None
-    d2u: np.ndarray = None
-    p: np.ndarray = None
-    dp: np.ndarray = None
-    eta: np.ndarray = None
-    deta: np.ndarray = None
-    d2eta: np.ndarray = None
-    d3eta: np.ndarray = None
-    theta: np.ndarray = None
-    dtheta: np.ndarray = None
-    d2theta: np.ndarray = None
-
-    def filled(self, grid):
-        nodes = (grid.nx + 1, grid.ny + 1)
-        for name, shape in (("u", (2,) + nodes), ("du", (2,) + nodes),
-                            ("d2u", (2,) + nodes), ("p", nodes),
-                            ("dp", nodes), ("eta", (grid.nx,)),
-                            ("deta", (grid.nx,)), ("d2eta", (grid.nx,)),
-                            ("d3eta", (grid.nx,)), ("theta", nodes),
-                            ("dtheta", nodes), ("d2theta", nodes)):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(shape))
-        return self
-
-
-def _motion_term(met, f, hs):
-    ds = np.gradient(f, hs, axis=-1, edge_order=2)
-    return met["dt_eta_bar"] * met["W"] * met["K"] * met["invH"][:, None] * ds
-
-
-def _advect(fields, u, f):
-    g = geometry.grad_a(fields, f)
-    return u[0] * g[0] + u[1] * g[1]
-
-
-def assemble_flow_forcing(problem, fields, point, j=0):
-    """Nonlinear forcing lists of the j-th time-differentiated system.
-
-    j = 0 evaluates the closed-form right-hand sides on collocated node
-    data: bulk momentum F1, divergence data F2, curvature remainder F3,
-    thermal tension F4, contact response F5/F7, heat bulk F8 and Robin data
-    F9. j = 1 returns F^{i,1} = dt F^i + G^i with every time derivative
-    taken analytically from the supplied derivative fields and the
-    commutator corrections G^i evaluated with the dt-metric. j = 2 repeats
-    the chain by central differencing the j = 1 assembly along the
-    quadratic trajectory defined by the point (diagnostic grade).
-    """
-    params = problem.params
-    grid = problem.grid
-    point = point.filled(grid)
-    if j == 2:
-        return _forcing_fd_chain(problem, fields, point)
-
-    met = fields.at("nodes")
-    srf = fields.surface("nodes")
-    hx, hs = grid.hx, grid.hs
-    eps = problem.eps
-    model = problem.contact_model()
-
-    s0 = srf["dzeta0"]
-    d1e = srf["d1_eta"]
-    d1de = srf["dt_d1_eta"]
-    inv32 = (1.0 + s0 * s0) ** -1.5
-    zend = (_extrap_end(point.deta, 0), _extrap_end(point.deta, 1))
-
-    if j == 0:
-        F1 = np.array([_motion_term(met, point.u[i], hs)
-                       - _advect(fields, point.u, point.u[i])
-                       for i in range(2)])
-        F1[1] -= params.g * point.theta
-        F2 = np.zeros_like(point.p)
-        F3 = params.sigma1 * remainder_r(s0, d1e)
-        fl = (d1e + eps * d1de) * inv32
-        F4 = (params.sigma2 * point.theta[:, -1] * np.gradient(fl, hx)
-              * srf["normal"])
-        F5 = np.array([params.kappa * float(model.response(z)) for z in zend])
-        F8 = _motion_term(met, point.theta, hs) \
-            - _advect(fields, point.u, point.theta)
-        F9 = np.zeros(grid.nx + 1)
-        return {"F1": F1, "F2": F2, "F3": F3, "F4": F4, "F5": F5,
-                "F7": F5.copy(), "F8": F8, "F9": F9}
-
-    if j != 1:
-        raise ValueError("j must be 0, 1 or 2")
-
-    # second-order geometry: the metric is linear in etabar except K,
-    # so d2-quantities come from a companion fields object
-    f2 = geometry.build_geometry(grid, point.deta, point.d2eta)
-    met2 = f2.at("nodes")
-    d2_eta_bar = met2["dt_eta_bar"]
-    d2_J = met2["dt_J"]
-    d2_A = met2["dt_A"]
-    d2_K = 2.0 * met["K"] ** 3 * met["dt_J"] ** 2 - met["K"] ** 2 * d2_J
-    srf2 = f2.surface("nodes")
-    d1d2e = srf2["dt_d1_eta"]
-
-    mu = params.mu
-
-    def dt_motion(f, df):
-        ds = np.gradient(f, hs, axis=-1, edge_order=2)
-        dds = np.gradient(df, hs, axis=-1, edge_order=2)
-        wk = met["W"] * met["K"] * met["invH"][:, None]
-        dwk = met["W"] * met["dt_K"] * met["invH"][:, None]
-        return (d2_eta_bar * wk + met["dt_eta_bar"] * dwk) * ds \
-            + met["dt_eta_bar"] * wk * dds
-
-    def dt_advect(f, df):
-        return (_advect(fields, point.du, f)
-                + np.einsum("i...,i...->...", point.u,
-                            geometry.grad_a(fields, f, "dt_calA"))
-                + _advect(fields, point.u, df))
-
-    # G1 = -div_{dtA} S_calA(p, u) + mu div_calA D_{dtA} u
-    S = geometry.stress_a(fields, point.p, point.u, mu)
-    G1 = -geometry.tensor_div_a(fields, S, "dt_calA")
-    Ddt = _sym_grad_mixed(fields, point.u)
-    G1 += mu * geometry.tensor_div_a(fields, Ddt, "calA")
-
-    dF1 = np.array([dt_motion(point.u[i], point.du[i])
-                    - dt_advect(point.u[i], point.du[i])
-                    for i in range(2)])
-    dF1[1] -= params.g * point.dtheta
-    F11 = dF1 + G1
-
-    F21 = -geometry.div_a(fields, point.u, "dt_calA")
-
-    F31 = params.sigma1 * dt_remainder_r(s0, d1e, d1de)
-
-    fl = (d1e + eps * d1de) * inv32
-    dfl = (d1de + eps * d1d2e) * inv32
-    F41 = (params.sigma2 * point.dtheta[:, -1] * np.gradient(fl, hx)
-           * srf["normal"]
-           + params.sigma2 * point.theta[:, -1] * np.gradient(dfl, hx)
-           * srf["normal"]
-           + params.sigma2 * point.theta[:, -1] * np.gradient(fl, hx)
-           * srf["dt_normal"])
-
-    z2 = (_extrap_end(point.d2eta, 0), _extrap_end(point.d2eta, 1))
-    F51 = np.array([params.kappa * float(model.d_response(zend[k])) * z2[k]
-                    for k in range(2)])
-
-    _, _, G8, G9 = _heat_chain(fields, point.theta, params.k)
-    dF8 = dt_motion(point.theta, point.dtheta) \
-        - dt_advect(point.theta, point.dtheta)
-    F81 = dF8 + G8
-    F91 = G9
-    return {"F1": F11, "F2": F21, "F3": F31, "F4": F41, "F5": F51,
-            "F7": F51.copy(), "F8": F81, "F9": F91}
-
-
-def _sym_grad_mixed(fields, u):
-    """(D_{dt calA} u)_ij = dtA_ik d_k u_j + dtA_jk d_k u_i."""
-    met = fields.at("nodes")
-    g = np.array([geometry.omega_gradient(met, u[k], fields.grid.hx,
-                                          fields.grid.hs) for k in range(2)])
-    grad = np.einsum("ik...,jk...->ij...", met["dt_calA"], g)
-    return grad + np.einsum("ij...->ji...", grad)
-
-
-def _heat_chain(fields, theta, k_cond):
-    from . import heat as heat_mod
-    return heat_mod.dt_forcing_chain(fields, theta, k_cond)
-
-
-def _forcing_fd_chain(problem, fields, point, delta=1e-4):
-    """F^{i,2} by central differences of the j = 1 assembly in time."""
-    grid = problem.grid
-
-    def shifted(sgn):
-        d = sgn * delta
-        pt = TrajectoryPoint(
-            u=point.u + d * point.du + 0.5 * d * d * point.d2u,
-            du=point.du + d * point.d2u,
-            d2u=point.d2u,
-            p=point.p + d * point.dp, dp=point.dp,
-            eta=point.eta + d * point.deta + 0.5 * d * d * point.d2eta
-            + d ** 3 / 6.0 * point.d3eta,
-            deta=point.deta + d * point.d2eta + 0.5 * d * d * point.d3eta,
-            d2eta=point.d2eta + d * point.d3eta, d3eta=point.d3eta,
-            theta=point.theta + d * point.dtheta + 0.5 * d * d * point.d2theta,
-            dtheta=point.dtheta + d * point.d2theta, d2theta=point.d2theta)
-        flds = geometry.build_geometry(grid, pt.eta, pt.deta)
-        return assemble_flow_forcing(problem, flds, pt, j=1)
-
-    plus = shifted(+1.0)
-    minus = shifted(-1.0)
-    return {k: (plus[k] - minus[k]) / (2.0 * delta) for k in plus}

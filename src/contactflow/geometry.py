@@ -12,10 +12,9 @@ the cutoff band and matches the full surface displacement at x2 = zeta0.
 
 The extension is built in two steps. eta on (-ell, ell) is reflected evenly
 about the walls into a period-4ell function (cell-center samples make the
-reflection seamless), optionally damped by a C-infinity window equal to 1 on
-[-ell, ell], and then extended harmonically downward: each DFT mode xi picks
-up the decay factor exp(2 pi |xi| (x2 - zeta0)). Restriction to the surface
-is exact by construction.
+reflection seamless), and then extended harmonically downward: each DFT mode
+xi picks up the decay factor exp(2 pi |xi| (x2 - zeta0)). Restriction to the
+surface is exact by construction.
 
 With W = phi/zeta0,
 
@@ -41,14 +40,13 @@ volume weight is Jvol = J H. Flux components Z = Jvol c^T X satisfy
 which is what makes discrete volume bookkeeping telescope exactly.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
 # ============================================================
-# cutoff and window profiles
+# cutoff profile and surface reflection
 # ============================================================
 
 def phi_cutoff(x2, zmin):
@@ -64,31 +62,13 @@ def phi_cutoff(x2, zmin):
     return np.where(x2 <= a, 0.0, phi), np.where(x2 <= a, 0.0, dphi)
 
 
-def _bump(t):
-    """b(t) = exp(-1/t) for t > 0, extended by zero (all derivatives flat)."""
-    t = np.asarray(t, float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
-def smooth_ramp(t):
-    """C-infinity monotone ramp, 0 for t <= 0 and 1 for t >= 1."""
-    b0 = _bump(t)
-    b1 = _bump(1.0 - np.asarray(t, float))
-    return b0 / (b0 + b1)
-
-
-def extend_surface(eta, ell, dip=0.0):
+def extend_surface(eta, ell):
     """Even periodic extension of cell-center surface samples.
 
     eta holds nx samples at x = -ell + (i + 1/2) hx. The even reflection
     about +ell is the reversed array, giving 2 nx samples of a period-4ell
     function; the center staggering makes the reflection about -ell implicit
-    in the periodicity. dip > 0 additionally damps the reflected copy by a
-    C-infinity window that is exactly 1 on [-ell, ell] (dip = 0 keeps the
-    constant window, which is the admissible default).
+    in the periodicity.
 
     Returns (x_ext, f_ext).
     """
@@ -97,12 +77,6 @@ def extend_surface(eta, ell, dip=0.0):
     hx = 2.0 * ell / n
     x_ext = -ell + (np.arange(2 * n) + 0.5) * hx
     f_ext = np.concatenate([eta, eta[::-1]])
-    if dip != 0.0:
-        w = np.ones_like(f_ext)
-        mirror = x_ext > ell
-        t = (x_ext[mirror] - ell) / ell  # in (0, 2) on the reflected copy
-        w[mirror] = 1.0 - dip * smooth_ramp(t) * smooth_ramp(2.0 - t)
-        f_ext = f_ext * w
     return x_ext, f_ext
 
 
@@ -110,29 +84,12 @@ def extend_surface(eta, ell, dip=0.0):
 # harmonic (Poisson) extension
 # ============================================================
 
-def poisson_extend(f_ext, ell, depth):
-    """Harmonic extension of period-4ell samples to signed depth(s) <= 0.
-
-    Mode xi_k = k/(4 ell) decays as exp(2 pi |xi_k| depth). depth may be a
-    scalar or an array of offsets; returns samples on the same x grid with
-    leading depth axes.
-    """
-    f_ext = np.asarray(f_ext, float)
-    n = f_ext.size
-    fhat = np.fft.rfft(f_ext)
-    ang = 2.0 * np.pi * np.arange(fhat.size) / (4.0 * ell)  # 2 pi |xi_k|
-    depth = np.asarray(depth, float)
-    fac = np.exp(np.multiply.outer(depth, ang))
-    return np.fft.irfft(fhat * fac, n=n)
-
-
 class _ModeSampler:
     """Evaluates the harmonic extension and its derivatives anywhere.
 
-    Holds the rfft coefficients of the extension; sample(x1, depth, a, b)
-    returns Re sum_k m_k c_k (i ang_k)^a (ang_k)^b exp(i ang_k x1 + ang_k d)
-    on the tensor/elementwise layout of (x1, depth). a counts tangential
-    derivative factors, b vertical ones.
+    Holds the rfft coefficients c_k of the extension with their weights
+    m_k; the extension is Re sum_k m_k c_k exp(i ang_k x1 + ang_k d) at
+    depth offset d <= 0 below the surface.
     """
 
     def __init__(self, f_ext, ell):
@@ -147,13 +104,6 @@ class _ModeSampler:
         # f_ext[0] sits at x = -ell + h/2, not x = 0; fold that phase into
         # the coefficients so e^{i ang x} is taken in absolute coordinates.
         self.coef = mult * fhat * np.exp(1j * self.ang * (ell - 2.0 * ell / n))
-
-    def sample(self, x1, depth, a=0, b=0):
-        """x1: (n1,), depth: (n1, ns). Returns (n1, ns)."""
-        w = self.coef * (1j * self.ang) ** a * self.ang ** b
-        e1 = np.exp(1j * np.multiply.outer(np.asarray(x1, float), self.ang))
-        ed = np.exp(np.multiply.outer(np.asarray(depth, float), self.ang))
-        return np.einsum("nk,nsk->ns", w * e1, ed).real
 
     def sample_triple(self, x1, depth):
         """(value, d/dx1, d/dx2) sharing one decay-factor array.
@@ -412,41 +362,6 @@ def div_a(fields, X, which="calA"):
     return out
 
 
-def lap_a(fields, f, which="calA"):
-    return div_a(fields, grad_a(fields, f, which), which)
-
-
-def sym_grad_a(fields, u):
-    """(D_calA u)_ij = calA_ik d_k u_j + calA_jk d_k u_i."""
-    met = fields.at("nodes")
-    g = np.array([omega_gradient(met, u[j], fields.grid.hx, fields.grid.hs)
-                  for j in range(2)])  # g[j, k] = d_k u_j
-    grad = np.einsum("ik...,jk...->ij...", met["calA"], g)
-    return grad + np.einsum("ij...->ji...", grad)
-
-
-def stress_a(fields, p, u, mu):
-    """S_calA(p, u) = p I - mu D_calA u."""
-    D = sym_grad_a(fields, u)
-    S = -mu * D
-    S[0, 0] += p
-    S[1, 1] += p
-    return S
-
-
-def tensor_div_a(fields, S, which="calA"):
-    """(div_calA S)_i = calA_jk d_k S_ij, rowwise vector divergence."""
-    met = fields.at("nodes")
-    rows = []
-    for i in range(2):
-        acc = np.zeros_like(np.asarray(S[i][0], float))
-        for j in range(2):
-            g = omega_gradient(met, S[i][j], fields.grid.hx, fields.grid.hs)
-            acc += np.einsum("k...,k...->...", met[which][j], g)
-        rows.append(acc)
-    return np.array(rows)
-
-
 def piola_residual(fields):
     """max |d_j (J calA_ij)| over node samples.
 
@@ -460,17 +375,3 @@ def piola_residual(fields):
           + omega_gradient(met, -met["A"], hx, hs)[1])
     r2 = omega_gradient(met, met["J"] * met["K"], hx, hs)[1]
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-
-
-def transport_matrix_r(fields, where="nodes"):
-    """R = -(dt J) K I - (dt calA . calA^{-1})^T, the commutator correction
-    that keeps D_t = d_t - R acting within div_calA-free fields.
-
-    With calA^{-1} = [[1, A], [0, J]] this collapses to
-    R = [[-K dt J, 0], [J dt(A K), 0]].
-    """
-    met = fields.at(where) if isinstance(where, str) else where
-    r11 = -met["K"] * met["dt_J"]
-    r21 = met["J"] * (met["dt_A"] * met["K"] + met["A"] * met["dt_K"])
-    zero = np.zeros_like(r11)
-    return np.array([[r11, zero], [r21, zero]])

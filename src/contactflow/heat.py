@@ -18,11 +18,6 @@ satisfies a discrete energy identity on static geometry.
 Transport (u . grad_calA theta and the mesh-motion term
 dt(etabar) W K d2 theta) is explicit with two-level extrapolation, keeping
 the implicit part linear and symmetric.
-
-The spectral path projects the same matrices onto a frozen eigenbasis of
-(B, M); with the full basis on static geometry it reproduces the nodal
-stepper to roundoff, which is a strong consistency check between the two
-discretization routes.
 """
 
 import math
@@ -246,76 +241,17 @@ def step_fd(fields, k_cond, state, dt, transport=None, f8=None, f9=None,
 
 
 # ============================================================
-# spectral path
+# conduction spectrum
 # ============================================================
 
-@dataclass
-class GalerkinBasis:
-    modes: np.ndarray        # (nfree, m), M-orthonormal columns
-    lam: np.ndarray          # Rayleigh quotients at build time
-    free: np.ndarray
-    shape: tuple
-
-
-def build_basis(fields, k_cond, m=None):
-    """Eigenbasis of (B, M) on the free nodes, frozen at the given fields.
-
-    Asking for a few modes on a fine grid routes through shift-invert
-    Lanczos; the dense path is kept for the full-basis equivalence check.
-    """
+def build_basis(fields, k_cond, m):
+    """Lowest m eigenpairs of (B, M) on the free nodes, frozen at the given
+    fields, by shift-invert Lanczos. Returns (eigenvalues, M-orthonormal
+    eigenvectors as columns), ascending."""
     ops = heat_operators(fields, k_cond)
-    nfree = ops.free.size
-    if m is not None and 8 * m < nfree:
-        from scipy.sparse.linalg import eigsh
-        lam, vecs = eigsh(ops.B_ff.tocsc(), k=m, M=ops.M_ff.tocsc(),
-                          sigma=0.0)
-        order = np.argsort(lam)
-        lam, vecs = lam[order], vecs[:, order]
-    else:
-        from scipy.linalg import eigh
-        lam, vecs = eigh(ops.B_ff.toarray(), ops.M_ff.toarray())
-    if m is None:
-        m = lam.size
-    grid = fields.grid
-    return GalerkinBasis(modes=vecs[:, :m], lam=lam[:m], free=ops.free,
-                         shape=(grid.nx + 1, grid.ny + 1))
-
-
-def coeffs_from_theta(basis, ops, theta):
-    return basis.modes.T @ (ops.M_ff @ theta.ravel()[basis.free])
-
-
-def theta_from_coeffs(basis, coeffs):
-    full = np.zeros(basis.shape[0] * basis.shape[1])
-    full[basis.free] = basis.modes @ coeffs
-    return full.reshape(basis.shape)
-
-
-def step_galerkin(fields, k_cond, basis, coeffs, dt, transport=None,
-                  f8=None, f9=None, theta_prev=None):
-    """Crank-Nicolson on the projected system.
-
-    The matrices are reassembled from the current fields and projected onto
-    the frozen basis; with the full basis on static geometry this is the
-    nodal step in different coordinates.
-    """
-    ops = heat_operators(fields, k_cond)
-    V = basis.modes
-    MV = ops.M_ff @ V
-    BV = ops.B_ff @ V
-    Mg = V.T @ MV
-    Bg = V.T @ BV
-
-    theta = theta_from_coeffs(basis, coeffs)
-    that = theta if theta_prev is None else 1.5 * theta - 0.5 * theta_prev
-    load = _load_vector(ops, f8, f9)
-    adv = _transport_nodes(fields, that, transport)
-    if np.any(adv):
-        load += ops.M @ adv.ravel()
-    g = V.T @ load[ops.free]
-
-    rhs = (Mg / dt - 0.5 * Bg) @ coeffs + g
-    return np.linalg.solve(Mg / dt + 0.5 * Bg, rhs)
+    lam, vecs = spla.eigsh(ops.B_ff, k=m, M=ops.M_ff, sigma=0.0)
+    order = np.argsort(lam)
+    return lam[order], vecs[:, order]
 
 
 # ============================================================
@@ -420,5 +356,4 @@ def heat_t0_residual(fields, k_cond, theta0, dtheta0, f8=None, f9=None):
 
 def lowest_eigenvalues(fields, k_cond, m=6):
     """Smallest generalized eigenvalues of (B, M) on the free nodes."""
-    basis = build_basis(fields, k_cond, m)
-    return basis.lam
+    return build_basis(fields, k_cond, m)[0]

@@ -9,9 +9,11 @@ import csv
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from contactflow import cli
 from contactflow import diagnostics as diag
@@ -96,14 +98,15 @@ def test_env_overrides_parse_json_with_string_fallback():
 
 
 def test_precedence_file_env_flags(tmp_path):
-    path = _write_config(tmp_path, {"seed": 3, "params": {"mu": 0.9}})
-    env = {"CONTACTFLOW_SEED": "5"}
-    cfg = cli.load_config(path, environ=env, overrides={"threads": 2})
-    assert cfg["seed"] == 5          # env beats file
+    path = _write_config(tmp_path, {"out": "from_file",
+                                    "params": {"mu": 0.9}})
+    env = {"CONTACTFLOW_OUT": "from_env"}
+    cfg = cli.load_config(path, environ=env, overrides={"mode": "heat"})
+    assert cfg["out"] == "from_env"    # env beats file
     assert cfg["params"]["mu"] == 0.9  # file beats defaults
-    assert cfg["threads"] == 2
-    cfg = cli.load_config(path, environ=env, overrides={"seed": 7})
-    assert cfg["seed"] == 7          # explicit flags beat env
+    assert cfg["mode"] == "heat"
+    cfg = cli.load_config(path, environ=env, overrides={"out": "from_flag"})
+    assert cfg["out"] == "from_flag"   # explicit flags beat env
 
 
 BAD_CONFIGS = [
@@ -119,6 +122,17 @@ BAD_CONFIGS = [
     (("mean_height",), 2.5),
     (("mean_height",), 0.0),
     (("params", "mu"), -1.0),
+    # non-finite numbers slip past every ordered comparison
+    (("time", "dt"), math.nan),
+    (("time", "dt"), math.inf),
+    (("time", "warmup"), math.nan),
+    (("time", "save_every"), math.nan),
+    (("params", "beta"), math.nan),
+    (("params", "kappa"), math.inf),
+    (("eps",), math.nan),
+    (("w3",), math.nan),
+    (("initial", "theta_amp"), math.nan),
+    (("initial", "eta_modes"), [[1, math.nan]]),
 ]
 
 
@@ -223,6 +237,8 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "missing.json")]) == 2
     path = _write_config(tmp_path, {"nope": 1})
     assert cli.main(["--config", path]) == 2
+    path = _write_config(tmp_path, {"time": {"dt": math.nan}}, name="nan.json")
+    assert cli.main(["--config", path, "--validate-only"]) == 2
     assert cli.main(["--help"]) == 0
     err = capsys.readouterr().err
     assert "config error" in err
@@ -243,8 +259,8 @@ def test_runtime_failure_exits_three(tmp_path, capsys):
 # ------------------------------------------------------------------
 
 def test_equilibrium_mode_outputs(tmp_path):
-    cfg = {"mode": "equilibrium", "params": {"gamma_jump": 0.2}}
-    rc, outdir = _run(tmp_path, cfg, argv=("--seed", "7"))
+    cfg = {"mode": "heat", "params": {"gamma_jump": 0.2}}
+    rc, outdir = _run(tmp_path, cfg, argv=("equilibrium",))
     assert rc == 0
     rep = _report(outdir)
     assert rep["mode"] == "equilibrium"
@@ -260,8 +276,11 @@ def test_equilibrium_mode_outputs(tmp_path):
     with open(outdir / "meta.json") as fh:
         meta = json.load(fh)
     assert meta["columns"] == list(diag.SERIES_COLUMNS)
-    assert meta["config"]["seed"] == 7  # flag echoed into the merged config
-    assert meta["versions"]["numpy"] == np.__version__
+    # the mode argument is echoed into the merged config
+    assert meta["config"]["mode"] == "equilibrium"
+    assert meta["versions"] == {"numpy": np.__version__,
+                                "scipy": scipy.__version__,
+                                "python": platform.python_version()}
 
 
 def test_heat_mode_recovers_spectral_decay_rate(tmp_path):
@@ -360,7 +379,7 @@ def test_epsilon_sweep_mode_report(tmp_path):
 
 
 def test_serial_rerun_is_byte_identical(tmp_path):
-    cfg = dict(TINY, mode="decay", threads=1)
+    cfg = dict(TINY, mode="decay", w3=0.5)
     rc_a, out_a = _run(tmp_path, cfg, out="a")
     rc_b, out_b = _run(tmp_path, cfg, out="b")
     assert rc_a == rc_b == 0

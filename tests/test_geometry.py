@@ -10,9 +10,9 @@ from contactflow import geometry as geo
 from _reference import J_PROBES
 
 
-def _single_mode_fields(grid, amp=1e-3, k=1, deta_dt=None):
+def _single_mode_fields(grid, amp=1e-3, k=1):
     eta = amp * np.cos(k * math.pi * grid.xc / grid.ell)
-    return geo.build_geometry(grid, eta - eta.mean(), deta_dt=deta_dt)
+    return geo.build_geometry(grid, eta - eta.mean())
 
 
 # ------------------------------------------------------------
@@ -91,37 +91,24 @@ def test_extension_is_even_reflection():
     assert x_ext[0] == -1.0 + 1.0 / 12
 
 
-def test_extension_dip_damps_only_mirror_copy():
-    rng = np.random.default_rng(8)
-    eta = rng.normal(size=16)
-    _, plain = geo.extend_surface(eta, 1.0)
-    _, dipped = geo.extend_surface(eta, 1.0, dip=0.5)
-    assert np.array_equal(dipped[:16], plain[:16])
-    assert np.all(np.abs(dipped[16:]) <= np.abs(plain[16:]) + 1e-15)
-    assert np.any(dipped[16:] != plain[16:])
-
-
-def test_poisson_extension_decays_mode():
-    n = 64
-    x = -1.0 + (np.arange(2 * n) + 0.5) * (2.0 / n)  # period-4 sample grid
-    mode = np.cos(2.0 * math.pi * x / 4.0)
-    deep = geo.poisson_extend(mode, 1.0, -0.7)
-    assert np.allclose(deep, math.exp(-2.0 * math.pi * 0.7 / 4.0) * mode,
-                       atol=1e-14)
-
-
 def test_sample_triple_matches_single_samples():
-    rng = np.random.default_rng(5)
-    eta = rng.normal(scale=1e-3, size=20)
-    _, f_ext = geo.extend_surface(eta, 1.0)
+    # a cos(xi x) with xi = pi/ell is one mode of the period-4ell even
+    # extension, so its harmonic extension is a cos(xi x) e^{xi d} exactly
+    amp, xi = 1e-3, math.pi
+    xc = -1.0 + (np.arange(20) + 0.5) * 0.1
+    _, f_ext = geo.extend_surface(amp * np.cos(xi * xc), 1.0)
     samp = geo._ModeSampler(f_ext, 1.0)
     x1 = np.linspace(-1.0, 1.0, 9)
     for depth in (np.tile(np.linspace(-0.8, 0.0, 5), (9, 1)),   # flat rows
                   np.linspace(-0.8, 0.0, 45).reshape(9, 5)):    # curved rows
+        decay = amp * np.exp(xi * depth)
         v, d1, d2 = samp.sample_triple(x1, depth)
-        assert np.allclose(v, samp.sample(x1, depth), atol=1e-14)
-        assert np.allclose(d1, samp.sample(x1, depth, a=1), atol=1e-13)
-        assert np.allclose(d2, samp.sample(x1, depth, b=1), atol=1e-13)
+        assert np.allclose(v, np.cos(xi * x1)[:, None] * decay,
+                           rtol=0.0, atol=1e-17)
+        assert np.allclose(d1, -xi * np.sin(xi * x1)[:, None] * decay,
+                           rtol=0.0, atol=1e-16)
+        assert np.allclose(d2, xi * np.cos(xi * x1)[:, None] * decay,
+                           rtol=0.0, atol=1e-16)
 
 
 # ------------------------------------------------------------
@@ -166,19 +153,6 @@ def test_divergence_of_rigid_rotation_vanishes(zero_fields):
     X = np.array([np.broadcast_to(-met["x2"], met["x2"].shape),
                   np.broadcast_to(met["x1"][:, None], met["x2"].shape)])
     assert np.max(np.abs(geo.div_a(zero_fields, X))) < 1e-12
-
-
-def test_transport_matrix_structure(grid):
-    moving = _single_mode_fields(
-        grid, amp=2e-3,
-        deta_dt=1e-3 * np.sin(math.pi * grid.xc / grid.ell))
-    R = geo.transport_matrix_r(moving)
-    assert np.all(R[0, 1] == 0.0)
-    assert np.all(R[1, 1] == 0.0)
-    assert np.max(np.abs(R[0, 0])) > 0.0
-
-    frozen = _single_mode_fields(grid, amp=2e-3)
-    assert np.max(np.abs(geo.transport_matrix_r(frozen))) == 0.0
 
 
 def test_band_cells_tracks_resolution(flat_surface, params):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from contactflow import geometry as geo
 from contactflow import heat as ht
@@ -75,9 +76,11 @@ def test_eigenvalues_converge_to_continuum(flat_surface, params):
 
 def test_sparse_and_dense_eigenpaths_agree(flat_surface, params):
     fields = _flat_fields(flat_surface, params, 24, 18)
-    dense = ht.build_basis(fields, params.k)          # full spectrum, eigh
-    sparse = ht.build_basis(fields, params.k, m=4)    # shift-invert Lanczos
-    assert np.max(np.abs(dense.lam[:4] - sparse.lam)) < 1e-9
+    ops = ht.heat_operators(fields, params.k)
+    dense = scipy.linalg.eigh(ops.B_ff.toarray(), ops.M_ff.toarray(),
+                              eigvals_only=True)      # full spectrum
+    sparse = ht.lowest_eigenvalues(fields, params.k, m=4)
+    assert np.max(np.abs(dense[:4] - sparse)) < 1e-9
 
 
 # ------------------------------------------------------------
@@ -148,8 +151,9 @@ def test_crank_nicolson_energy_identity(flat_surface, params):
 
 def test_unforced_solution_decays_at_slowest_rate(flat_surface, params):
     fields = _flat_fields(flat_surface, params, 48, 36)
-    basis = ht.build_basis(fields, params.k, m=1)
-    theta0 = ht.theta_from_coeffs(basis, np.array([1.0]))
+    ops = ht.heat_operators(fields, params.k)
+    _, modes = ht.build_basis(fields, params.k, 1)
+    theta0 = ops.embed(modes[:, 0]).reshape(49, 37)
     state = ht.HeatState(theta=theta0)
     dt, steps = 0.01, 60
     for _ in range(steps):
@@ -158,38 +162,6 @@ def test_unforced_solution_decays_at_slowest_rate(flat_surface, params):
              / np.linalg.norm(theta0.ravel()))
     rate = -math.log(ratio) / (dt * steps)
     assert abs(rate - HEAT_EIGS[0]) < 3e-3 * HEAT_EIGS[0]
-
-
-def test_galerkin_full_basis_matches_nodal(flat_surface, params):
-    fields = _flat_fields(flat_surface, params, 24, 24)
-    met = fields.at("nodes")
-    ops = ht.heat_operators(fields, params.k)
-    basis = ht.build_basis(fields, params.k)
-    theta0 = (np.sin(math.pi * (met["x1"][:, None] + 1.0) / 2.0)
-              * np.sin(math.pi * (met["x2"] + params.depth) / 1.5))
-    f8 = 0.3 * np.cos(met["x1"])[:, None] * np.ones_like(met["x2"])
-    f9 = 0.1 * np.cos(fields.grid.xf)
-    nodal = ht.HeatState(theta=theta0)
-    coeffs = ht.coeffs_from_theta(basis, ops, theta0)
-    for _ in range(5):
-        nodal = ht.step_fd(fields, params.k, nodal, 0.02, f8=f8, f9=f9)
-        coeffs = ht.step_galerkin(fields, params.k, basis, coeffs, 0.02,
-                                  f8=f8, f9=f9)
-    spectral = ht.theta_from_coeffs(basis, coeffs)
-    assert np.max(np.abs(nodal.theta - spectral)) < 1e-6
-
-
-def test_round_trip_projection(flat_surface, params):
-    fields = _flat_fields(flat_surface, params, 16, 12)
-    ops = ht.heat_operators(fields, params.k)
-    basis = ht.build_basis(fields, params.k)
-    rng = np.random.default_rng(3)
-    theta = np.zeros((17, 13)).ravel()
-    theta[basis.free] = rng.normal(size=basis.free.size)
-    theta = theta.reshape(17, 13)
-    back = ht.theta_from_coeffs(basis,
-                                ht.coeffs_from_theta(basis, ops, theta))
-    assert np.max(np.abs(back - theta)) < 1e-10
 
 
 def test_transport_moves_profile_downstream(flat_surface, params):
