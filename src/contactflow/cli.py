@@ -144,11 +144,52 @@ def _non_finite_leaf(node, path=""):
     return None
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _type_mismatch(node, default, path=""):
+    """(dotted path, wanted type) of the first value whose type is not its
+    default's, else None.
+
+    An int default takes only ints and a float default ints or floats; a bool
+    is no number. A list default types every entry like its first, unless
+    its entries differ in type ([mode, amplitude]): then it is a fixed row
+    typed entry by entry.
+    """
+    if isinstance(default, dict):
+        children = [(key, node[key], default[key]) for key in default]
+    elif isinstance(default, list):
+        if not isinstance(node, list):
+            return path, "a list"
+        if len({type(d) for d in default}) == 1:
+            children = [(i, val, default[0]) for i, val in enumerate(node)]
+        elif len(node) == len(default):
+            children = list(zip(range(len(node)), node, default))
+        else:
+            return path, "a list of %d entries" % len(default)
+    else:
+        wanted = (int, float) if type(default) is float else type(default)
+        if isinstance(node, bool) != isinstance(default, bool) \
+                or not isinstance(node, wanted):
+            return path, _TYPE_NAMES[type(default)]
+        return None
+    for key, val, dflt in children:
+        found = _type_mismatch(val, dflt,
+                               "%s.%s" % (path, key) if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(cfg):
     """Raise ConstraintError on anything a run would choke on."""
     bad = _non_finite_leaf(cfg)
     if bad is not None:
         raise ConstraintError("%s must be a finite number" % bad)
+    bad = _type_mismatch(cfg, default_config())
+    if bad is not None:
+        raise ConstraintError("%s must be %s" % bad)
     modes = ("equilibrium", "heat", "coupled", "decay", "corner-probe",
              "epsilon-sweep")
     if cfg["mode"] not in modes:
@@ -163,8 +204,14 @@ def validate_config(cfg):
         raise ConstraintError("time.dt and time.t_end must be positive")
     if cfg["time"]["warmup"] < 0:
         raise ConstraintError("time.warmup must be nonnegative")
-    if cfg["eps"] < 0:
-        raise ConstraintError("eps must be nonnegative")
+    if cfg["eps"] < 0 or any(e < 0 for e in cfg["sweep"]["eps_values"]):
+        raise ConstraintError("eps and sweep.eps_values must be nonnegative")
+    # the table whose t_end sets the step count of each time-stepping mode
+    section = {"heat": "time", "coupled": "time", "decay": "time",
+               "epsilon-sweep": "sweep"}.get(cfg["mode"])
+    if section and int(round(cfg[section]["t_end"] / cfg["time"]["dt"])) < 1:
+        raise ConstraintError("%s.t_end must exceed time.dt / 2, else the "
+                              "run takes no step" % section)
     for om in cfg["corner"]["omegas"]:
         if not 0.0 < om < math.pi:
             raise ConstraintError("corner omegas must lie in (0, pi)")
@@ -194,18 +241,24 @@ def write_series_csv(path, rows):
         fh.write(buf.getvalue())
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(type(obj).__name__)
+def _plain(node):
+    """node with numpy values as Python ones and NaN/inf floats as None."""
+    if isinstance(node, dict):
+        return {key: _plain(val) for key, val in node.items()}
+    if isinstance(node, (list, tuple, np.ndarray)):
+        return [_plain(val) for val in node]
+    if isinstance(node, np.generic):
+        node = node.item()
+    if isinstance(node, float) and not math.isfinite(node):
+        return None
+    return node
 
 
 def write_json(path, payload):
+    """Strict JSON: a quantity that came out NaN or infinite is null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=_json_default)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -26,6 +26,10 @@ faces, p in cells. The pieces:
     surface pieces (curvature remainder, cubic contact response, thermal
     tension correction) load the right-hand side explicitly.
 
+The metric-free stencils (differences, averages, traces, slip friction and
+the dof embedding) are Kronecker products of 1-D stencils, built once per
+problem in MacStencils; FlowOperators only scales them by each step's metric.
+
 Advection, buoyancy and the mesh-motion term are explicit, so the overall
 splitting is first order in dt and each step is one linear saddle solve.
 The kinematic update eta += dt Ztop u reuses the same Z2 top row, which
@@ -47,6 +51,7 @@ law kappa(dt_eta + W(dt_eta)) = -+ sigma1 (flux at +-ell) closes the system
 at the moving contact points, with W(z) = w3 z^3 by default.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,13 +134,6 @@ def apply_contact_law(model, slopes, dslopes, eps, wall_slopes=(0.0, 0.0)):
                 + float(remainder_r(s0, slopes[side])))
         out.append(float(_solve_contact_scalar(model, sign * model.sigma1 * flux)))
     return tuple(out)
-
-
-def _extrap_end(c, side):
-    """Linear extrapolation of a cell-center sequence to the wall."""
-    c = np.asarray(c, float)
-    return float(1.5 * c[0] - 0.5 * c[1]) if side == 0 \
-        else float(1.5 * c[-1] - 0.5 * c[-2])
 
 
 # ============================================================
@@ -303,206 +301,171 @@ class CoupledProblem:
         return ContactModel(kappa=self.params.kappa,
                             sigma1=self.params.sigma1, w3=self.w3)
 
+    @functools.cached_property
+    def stencils(self):
+        """MacStencils of the grid, built on first use."""
+        return MacStencils(self.grid, self.params.beta)
+
 
 # ============================================================
-# MAC operator assembly
+# MAC stencils
 # ============================================================
 
-def _coo(rows, cols, vals, shape):
-    return sp.csr_matrix((np.concatenate([np.ravel(v) for v in vals]),
-                          (np.concatenate([np.ravel(r) for r in rows]),
-                           np.concatenate([np.ravel(c) for c in cols]))),
-                         shape=shape)
+def _diff(n, h):
+    """(n, n+1) neighbour difference: end values -> interval slopes."""
+    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1))
 
 
-class FlowOperators:
-    """All sparse pieces of one momentum solve for given geometry fields."""
+def _mean(n):
+    """(n, n+1) neighbour mean."""
+    return sp.diags([0.5, 0.5], [0, 1], shape=(n, n + 1))
 
-    def __init__(self, fields, params, eps, dt):
-        grid = fields.grid
-        nx, ny = grid.nx, grid.ny
-        hx, hs = grid.hx, grid.hs
-        self.grid, self.fields = grid, fields
-        self.params, self.eps, self.dt = params, eps, dt
-        n1 = (nx + 1) * ny
+
+def _cdiff(n, h):
+    """(n, n) central difference, one-sided at both ends."""
+    D = sp.diags([-0.5 / h, 0.5 / h], [-1, 1], shape=(n, n), format="lil")
+    D[0, :2] = D[n - 1, n - 2:] = [[-1.0 / h, 1.0 / h]]
+    return D
+
+
+def _ends(n):
+    """(2, n) linear extrapolation of cell values to the two ends."""
+    E = sp.lil_matrix((2, n))
+    E[0, :2] = [[1.5, -0.5]]
+    E[1, n - 2:] = [[-0.5, 1.5]]
+    return E
+
+
+class MacStencils:
+    """The metric-free matrices of the MAC saddle system on one grid.
+
+    A full velocity vector is u1 (x faces, (nx+1, ny)) then u2 (y faces,
+    (nx, ny+1)), each flattened x-major, so every 2-D stencil is a Kronecker
+    product of an x stencil with an s stencil. Built once per problem; each
+    step only scales these by the metric (FlowOperators).
+    """
+
+    def __init__(self, grid, beta):
+        nx, ny, hx, hs = grid.nx, grid.ny, grid.hx, grid.hs
+        self.nx, self.ny = nx, ny
+        self.n1 = n1 = (nx + 1) * ny
         n2 = nx * (ny + 1)
-        nfull = n1 + n2
-        ncell = nx * ny
-        self.n1, self.n2, self.nfull, self.ncell = n1, n2, nfull, ncell
+        self.ncell = nx * ny
+        Ix, Iy = sp.eye(nx), sp.eye(ny)
 
-        def f1(i, j):
-            return i * ny + j
+        def on_u1(M):
+            return sp.hstack([M, sp.csr_matrix((M.shape[0], n2))], "csr")
 
-        def f2(i, j):
-            return n1 + i * (ny + 1) + j
+        def on_u2(M):
+            return sp.hstack([sp.csr_matrix((M.shape[0], n1)), M], "csr")
 
-        def fc(i, j):
-            return i * ny + j
+        # velocity gradients at cell centers; G11 and G22 are also the flux
+        # differences of the divergence
+        self.G11 = on_u1(sp.kron(_diff(nx, hx), Iy))
+        self.G21 = on_u1(sp.kron(_mean(nx), _cdiff(ny, hs)))
+        self.G12 = on_u2(sp.kron(_cdiff(nx, hx), _mean(ny)))
+        self.G22 = on_u2(sp.kron(Ix, _diff(ny, hs)))
 
-        ic, jc = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        # Y1 u = (u1, ubar1): u1 averaged to the y faces, zero at the bottom
+        # and extrapolated to the top; Y2 u = (0, u2). The flux is then
+        # Z = diag(Jvol, Jvol b - A) Y1 u + Y2 u.
+        avg_s = sp.vstack([sp.csr_matrix((1, ny)), _mean(ny - 1),
+                           _ends(ny)[1]])
+        self.Y1 = on_u1(sp.vstack([sp.eye(n1), sp.kron(_mean(nx), avg_s)]))
+        self.Y2 = on_u2(sp.vstack([sp.csr_matrix((n1, n2)), sp.eye(n2)]))
+        self.top = n1 + np.arange(nx) * (ny + 1) + ny
 
-        # -------- gradient reconstructions at cell centers --------
-        G11 = _coo([fc(ic, jc)] * 2, [f1(ic + 1, jc), f1(ic, jc)],
-                   [np.full(ic.shape, 1.0 / hx), np.full(ic.shape, -1.0 / hx)],
-                   (ncell, nfull))
+        # surface stations: slopes between top centers, rest slope and the
+        # curvature weight at the interior x faces, wall extrapolation
+        self.Dx = _diff(nx - 1, hx).tocsr()
+        self.s0_in = np.asarray(grid.dzeta0_fn(grid.xf[1:-1]), float)
+        self.inv32_in = (1.0 + self.s0_in ** 2) ** -1.5
+        self.ends = _ends(nx).tocsr()
 
-        # vertical derivative of u1 at x faces, then averaged to centers
-        i_f, j_f = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-        rows, cols, vals = [], [], []
-        mid = (j_f >= 1) & (j_f <= ny - 2)
-        rows += [f1(i_f[mid], j_f[mid])] * 2
-        cols += [f1(i_f[mid], j_f[mid] + 1), f1(i_f[mid], j_f[mid] - 1)]
-        vals += [np.full(mid.sum(), 0.5 / hs), np.full(mid.sum(), -0.5 / hs)]
-        lo = j_f == 0
-        rows += [f1(i_f[lo], 0)] * 2
-        cols += [f1(i_f[lo], 1), f1(i_f[lo], 0)]
-        vals += [np.full(lo.sum(), 1.0 / hs), np.full(lo.sum(), -1.0 / hs)]
-        hib = j_f == ny - 1
-        rows += [f1(i_f[hib], ny - 1)] * 2
-        cols += [f1(i_f[hib], ny - 1), f1(i_f[hib], ny - 2)]
-        vals += [np.full(hib.sum(), 1.0 / hs), np.full(hib.sum(), -1.0 / hs)]
-        Dv1 = _coo(rows, cols, vals, (n1, nfull))
-        AvgF = _coo([fc(ic, jc)] * 2, [f1(ic, jc), f1(ic + 1, jc)],
-                    [np.full(ic.shape, 0.5)] * 2, (ncell, n1))
-        G21 = AvgF @ Dv1
-
-        # horizontal derivative of u2 at y faces, then averaged to centers
-        i_y, j_y = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
-        rows, cols, vals = [], [], []
-        mid = (i_y >= 1) & (i_y <= nx - 2)
-        rows += [f2(i_y[mid], j_y[mid]) - n1] * 2
-        cols += [f2(i_y[mid] + 1, j_y[mid]), f2(i_y[mid] - 1, j_y[mid])]
-        vals += [np.full(mid.sum(), 0.5 / hx), np.full(mid.sum(), -0.5 / hx)]
-        lo = i_y == 0
-        rows += [f2(i_y[lo], j_y[lo]) - n1] * 2
-        cols += [f2(1, j_y[lo]), f2(0, j_y[lo])]
-        vals += [np.full(lo.sum(), 1.0 / hx), np.full(lo.sum(), -1.0 / hx)]
-        hib = i_y == nx - 1
-        rows += [f2(i_y[hib], j_y[hib]) - n1] * 2
-        cols += [f2(nx - 1, j_y[hib]), f2(nx - 2, j_y[hib])]
-        vals += [np.full(hib.sum(), 1.0 / hx), np.full(hib.sum(), -1.0 / hx)]
-        Dh2 = _coo(rows, cols, vals, (n2, nfull))
-        AvgY = _coo([fc(ic, jc)] * 2,
-                    [f2(ic, jc) - n1, f2(ic, jc + 1) - n1],
-                    [np.full(ic.shape, 0.5)] * 2, (ncell, n2))
-        G12 = AvgY @ Dh2
-
-        G22 = _coo([fc(ic, jc)] * 2, [f2(ic, jc + 1), f2(ic, jc)],
-                   [np.full(ic.shape, 1.0 / hs), np.full(ic.shape, -1.0 / hs)],
-                   (ncell, nfull))
-
-        # -------- viscous form --------
-        met_c = fields.at("centers")
-        c12 = sp.diags(met_c["c12"].ravel())
-        c22 = sp.diags(met_c["c22"].ravel())
-        T11 = 2.0 * (G11 + c12 @ G21)
-        T22 = 2.0 * (c22 @ G22)
-        T12 = c22 @ G21 + G12 + c12 @ G22
-        Wc = sp.diags(met_c["Jvol"].ravel() * hx * hs)
-        self.A_visc = 0.5 * params.mu * (T11.T @ Wc @ T11
-                                         + 2.0 * (T12.T @ Wc @ T12)
-                                         + T22.T @ Wc @ T22)
-
-        # -------- mass --------
-        met_xf = fields.at("xfaces")
-        met_yf = fields.at("yfaces")
-        w1 = met_xf["Jvol"] * hx * hs
-        w2 = met_yf["Jvol"] * hx * hs
-        w2 = w2.copy()
-        w2[:, -1] *= 0.5                       # top faces own half cells
-        self.mass_diag = np.concatenate([w1.ravel(), w2.ravel()])
-        self.Mmat = sp.diags(self.mass_diag)
-
-        # -------- flux divergence --------
-        Z1 = sp.diags(met_xf["Jvol"].ravel()) \
-            @ sp.eye(n1, nfull, 0, format="csr")
-        w2c = met_yf["Jvol"] * met_yf["b"] - met_yf["A"]
-        rows, cols, vals = [], [], []
-        mid = (j_y >= 1) & (j_y <= ny - 1)
-        for di, wgt in ((0, 0.25), (1, 0.25)):
-            rows += [f2(i_y[mid], j_y[mid]) - n1] * 2
-            cols += [f1(i_y[mid] + di, j_y[mid] - 1), f1(i_y[mid] + di, j_y[mid])]
-            vals += [np.full(mid.sum(), wgt)] * 2
-        top = j_y == ny
-        for di in (0, 1):
-            rows += [f2(i_y[top], ny) - n1] * 2
-            cols += [f1(i_y[top] + di, ny - 1), f1(i_y[top] + di, ny - 2)]
-            vals += [np.full(top.sum(), 0.75), np.full(top.sum(), -0.25)]
-        Avg1Y = _coo(rows, cols, vals, (n2, nfull))
-        Z2 = sp.diags(w2c.ravel()) @ Avg1Y \
-            + sp.eye(n2, nfull, n1, format="csr")
-        DX = _coo([fc(ic, jc)] * 2, [f1(ic + 1, jc), f1(ic, jc)],
-                  [np.full(ic.shape, 1.0 / hx), np.full(ic.shape, -1.0 / hx)],
-                  (ncell, n1))
-        DS = _coo([fc(ic, jc)] * 2,
-                  [f2(ic, jc + 1) - n1, f2(ic, jc) - n1],
-                  [np.full(ic.shape, 1.0 / hs), np.full(ic.shape, -1.0 / hs)],
-                  (ncell, n2))
-        self.Div = DX @ Z1 + DS @ Z2
-        self.Ztop = Z2[np.arange(nx) * (ny + 1) + ny]
-
-        # -------- slip friction --------
-        i_in = np.arange(1, nx)
-        Tb = _coo([np.arange(nx - 1)] * 2, [f1(i_in, 0), f1(i_in, 1)],
-                  [np.full(nx - 1, 1.5), np.full(nx - 1, -0.5)],
-                  (nx - 1, nfull))
-        self.A_slip = params.beta * (Tb.T @ sp.diags(np.full(nx - 1, hx)) @ Tb)
-        j_in = np.arange(1, ny + 1)
+        # slip friction on the bottom and walls, traces extrapolated from
+        # the first two interior layers
+        Tb = on_u1(sp.kron(sp.eye(nx - 1, nx + 1, 1), _ends(ny)[0]))
+        self.A_slip = beta * (Tb.T @ sp.diags(np.full(nx - 1, hx)) @ Tb)
         wwall = np.full(ny, hs)
         wwall[-1] *= 0.5
         # wall measure carries the rest column height; the J-correction of
         # the moving wall is higher order and left to the explicit terms
-        Hl = grid.depth + float(grid.zeta0_fn(-grid.ell))
-        Hr = grid.depth + float(grid.zeta0_fn(grid.ell))
-        for i0, i1, Hw in ((0, 1, Hl), (nx - 1, nx - 2, Hr)):
-            Tw = _coo([np.arange(ny)] * 2, [f2(i0, j_in), f2(i1, j_in)],
-                      [np.full(ny, 1.5), np.full(ny, -0.5)], (ny, nfull))
+        for side, x in ((0, -grid.ell), (1, grid.ell)):
+            Hw = grid.depth + float(grid.zeta0_fn(x))
+            Tw = on_u2(sp.kron(_ends(nx)[side], sp.eye(ny, ny + 1, 1)))
             self.A_slip = self.A_slip \
-                + params.beta * (Tw.T @ sp.diags(wwall * Hw) @ Tw)
+                + beta * (Tw.T @ sp.diags(wwall * Hw) @ Tw)
 
-        # -------- surface blocks --------
-        xf_in = grid.xf[1:-1]
-        dz0_in = np.asarray(grid.dzeta0_fn(xf_in), float)
-        self.inv32_in = (1.0 + dz0_in ** 2) ** -1.5
-        rows = np.repeat(np.arange(nx - 1), 2)
-        cols = np.stack([np.arange(1, nx), np.arange(nx - 1)], axis=1).ravel()
-        vals = np.tile([1.0 / hx, -1.0 / hx], nx - 1)
-        self.Dx = sp.csr_matrix((vals, (rows, cols)), shape=(nx - 1, nx))
-        DxZ = self.Dx @ self.Ztop
-        Wk = sp.diags(hx * self.inv32_in)
-        self.K_curv = params.sigma1 * (dt + eps) * (DxZ.T @ Wk @ DxZ)
-        self.K_grav = params.g * dt * (self.Ztop.T
-                                       @ sp.diags(np.full(nx, hx))
-                                       @ self.Ztop)
-        EL = 1.5 * self.Ztop[0] - 0.5 * self.Ztop[1]
-        ER = 1.5 * self.Ztop[nx - 1] - 0.5 * self.Ztop[nx - 2]
-        self.EL, self.ER = EL.tocsr(), ER.tocsr()
-        self.K_contact = params.kappa * (EL.T @ EL + ER.T @ ER)
-        self.DxZ = DxZ
-
-        # -------- dof embedding --------
-        mask1 = np.zeros((nx + 1, ny), bool)
-        mask1[1:nx, :] = True
-        mask2 = np.zeros((nx, ny + 1), bool)
-        mask2[:, 1:] = True
-        free = np.concatenate([mask1.ravel(), mask2.ravel()])
-        self.free = np.flatnonzero(free)
-        self.P = sp.csr_matrix((np.ones(self.free.size),
-                                (self.free, np.arange(self.free.size))),
-                               shape=(nfull, self.free.size))
-
-        A_full = (self.Mmat / dt + self.A_visc + self.A_slip
-                  + self.K_curv + self.K_grav + self.K_contact)
-        self.A_dof = (self.P.T @ A_full @ self.P).tocsr()
-        self.B_dof = (-hx * hs) * (self.Div @ self.P)
+        # dof embedding: wall u1 and bottom u2 are eliminated (u.nu = 0)
+        self.P = sp.block_diag([sp.kron(sp.eye(nx + 1, nx - 1, -1), Iy),
+                                sp.kron(Ix, sp.eye(ny + 1, ny, -1))], "csr")
+        self.free = self.P.tocsc().indices
 
     def full_vector(self, u1, u2):
         return np.concatenate([u1.ravel(), u2.ravel()])
 
     def split_full(self, vec):
-        grid = self.grid
-        return (vec[:self.n1].reshape(grid.nx + 1, grid.ny),
-                vec[self.n1:].reshape(grid.nx, grid.ny + 1))
+        return (vec[:self.n1].reshape(self.nx + 1, self.ny),
+                vec[self.n1:].reshape(self.nx, self.ny + 1))
+
+
+# ============================================================
+# MAC operator assembly
+# ============================================================
+
+class FlowOperators:
+    """The metric-dependent pieces of one momentum solve: the stencils of
+    problem.stencils scaled by c12, c22, Jvol and Jvol b - A of fields."""
+
+    def __init__(self, problem, fields, dt):
+        mac = problem.stencils
+        params = problem.params
+        hx, hs = problem.grid.hx, problem.grid.hs
+
+        # -------- viscous form --------
+        met_c = fields.at("centers")
+        c12 = sp.diags(met_c["c12"].ravel())
+        c22 = sp.diags(met_c["c22"].ravel())
+        T11 = 2.0 * (mac.G11 + c12 @ mac.G21)
+        T22 = 2.0 * (c22 @ mac.G22)
+        T12 = c22 @ mac.G21 + mac.G12 + c12 @ mac.G22
+        Wc = sp.diags(met_c["Jvol"].ravel() * hx * hs)
+        A_visc = 0.5 * params.mu * (T11.T @ Wc @ T11
+                                    + 2.0 * (T12.T @ Wc @ T12)
+                                    + T22.T @ Wc @ T22)
+
+        # -------- mass --------
+        met_xf = fields.at("xfaces")
+        met_yf = fields.at("yfaces")
+        w2 = met_yf["Jvol"] * hx * hs
+        w2[:, -1] *= 0.5                       # top faces own half cells
+        self.mass_diag = np.concatenate([(met_xf["Jvol"] * hx * hs).ravel(),
+                                         w2.ravel()])
+
+        # -------- flux divergence --------
+        zw = np.concatenate([met_xf["Jvol"].ravel(),
+                             (met_yf["Jvol"] * met_yf["b"]
+                              - met_yf["A"]).ravel()])
+        Z = sp.diags(zw) @ mac.Y1 + mac.Y2
+        self.Div = mac.G11 @ Z + mac.G22 @ Z
+        self.Ztop = Z[mac.top]
+
+        # -------- surface blocks --------
+        self.DxZ = mac.Dx @ self.Ztop
+        Wk = sp.diags(hx * mac.inv32_in)
+        K_curv = params.sigma1 * (dt + problem.eps) * (self.DxZ.T @ Wk
+                                                       @ self.DxZ)
+        K_grav = params.g * dt * (self.Ztop.T @ sp.diags(np.full(mac.nx, hx))
+                                  @ self.Ztop)
+        ends = (mac.ends @ self.Ztop).tocsr()
+        self.EL, self.ER = ends[0], ends[1]
+        K_contact = params.kappa * (self.EL.T @ self.EL
+                                    + self.ER.T @ self.ER)
+
+        A_full = (sp.diags(self.mass_diag) / dt + A_visc + mac.A_slip
+                  + K_curv + K_grav + K_contact)
+        self.A_dof = (mac.P.T @ A_full @ mac.P).tocsr()
+        self.B_dof = (-hx * hs) * (self.Div @ mac.P)
 
 
 # ============================================================
@@ -553,8 +516,7 @@ def _theta_at_yfaces(theta):
 # time stepping
 # ============================================================
 
-def momentum_step(problem, fields, state, theta=None, dt=None,
-                  body_force=None):
+def momentum_step(problem, fields, state, theta=None, dt=None):
     """One implicit momentum/pressure/surface step.
 
     theta: node temperatures driving buoyancy and the thermal tension
@@ -577,44 +539,40 @@ def momentum_step(problem, fields, state, theta=None, dt=None,
         raise StabilityError("advective CFL %.3g exceeds %.2f"
                              % (speed * dt, problem.cfl))
 
-    ops = FlowOperators(fields, params, problem.eps, dt)
-    ufull = ops.full_vector(state.u1, state.u2)
+    ops = FlowOperators(problem, fields, dt)
+    mac = problem.stencils
+    ufull = mac.full_vector(state.u1, state.u2)
     rhs = ops.mass_diag * ufull / dt
 
-    # buoyancy and body forces
+    # buoyancy
     if theta is not None:
         th_yf = _theta_at_yfaces(np.asarray(theta, float))
-        w2 = ops.mass_diag[ops.n1:]
-        rhs[ops.n1:] += -params.g * th_yf.ravel() * w2
-    if body_force is not None:
-        rhs[:ops.n1] += np.ravel(body_force[0]) * ops.mass_diag[:ops.n1]
-        rhs[ops.n1:] += np.ravel(body_force[1]) * ops.mass_diag[ops.n1:]
+        w2 = ops.mass_diag[mac.n1:]
+        rhs[mac.n1:] += -params.g * th_yf.ravel() * w2
 
     # explicit advection + mesh motion
     adv1, adv2 = _advection(fields, state.u1, state.u2)
     rhs += ops.mass_diag * np.concatenate([adv1.ravel(), adv2.ravel()])
 
     # explicit surface loads: linear curvature of eta^n, remainder, gravity
-    dz0_in = ops.inv32_in
-    dxe = ops.Dx @ state.eta
-    xf_in = grid.xf[1:-1]
-    s0_in = np.asarray(grid.dzeta0_fn(xf_in), float)
-    rem = remainder_r(s0_in, dxe)
-    v_expl = params.sigma1 * grid.hx * (dxe * dz0_in + rem)
+    inv32 = mac.inv32_in
+    dxe = mac.Dx @ state.eta
+    rem = remainder_r(mac.s0_in, dxe)
+    v_expl = params.sigma1 * grid.hx * (dxe * inv32 + rem)
     rhs -= ops.DxZ.T @ v_expl
     rhs -= ops.Ztop.T @ (params.g * grid.hx * state.eta)
 
     # explicit contact response
     model = problem.contact_model()
-    zL, zR = _extrap_end(state.zdot, 0), _extrap_end(state.zdot, 1)
+    zL, zR = (float(z) for z in mac.ends @ state.zdot)
     rhs -= np.asarray(ops.EL.T @ [params.kappa * float(model.response(zL))]).ravel()
     rhs -= np.asarray(ops.ER.T @ [params.kappa * float(model.response(zR))]).ravel()
 
     # thermal tension correction, fully lagged
     if theta is not None and params.sigma2 != 0.0:
-        dxz = ops.Dx @ state.zdot
+        dxz = mac.Dx @ state.zdot
         flux_nodes = np.empty(nx + 1)
-        flux_nodes[1:-1] = (dxe + problem.eps * dxz) * dz0_in + rem
+        flux_nodes[1:-1] = (dxe + problem.eps * dxz) * inv32 + rem
         wL = model.kappa * (zL + float(model.response(zL)))
         wR = model.kappa * (zR + float(model.response(zR)))
         flux_nodes[0] = wL / params.sigma1
@@ -625,13 +583,13 @@ def momentum_step(problem, fields, state, theta=None, dt=None,
 
     sys = sp.bmat([[ops.A_dof, ops.B_dof.T], [ops.B_dof, None]],
                   format="csc")
-    rhs_dof = np.concatenate([ops.P.T @ rhs, np.zeros(ops.ncell)])
+    rhs_dof = np.concatenate([mac.P.T @ rhs, np.zeros(mac.ncell)])
     sol = problem.saddle_solver.solve(spla, sys, rhs_dof, dt)
-    ndof = ops.free.size
-    ufull_new = ops.P @ sol[:ndof]
+    ndof = mac.free.size
+    ufull_new = mac.P @ sol[:ndof]
     p_new = sol[ndof:].reshape(nx, grid.ny)
 
-    u1_new, u2_new = ops.split_full(ufull_new)
+    u1_new, u2_new = mac.split_full(ufull_new)
     zdot = np.asarray(ops.Ztop @ ufull_new).ravel()
     div_res = float(np.max(np.abs(ops.Div @ ufull_new)))
 
@@ -645,14 +603,14 @@ def momentum_step(problem, fields, state, theta=None, dt=None,
         raise SpillError("surface range [%g, %g] outside (0, big_l]"
                          % (np.min(zeta), np.max(zeta)))
 
-    dxz_new = ops.Dx @ zdot
+    dxz_new = mac.Dx @ zdot
     eps_diss = float(params.sigma1 * problem.eps * grid.hx
-                     * np.sum(dxz_new ** 2 * ops.inv32_in))
+                     * np.sum(dxz_new ** 2 * inv32))
     return state.advanced(u1=u1_new, u2=u2_new, p=p_new, eta=eta_new,
                           zdot=zdot, time=state.time + dt, dt=dt,
                           recenter_log=abs(drift), div_residual=div_res,
-                          contact_speeds=(_extrap_end(zdot, 0),
-                                          _extrap_end(zdot, 1)),
+                          contact_speeds=tuple(float(z)
+                                               for z in mac.ends @ zdot),
                           eps_dissipation=eps_diss)
 
 
@@ -707,15 +665,16 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         u2 = np.zeros((grid.nx, grid.ny + 1)) if u2_raw is None \
             else np.asarray(u2_raw, float)
         fields = geometry.build_geometry(grid, eta0)
-        ops = FlowOperators(fields, problem.params, problem.eps, 1.0)
-        ufull = ops.full_vector(u1, u2)
-        Mdof = (ops.P.T @ ops.Mmat @ ops.P).tocsr()
+        ops = FlowOperators(problem, fields, 1.0)
+        mac = problem.stencils
+        ufull = mac.full_vector(u1, u2)
+        Mdof = sp.diags(ops.mass_diag[mac.free])
         sys = sp.bmat([[Mdof, ops.B_dof.T], [ops.B_dof, None]], format="csc")
-        rhs = np.concatenate([ops.P.T @ (ops.mass_diag * ufull),
-                              np.zeros(ops.ncell)])
+        rhs = np.concatenate([mac.P.T @ (ops.mass_diag * ufull),
+                              np.zeros(mac.ncell)])
         sol = spla.splu(sys).solve(rhs)
-        unew = ops.P @ sol[:ops.free.size]
-        u1n, u2n = ops.split_full(unew)
+        unew = mac.P @ sol[:mac.free.size]
+        u1n, u2n = mac.split_full(unew)
         state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),
                           eta=eta0,
                           zdot=np.asarray(ops.Ztop @ unew).ravel())
@@ -728,8 +687,8 @@ def check_compatibility(problem, fields, state):
     """Discrete residuals of the constraints the stepper enforces
     structurally: divergence, wall flux, kinematic trace and zero mean."""
     grid = problem.grid
-    ops = FlowOperators(fields, problem.params, problem.eps, 1.0)
-    ufull = ops.full_vector(state.u1, state.u2)
+    ops = FlowOperators(problem, fields, 1.0)
+    ufull = problem.stencils.full_vector(state.u1, state.u2)
     return {
         "div": float(np.max(np.abs(ops.Div @ ufull))),
         "wall_flux": float(max(np.max(np.abs(state.u1[0])),

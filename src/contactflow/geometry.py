@@ -207,9 +207,9 @@ _STAGGER = {
 class GeometryFields:
     """All metric fields of the flattening map for one (eta, d/dt eta) pair.
 
-    Node-sampled primary fields are exposed as attributes (eta_bar, A, J, K,
-    W, calA, normal and their time derivatives); other staggerings come from
-    at(where) and are cached. Arrays are laid out (n_x1, n_s).
+    Fields on each staggering come from at(where) and surface traces from
+    surface(where); both are sampled on first use and cached. Arrays are
+    laid out (n_x1, n_s).
     """
 
     def __init__(self, grid, eta, deta_dt=None):
@@ -224,13 +224,6 @@ class GeometryFields:
         self._samp = _ModeSampler(f_ext, grid.ell)
         self._samp_t = _ModeSampler(g_ext, grid.ell)
         self._cache = {}
-        nd = self.at("nodes")
-        for key in ("eta_bar", "A", "J", "K", "W", "calA",
-                    "dt_eta_bar", "dt_A", "dt_J", "dt_K", "dt_calA"):
-            setattr(self, key, nd[key])
-        srf = self.surface("nodes")
-        self.normal = srf["normal"]
-        self.dt_normal = srf["dt_normal"]
 
     # -------------------- sampling --------------------
 
@@ -274,17 +267,14 @@ class GeometryFields:
                 out["dt_K"] = -out["K"] ** 2 * Jpart
 
         J, K, A = out["J"], out["K"], out["A"]
-        dtJ, dtK, dtA = out["dt_J"], out["dt_K"], out["dt_A"]
+        dtK, dtA = out["dt_K"], out["dt_A"]
         one = np.ones_like(J)
         zero = np.zeros_like(J)
         out["calA"] = np.array([[one, -A * K], [zero, K]])
         out["dt_calA"] = np.array([[zero, -(dtA * K + A * dtK)], [zero, dtK]])
         out["c12"] = out["b"] - A * K / H[:, None]
         out["c22"] = K / H[:, None]
-        out["dt_c12"] = -(dtA * K + A * dtK) / H[:, None]
-        out["dt_c22"] = dtK / H[:, None]
         out["Jvol"] = J * H[:, None]
-        out["dt_Jvol"] = dtJ * H[:, None]
         return out
 
     def at(self, where):
@@ -313,7 +303,6 @@ class GeometryFields:
             "dt_d1_eta": dt_d1_eta, "slope": slope, "normal": normal,
             "abs_n": absn, "dt_normal": dt_normal,
             "dt_abs_n": slope * dt_d1_eta / absn,
-            "eta_trace": self._samp.sample_line(x1, 0),
         }
 
     def surface(self, where="nodes"):

@@ -133,6 +133,22 @@ BAD_CONFIGS = [
     (("w3",), math.nan),
     (("initial", "theta_amp"), math.nan),
     (("initial", "eta_modes"), [[1, math.nan]]),
+    # every value must have its default's type; a bool is no number
+    (("grid", "nx"), 16.5),
+    (("time", "save_every"), True),
+    (("time", "save_every"), 2.0),
+    (("time", "dt"), True),
+    (("initial", "theta_mode"), "x"),
+    (("initial", "eta_modes"), [[1.5, 0.05]]),
+    (("initial", "eta_modes"), [[1, 0.05, 2]]),
+    (("corner", "n"), 40.0),
+    (("corner", "count"), "4"),
+    (("corner", "omegas"), 1.5),
+    (("params", "mu"), "0.35"),
+    (("svg",), 1),
+    # configs that cannot give a meaningful run
+    (("sweep", "eps_values"), [-0.5, 0.1]),
+    (("time", "t_end"), 0.001),       # decay with zero steps
 ]
 
 
@@ -145,6 +161,14 @@ def test_validate_config_rejects(path, value):
     node[path[-1]] = value
     with pytest.raises(ConstraintError):
         cli.validate_config(cfg)
+
+
+def test_validate_config_takes_ints_for_floats():
+    cfg = cli.default_config()
+    cfg["time"].update(dt=1, t_end=6)
+    cfg["params"]["mu"] = 1
+    cfg["sweep"]["eps_values"] = [1, 0.5]
+    cli.validate_config(cfg)
 
 
 # ------------------------------------------------------------------
@@ -239,6 +263,15 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["--config", path]) == 2
     path = _write_config(tmp_path, {"time": {"dt": math.nan}}, name="nan.json")
     assert cli.main(["--config", path, "--validate-only"]) == 2
+    for i, cfg in enumerate([
+            {"grid": {"nx": 16.5}},
+            {"initial": {"theta_mode": "x"}},
+            {"mode": "epsilon-sweep", "sweep": {"eps_values": [-0.5, 0.1]}},
+            {"mode": "decay", "time": {"dt": 0.02, "t_end": 0.001}},
+            {"mode": "heat", "time": {"dt": 0.02, "t_end": 0.01}},
+            {"mode": "epsilon-sweep", "sweep": {"t_end": 0.001}}]):
+        path = _write_config(tmp_path, cfg, name="bad%d.json" % i)
+        assert cli.main(["--config", path, "--validate-only"]) == 2, cfg
     assert cli.main(["--help"]) == 0
     err = capsys.readouterr().err
     assert "config error" in err
@@ -314,6 +347,25 @@ def test_decay_mode_report_and_series(tmp_path):
     idx = diag.SERIES_COLUMNS.index("E_total")
     e_first, e_last = float(got[1][idx]), float(got[-1][idx])
     assert 0.0 < e_last < e_first
+
+
+def test_report_json_is_strict(tmp_path):
+    # two saved rows leave the decay fit undefined (NaN)
+    cfg = dict(TINY, mode="decay")
+    cfg["time"] = dict(TINY["time"], t_end=0.04, save_every=5)
+    rc, outdir = _run(tmp_path, cfg)
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError("non-standard JSON constant " + name)
+
+    rep = json.loads((outdir / "report.json").read_text(),
+                     parse_constant=reject)
+    assert rep["decay"]["lambda"] is None
+    path = tmp_path / "r.json"
+    cli.write_json(str(path), {"a": np.array([1.0, np.nan]), "b": math.inf})
+    assert json.loads(path.read_text(), parse_constant=reject) \
+        == {"a": [1.0, None], "b": None}
 
 
 def test_decay_report_counts_lagged_solves(tmp_path):

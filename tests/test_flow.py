@@ -198,6 +198,41 @@ def test_coupled_step_advances_both_clocks(problem, grid):
 
 
 # ------------------------------------------------------------
+# MAC assembly
+# ------------------------------------------------------------
+
+@pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
+def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
+    built = []
+
+    class CountedStencils(fl.MacStencils):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fl, "MacStencils", CountedStencils)
+    problem = _curved_problem(params, jump)
+    grid = problem.grid
+    eta = _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)
+                    + 3e-3 * np.sin(2.3 * grid.xc))
+    zdot = _centered(1e-2 * np.sin(math.pi * grid.xc / grid.ell))
+    ops = fl.FlowOperators(problem, geo.build_geometry(grid, eta, zdot), 0.02)
+    A = ops.A_dof
+    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
+    # discrete divergence theorem: the cell divergences of any admissible
+    # velocity sum to its surface flux
+    P = problem.stencils.P
+    cells = grid.hs * np.asarray((ops.Div @ P).sum(axis=0)).ravel()
+    surface = np.asarray((ops.Ztop @ P).sum(axis=0)).ravel()
+    assert np.max(np.abs(cells - surface)) <= 1e-14 * np.max(np.abs(surface))
+
+    flow, heat_state = _perturbed_start(problem)
+    for _ in range(3):
+        flow, heat_state, _ = fl.coupled_step(problem, flow, heat_state, 0.02)
+    assert len(built) == 1
+
+
+# ------------------------------------------------------------
 # lagged factorization
 # ------------------------------------------------------------
 
