@@ -8,7 +8,7 @@ from .equilibrium import EquilibriumSurface, solve_equilibrium
 from .geometry import Grid, GeometryFields, build_geometry, make_grid
 from .corner import angular_eigenvalues, regularity_threshold, \
     wedge_poisson_probe
-from .heat import HeatState, construct_heat_initial_data, step_fd
+from .heat import HeatState, step_fd
 from .flow import (ContactModel, CoupledProblem, FlowState, SpillError,
                    StabilityError, apply_contact_law, coupled_step,
                    construct_flow_initial_data, momentum_step)
@@ -23,7 +23,7 @@ __all__ = [
     "EquilibriumSurface", "solve_equilibrium",
     "Grid", "GeometryFields", "build_geometry", "make_grid",
     "angular_eigenvalues", "regularity_threshold", "wedge_poisson_probe",
-    "HeatState", "construct_heat_initial_data", "step_fd",
+    "HeatState", "step_fd",
     "ContactModel", "CoupledProblem", "FlowState", "SpillError",
     "StabilityError", "apply_contact_law", "coupled_step",
     "construct_flow_initial_data", "momentum_step",

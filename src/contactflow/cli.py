@@ -68,7 +68,6 @@ def default_config():
             "theta_amp": 0.0,
             "theta_mode": 1,
             "stream_amp": 0.0,
-            "consistent_heat": False,
         },
         "corner": {
             "omegas": [math.pi / 2.0, 3.0 * math.pi / 4.0],
@@ -206,6 +205,9 @@ def validate_config(cfg):
         raise ConstraintError("time.warmup must be nonnegative")
     if cfg["eps"] < 0 or any(e < 0 for e in cfg["sweep"]["eps_values"]):
         raise ConstraintError("eps and sweep.eps_values must be nonnegative")
+    # the linearity and Cauchy ratios compare neighbouring eps values
+    if len(cfg["sweep"]["eps_values"]) < 2:
+        raise ConstraintError("sweep.eps_values needs at least two entries")
     # the table whose t_end sets the step count of each time-stepping mode
     section = {"heat": "time", "coupled": "time", "decay": "time",
                "epsilon-sweep": "sweep"}.get(cfg["mode"])
@@ -215,6 +217,18 @@ def validate_config(cfg):
     for om in cfg["corner"]["omegas"]:
         if not 0.0 < om < math.pi:
             raise ConstraintError("corner omegas must lie in (0, pi)")
+    corner = cfg["corner"]
+    if corner["count"] < 1:
+        raise ConstraintError("corner.count must be at least 1")
+    if any(q < 1 for q in corner["qs"]):
+        raise ConstraintError("corner.qs entries must be at least 1")
+    # the wedge growth rate is a line fitted over the refined grid sizes;
+    # a wedge grid of one cell has no interior node
+    sizes = {int(round(corner["n"] * fac)) for fac in corner["refine"]}
+    if len(sizes) < 2 or min(sizes) < 2:
+        raise ConstraintError("corner.refine must give at least two distinct "
+                              "grid sizes round(corner.n * factor), each at "
+                              "least 2")
     return params
 
 
@@ -345,12 +359,9 @@ def build_problem(cfg, params):
     surface = eq_mod.solve_equilibrium(params, cfg["mean_height"])
     grid = geometry.make_grid(surface, cfg["grid"]["nx"], cfg["grid"]["ny"],
                               params.depth)
-    exps = select_exponents(surface.omega)
-    problem = flow_mod.CoupledProblem(params=params, surface=surface,
-                                      grid=grid, eps=cfg["eps"],
-                                      w3=cfg["w3"],
-                                      recenter=cfg["recenter"], exps=exps)
-    return problem
+    return flow_mod.CoupledProblem(params=params, surface=surface, grid=grid,
+                                   eps=cfg["eps"], w3=cfg["w3"],
+                                   recenter=cfg["recenter"])
 
 
 # ============================================================
@@ -402,12 +413,7 @@ def run_heat(cfg, params, outdir):
     problem = build_problem(cfg, params)
     grid = problem.grid
     fields = geometry.build_geometry(grid, np.zeros(grid.nx))
-    theta0 = initial_theta(cfg, grid)
-    if cfg["initial"]["consistent_heat"]:
-        data = heat_mod.construct_heat_initial_data(fields, params.k,
-                                                    strict=False)
-        theta0 = theta0 + data.theta0
-    state = heat_mod.HeatState(theta=theta0)
+    state = heat_mod.HeatState(theta=initial_theta(cfg, grid))
     dt = cfg["time"]["dt"]
     nsteps = int(round(cfg["time"]["t_end"] / dt))
     save_every = max(1, int(cfg["time"]["save_every"]))
@@ -518,7 +524,7 @@ def run_epsilon_sweep(cfg, params, outdir):
     for eps in eps_values:
         problem = flow_mod.CoupledProblem(
             params=params, surface=problem0.surface, grid=grid, eps=eps,
-            w3=cfg["w3"], recenter=cfg["recenter"], exps=problem0.exps)
+            w3=cfg["w3"], recenter=cfg["recenter"])
         flow_state = flow_mod.construct_flow_initial_data(problem, eta0)
         heat_state = heat_mod.HeatState(
             theta=initial_theta(cfg, grid))

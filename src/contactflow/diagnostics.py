@@ -261,7 +261,7 @@ class EnergyReport:
         return [vals[c] for c in SERIES_COLUMNS]
 
 
-def energy_report(problem, fields, flow, heat_state=None, exps=None):
+def energy_report(problem, fields, flow, heat_state=None):
     """Full energy/dissipation constituent table for one time level.
 
     Time derivatives come from the state histories by backward differences;
@@ -271,11 +271,7 @@ def energy_report(problem, fields, flow, heat_state=None, exps=None):
     params = problem.params
     grid = problem.grid
     ell = grid.ell
-    if exps is None:
-        exps = problem.exps
-    if exps is None:
-        from .params import select_exponents
-        exps = select_exponents(math.pi / 2.0)
+    exps = problem.exps
     qp, qm, al = exps.q_plus, exps.q_minus, exps.alpha
     em = exps.eps_minus
     eps = problem.eps
@@ -392,14 +388,6 @@ class DecayFit:
     r2: float
     n_used: int
 
-    @property
-    def c0(self):
-        return math.exp(self.log_c)
-
-    @property
-    def decaying(self):
-        return math.isfinite(self.lam) and self.lam > 1e-12
-
 
 def fit_decay(times, values, skip=0):
     """Least-squares exponential fit of a positive decaying series."""
@@ -440,10 +428,3 @@ def flow_difference(a, b):
                     time=a.time, dt=a.dt)
     out.levels = lev
     return out
-
-
-def heat_difference(a, b):
-    from .heat import HeatState
-    lev = [x - y for x, y in zip(a.levels, b.levels)]
-    return HeatState(theta=a.theta - b.theta, time=a.time, dt=a.dt,
-                     levels=lev)

@@ -169,11 +169,6 @@ def solve_equilibrium(params, mean_height, n=400, tol=1e-12, max_iter=60):
                               newton_iters=it)
 
 
-def corner_angle(surface):
-    """omega = pi/2 + arctan(zeta0'(ell)), the wall-surface opening angle."""
-    return math.pi / 2.0 + math.atan(float(surface.dzeta0[-1]))
-
-
 def ode_residual(surface, params):
     """Pointwise defect P0 - g*zeta0 + sigma1*H(zeta0) on interior nodes.
 

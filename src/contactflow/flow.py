@@ -59,6 +59,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import geometry
+from .params import select_exponents
 
 
 class StabilityError(RuntimeError):
@@ -289,7 +290,6 @@ class CoupledProblem:
     eps: float = 0.0
     w3: float = 1.0
     recenter: bool = True
-    exps: object = None
     cfl: float = 0.9
     # lagged factorizations of the saddle and heat systems, one per problem
     saddle_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
@@ -305,6 +305,11 @@ class CoupledProblem:
     def stencils(self):
         """MacStencils of the grid, built on first use."""
         return MacStencils(self.grid, self.params.beta)
+
+    @functools.cached_property
+    def exps(self):
+        """Regularity exponents of the rest contact angle."""
+        return select_exponents(self.surface.omega)
 
 
 # ============================================================

@@ -169,22 +169,6 @@ class Grid:
         if self.zmin <= 0:
             raise ValueError("rest surface must stay above the bottom corner")
 
-    def band_cells(self):
-        """Vertical cells resolving the cutoff band, minimized over columns.
-
-        Fewer than ~4 under-resolves the transition of the flattening map;
-        reported as a validation diagnostic rather than enforced, since small
-        study grids legitimately run below it.
-        """
-        lo, hi = 0.25 * self.zmin, 0.5 * self.zmin
-        counts = []
-        for zq in (self.zeta0_c, self.zeta0_f):
-            h = self.depth + zq
-            s_lo = (lo + self.depth) / h
-            s_hi = (hi + self.depth) / h
-            counts.append(np.floor(s_hi / self.hs) - np.ceil(s_lo / self.hs) + 1)
-        return int(max(0, min(np.min(counts[0]), np.min(counts[1]))))
-
 
 def make_grid(surface, nx, ny, depth):
     zfn, dfn = surface.interpolators()
@@ -244,34 +228,15 @@ class GeometryFields:
                "x2": x2, "phi": phi, "dphi": dphi, "W": W,
                "invH": 1.0 / H, "b": -np.multiply.outer(dz0 / H, s)}
 
-        for tag, samp, src in (("", self._samp, self.eta),
-                               ("dt_", self._samp_t, self.deta_dt)):
-            if tag == "dt_" and not np.any(src):
-                eb = np.zeros_like(x2)
-                d1 = np.zeros_like(x2)
-                d2 = np.zeros_like(x2)
-            else:
-                eb, dx1, d2 = samp.sample_triple(x1, depth_off)
-                d1 = dx1 - dz0[:, None] * d2
-            A = W * d1 - (phi * (dz0 / z0 ** 2)[:, None]) * eb
-            Jpart = (dphi / z0[:, None]) * eb + W * d2
-            out[tag + "eta_bar"] = eb
-            out[tag + "d1_eta_bar"] = d1
-            out[tag + "d2_eta_bar"] = d2
-            out[tag + "A"] = A
-            if tag == "":
-                out["J"] = 1.0 + Jpart
-                out["K"] = 1.0 / out["J"]
-            else:
-                out["dt_J"] = Jpart
-                out["dt_K"] = -out["K"] ** 2 * Jpart
-
-        J, K, A = out["J"], out["K"], out["A"]
-        dtK, dtA = out["dt_K"], out["dt_A"]
-        one = np.ones_like(J)
-        zero = np.zeros_like(J)
-        out["calA"] = np.array([[one, -A * K], [zero, K]])
-        out["dt_calA"] = np.array([[zero, -(dtA * K + A * dtK)], [zero, dtK]])
+        eb, dx1, d2 = self._samp.sample_triple(x1, depth_off)
+        d1 = dx1 - dz0[:, None] * d2
+        A = W * d1 - (phi * (dz0 / z0 ** 2)[:, None]) * eb
+        J = 1.0 + ((dphi / z0[:, None]) * eb + W * d2)
+        K = 1.0 / J
+        out.update(eta_bar=eb, A=A, J=J, K=K)
+        # d/dt etabar carries the mesh motion of the transport terms
+        out["dt_eta_bar"] = (self._samp_t.sample_triple(x1, depth_off)[0]
+                             if np.any(self.deta_dt) else np.zeros_like(x2))
         out["c12"] = out["b"] - A * K / H[:, None]
         out["c22"] = K / H[:, None]
         out["Jvol"] = J * H[:, None]
@@ -287,23 +252,14 @@ class GeometryFields:
 
     def surface_metric(self, x1):
         """Surface traces at stations x1: d1 eta (exact tangential
-        derivative of the trace), normal N = (-d1 zeta, 1), |N| and their
-        time derivatives."""
+        derivative of the trace), the slope d1 zeta and |N| of the normal
+        N = (-d1 zeta, 1)."""
         x1 = np.asarray(x1, float)
         dz0 = np.asarray(self.grid.dzeta0_fn(x1), float)
         d1_eta = self._samp.sample_line(x1, 1)
-        dt_d1_eta = (self._samp_t.sample_line(x1, 1)
-                     if np.any(self.deta_dt) else np.zeros_like(d1_eta))
         slope = dz0 + d1_eta
-        absn = np.sqrt(1.0 + slope ** 2)
-        normal = np.vstack([-slope, np.ones_like(slope)])
-        dt_normal = np.vstack([-dt_d1_eta, np.zeros_like(dt_d1_eta)])
-        return {
-            "x1": x1, "dzeta0": dz0, "d1_eta": d1_eta,
-            "dt_d1_eta": dt_d1_eta, "slope": slope, "normal": normal,
-            "abs_n": absn, "dt_normal": dt_normal,
-            "dt_abs_n": slope * dt_d1_eta / absn,
-        }
+        return {"x1": x1, "dzeta0": dz0, "d1_eta": d1_eta, "slope": slope,
+                "abs_n": np.sqrt(1.0 + slope ** 2)}
 
     def surface(self, where="nodes"):
         key = "surf_" + where
@@ -334,21 +290,12 @@ def omega_gradient(met, f, hx, hs):
     return np.array([gx + met["b"] * gs, met["invH"][:, None] * gs])
 
 
-def grad_a(fields, f, which="calA"):
-    """(grad_calA f)_i = calA_ik d_k f on node samples."""
+def grad_a(fields, f):
+    """(grad_calA f)_i = calA_ik d_k f on node samples, with
+    calA = [[1, -A K], [0, K]]."""
     met = fields.at("nodes")
     g = omega_gradient(met, f, fields.grid.hx, fields.grid.hs)
-    return np.einsum("ik...,k...->i...", met[which], g)
-
-
-def div_a(fields, X, which="calA"):
-    """div_calA X = calA_ij d_j X_i on node samples."""
-    met = fields.at("nodes")
-    out = np.zeros_like(np.asarray(X[0], float))
-    for i in range(2):
-        g = omega_gradient(met, X[i], fields.grid.hx, fields.grid.hs)
-        out += np.einsum("k...,k...->...", met[which][i], g)
-    return out
+    return np.array([g[0] - met["A"] * met["K"] * g[1], met["K"] * g[1]])
 
 
 def piola_residual(fields):

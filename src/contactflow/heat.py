@@ -254,106 +254,6 @@ def build_basis(fields, k_cond, m):
     return lam[order], vecs[:, order]
 
 
-# ============================================================
-# elliptic Robin solve and forcing chains
-# ============================================================
-
-def robin_elliptic_solve(fields, k_cond, f8=None, f9=None):
-    """Solve k (grad theta, grad psi)_J + <theta psi |N|> = loads."""
-    ops = heat_operators(fields, k_cond)
-    load = _load_vector(ops, f8, f9)
-    lu = ops.lu(("elliptic",), ops.B_ff)
-    return ops.embed(lu.solve(load[ops.free])).reshape(
-        (fields.grid.nx + 1, fields.grid.ny + 1))
-
-
-def dt_forcing_chain(fields, theta, k_cond, dt_f8=None, dt_f9=None):
-    """Commutator forcing of the time-differentiated heat problem.
-
-    G8 = k div_calA grad_{dt calA} theta + k div_{dt calA} grad_calA theta,
-    G9 = -k grad_{dt calA} theta . N - k grad_calA theta . dt N
-         - theta dt|N|,
-    F8' = dt F8 + G8, F9' = dt F9 + G9 (time derivatives of the original
-    data supplied by the caller; they vanish for autonomous forcing).
-    """
-    g_dt = geometry.grad_a(fields, theta, "dt_calA")
-    g_a = geometry.grad_a(fields, theta, "calA")
-    G8 = k_cond * (geometry.div_a(fields, g_dt, "calA")
-                   + geometry.div_a(fields, g_a, "dt_calA"))
-    srf = fields.surface("nodes")
-    top = np.s_[:, -1]
-    G9 = (-k_cond * (g_dt[0][top] * srf["normal"][0]
-                     + g_dt[1][top] * srf["normal"][1])
-          - k_cond * (g_a[0][top] * srf["dt_normal"][0]
-                      + g_a[1][top] * srf["dt_normal"][1])
-          - theta[top] * srf["dt_abs_n"])
-    F81 = G8 if dt_f8 is None else G8 + dt_f8
-    F91 = G9 if dt_f9 is None else G9 + dt_f9
-    return F81, F91, G8, G9
-
-
-# ============================================================
-# compatible initial data
-# ============================================================
-
-@dataclass
-class HeatInitialData:
-    theta0: np.ndarray
-    dtheta0: np.ndarray
-    sweeps: int
-    residual: float
-
-
-def construct_heat_initial_data(fields, k_cond, f8=None, f9=None,
-                                dt_f8=None, dt_f9=None, d2theta0=None,
-                                tol=1e-10, max_sweeps=60, strict=True):
-    """Alternating Robin solves for compatible (theta0, d/dt theta0).
-
-    Given the geometry at t = 0 (including its time derivative through the
-    initial surface velocity), iterate
-
-        -k Lap_calA (dtheta) = F8' - d2theta0,   Robin data F9'
-        -k Lap_calA theta    = F8  - dtheta,     Robin data F9
-
-    where F8' = dt F8 + G8(theta), F9' = dt F9 + G9(theta). The loop
-    contracts at a rate comparable to the size of the initial surface
-    velocity; it is a fixed point exactly when the t = 0 heat equation and
-    its first time derivative hold simultaneously.
-    """
-    shape = (fields.grid.nx + 1, fields.grid.ny + 1)
-    theta = np.zeros(shape)
-    dtheta = np.zeros(shape)
-    if d2theta0 is None:
-        d2theta0 = np.zeros(shape)
-    residual = math.inf
-    for sweep in range(1, max_sweeps + 1):
-        F81, F91, _, _ = dt_forcing_chain(fields, theta, k_cond, dt_f8, dt_f9)
-        rhs8 = F81 - d2theta0
-        dtheta_new = robin_elliptic_solve(fields, k_cond, rhs8, F91)
-        rhs8 = (np.zeros(shape) if f8 is None else np.asarray(f8, float))
-        theta_new = robin_elliptic_solve(fields, k_cond, rhs8 - dtheta_new, f9)
-        residual = float(np.max(np.abs(theta_new - theta))
-                         + np.max(np.abs(dtheta_new - dtheta)))
-        theta, dtheta = theta_new, dtheta_new
-        if residual < tol:
-            break
-    else:
-        if strict:
-            raise RuntimeError("initial-data iteration stalled at %g" % residual)
-    return HeatInitialData(theta0=theta, dtheta0=dtheta,
-                           sweeps=sweep, residual=residual)
-
-
-def heat_t0_residual(fields, k_cond, theta0, dtheta0, f8=None, f9=None):
-    """Weak residual of the t = 0 heat equation, max-normalized."""
-    ops = heat_operators(fields, k_cond)
-    shape = theta0.shape
-    rhs8 = (np.zeros(shape) if f8 is None else np.asarray(f8, float))
-    load = _load_vector(ops, rhs8 - dtheta0, f9)
-    r = (ops.B @ theta0.ravel() - load)[ops.free]
-    return float(np.max(np.abs(r)) / (1.0 + np.max(np.abs(theta0))))
-
-
 def lowest_eigenvalues(fields, k_cond, m=6):
     """Smallest generalized eigenvalues of (B, M) on the free nodes."""
     return build_basis(fields, k_cond, m)[0]

@@ -64,13 +64,19 @@ def test_default_config_validates():
     assert params.mu == cfg["params"]["mu"]
 
 
-def test_unknown_keys_rejected(tmp_path):
+def test_unknown_keys_rejected(tmp_path, capsys):
     path = _write_config(tmp_path, {"nope": 1})
     with pytest.raises(ConstraintError, match="unknown config key: nope"):
         cli.load_config(path, environ={})
     path = _write_config(tmp_path, {"params": {"zap": 1}}, name="n.json")
     with pytest.raises(ConstraintError, match="params.zap"):
         cli.load_config(path, environ={})
+    # removed key, still present in older meta.json files
+    path = _write_config(tmp_path, {"initial": {"consistent_heat": True}},
+                         name="old.json")
+    assert cli.main(["--config", path, "--validate-only"]) == 2
+    assert ("unknown config key: initial.consistent_heat"
+            in capsys.readouterr().err)
 
 
 def test_scalar_override_for_table_rejected(tmp_path):
@@ -149,6 +155,13 @@ BAD_CONFIGS = [
     # configs that cannot give a meaningful run
     (("sweep", "eps_values"), [-0.5, 0.1]),
     (("time", "t_end"), 0.001),       # decay with zero steps
+    (("corner", "count"), 0),
+    (("corner", "qs"), [0.0]),           # no L^q norm below q = 1
+    (("corner", "refine"), [1.0]),       # one grid size fits no rate
+    (("corner", "refine"), [1.0, 1.01]),  # round(40 * 1.01) is 40 again
+    (("corner", "refine"), [0.0, 1.0]),  # a wedge grid of size 0
+    (("sweep", "eps_values"), []),
+    (("sweep", "eps_values"), [0.1]),
 ]
 
 
@@ -269,7 +282,13 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
             {"mode": "epsilon-sweep", "sweep": {"eps_values": [-0.5, 0.1]}},
             {"mode": "decay", "time": {"dt": 0.02, "t_end": 0.001}},
             {"mode": "heat", "time": {"dt": 0.02, "t_end": 0.01}},
-            {"mode": "epsilon-sweep", "sweep": {"t_end": 0.001}}]):
+            {"mode": "epsilon-sweep", "sweep": {"t_end": 0.001}},
+            {"mode": "corner-probe", "corner": {"count": 0}},
+            {"mode": "corner-probe", "corner": {"qs": [0.0]}},
+            {"mode": "corner-probe", "corner": {"refine": [1.0]}},
+            {"mode": "corner-probe", "corner": {"refine": [1.0, 1.01]}},
+            {"mode": "epsilon-sweep", "sweep": {"eps_values": []}},
+            {"mode": "epsilon-sweep", "sweep": {"eps_values": [0.1]}}]):
         path = _write_config(tmp_path, cfg, name="bad%d.json" % i)
         assert cli.main(["--config", path, "--validate-only"]) == 2, cfg
     assert cli.main(["--help"]) == 0

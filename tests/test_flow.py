@@ -13,12 +13,6 @@ from contactflow import geometry as geo
 from contactflow import heat as ht
 
 
-def _node_mode(grid, amp, kx, ks):
-    X = grid.xf[:, None] / grid.ell
-    S = grid.sf[None, :]
-    return amp * np.cos(kx * math.pi * X) * np.sin(ks * math.pi * S)
-
-
 def _centered(v):
     v = np.asarray(v, float)
     return v - v.mean()
@@ -333,37 +327,3 @@ def test_lagged_lu_falls_back_on_a_distant_system():
                                "fallbacks": 1}
     with pytest.raises(fl.StabilityError):
         solver.solve(spla, far, np.full(n, np.nan), 0.1)
-
-
-# ------------------------------------------------------------
-# heat commutator chain
-# ------------------------------------------------------------
-
-def test_forcing_chain_moving_geometry(grid, params):
-    # moving mesh: the heat commutators G8/G9 are exactly the frozen-field
-    # operator derivatives along the surface path
-    theta = _node_mode(grid, 1e-2, 1, 1) + 1e-2
-    eta = _centered(2e-3 * np.cos(math.pi * grid.xc / grid.ell))
-    deta = _centered(1e-3 * np.sin(math.pi * grid.xc / (2 * grid.ell)) ** 2)
-    d2eta = _centered(5e-4 * np.cos(2 * math.pi * grid.xc / grid.ell))
-
-    def fields_at(d):
-        return geo.build_geometry(grid, eta + d * deta + 0.5 * d * d * d2eta,
-                                  deta + d * d2eta)
-
-    def heat_op(flds):
-        gr = geo.grad_a(flds, theta)
-        lap = geo.div_a(flds, gr)
-        srf = flds.surface("nodes")
-        top = np.s_[:, -1]
-        rob = (-params.k * (gr[0][top] * srf["normal"][0]
-                            + gr[1][top] * srf["normal"][1])
-               - theta[top] * srf["abs_n"])
-        return params.k * lap, rob
-
-    h = 1e-5
-    lp, rp = heat_op(fields_at(h))
-    lm, rm = heat_op(fields_at(-h))
-    _, _, G8, G9 = ht.dt_forcing_chain(fields_at(0.0), theta, params.k)
-    assert np.max(np.abs((lp - lm) / (2.0 * h) - G8)) < 1e-9
-    assert np.max(np.abs((rp - rm) / (2.0 * h) - G9)) < 1e-10

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from contactflow import geometry as geo
@@ -110,6 +109,8 @@ def test_mms_second_order_in_time(flat_surface, params):
 
 
 def test_elliptic_solve_second_order(flat_surface, params):
+    # steady Robin problem k (grad theta, grad psi)_J + <theta psi |N|>
+    # = (F8, psi)_J + <F9, psi>, solved with the stepper's own operators
     k, d = params.k, params.depth
     lam = k * (MU * MU + 1.0)
     rob = k * math.cos(1.0 + d) + math.sin(1.0 + d)
@@ -120,8 +121,10 @@ def test_elliptic_solve_second_order(flat_surface, params):
         want = _manufactured(met, 0.0, d)
         f8 = lam * want
         f9 = rob * np.cos(MU * fields.grid.xf)
-        got = ht.robin_elliptic_solve(fields, k, f8=f8, f9=f9)
-        errs.append(np.max(np.abs(got - want)))
+        ops = ht.heat_operators(fields, k)
+        load = ht._load_vector(ops, f8, f9)
+        got = ops.embed(ops.lu(("elliptic",), ops.B_ff).solve(load[ops.free]))
+        errs.append(np.max(np.abs(got.reshape(want.shape) - want)))
     assert errs[0] < 5e-3
     assert errs[0] / errs[1] > 3.4
 
@@ -191,49 +194,3 @@ def test_state_history_and_derivatives():
     assert len(s.levels) <= 3
     assert np.allclose(s.dtheta_dt(), (c - b) / 0.5)
     assert np.allclose(s.d2theta_dt2(), (c - 2 * b + a) / 0.25)
-
-
-# ------------------------------------------------------------
-# compatible initial data
-# ------------------------------------------------------------
-
-def test_initial_data_on_moving_geometry(flat_surface, params):
-    grid = geo.make_grid(flat_surface, 24, 18, params.depth)
-    eta = 1e-3 * np.cos(math.pi * grid.xc)
-    deta = 8e-3 * np.cos(math.pi * grid.xc)
-    fields = geo.build_geometry(grid, eta - eta.mean(),
-                                deta_dt=deta - deta.mean())
-    met = fields.at("nodes")
-    f8 = 0.5 * np.cos(met["x1"])[:, None] * (met["x2"] + params.depth)
-    f9 = 0.2 * np.cos(grid.xf)
-    init = ht.construct_heat_initial_data(fields, params.k, f8=f8, f9=f9,
-                                          tol=1e-10)
-    assert init.sweeps <= 20
-    assert init.residual < 1e-8
-    r = ht.heat_t0_residual(fields, params.k, init.theta0, init.dtheta0,
-                            f8, f9)
-    assert r < 1e-8
-
-
-def test_initial_data_static_geometry_single_sweep_pair(flat_surface, params):
-    fields = _flat_fields(flat_surface, params, 16, 12)
-    met = fields.at("nodes")
-    f8 = np.cos(met["x1"])[:, None] * np.ones_like(met["x2"])
-    init = ht.construct_heat_initial_data(fields, params.k, f8=f8, tol=1e-12)
-    # frozen geometry kills the commutator chain: two sweeps settle it
-    assert init.sweeps <= 3
-    assert ht.heat_t0_residual(fields, params.k, init.theta0, init.dtheta0,
-                               f8) < 1e-10
-
-
-def test_initial_data_strict_raises_on_stall(flat_surface, params):
-    # moving geometry keeps the commutator chain alive, so two sweeps can
-    # never reach an impossible tolerance
-    grid = geo.make_grid(flat_surface, 12, 9, params.depth)
-    deta = 8e-3 * np.cos(math.pi * grid.xc)
-    fields = geo.build_geometry(grid, np.zeros(12), deta_dt=deta - deta.mean())
-    met = fields.at("nodes")
-    f8 = np.cos(met["x1"])[:, None] * np.ones_like(met["x2"])
-    with pytest.raises(RuntimeError):
-        ht.construct_heat_initial_data(fields, params.k, f8=f8,
-                                       tol=1e-300, max_sweeps=2, strict=True)
