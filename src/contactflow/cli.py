@@ -214,10 +214,12 @@ def validate_config(cfg):
     if section and int(round(cfg[section]["t_end"] / cfg["time"]["dt"])) < 1:
         raise ConstraintError("%s.t_end must exceed time.dt / 2, else the "
                               "run takes no step" % section)
-    for om in cfg["corner"]["omegas"]:
+    corner = cfg["corner"]
+    if not corner["omegas"] or not corner["qs"]:
+        raise ConstraintError("corner.omegas and corner.qs must not be empty")
+    for om in corner["omegas"]:
         if not 0.0 < om < math.pi:
             raise ConstraintError("corner omegas must lie in (0, pi)")
-    corner = cfg["corner"]
     if corner["count"] < 1:
         raise ConstraintError("corner.count must be at least 1")
     if any(q < 1 for q in corner["qs"]):

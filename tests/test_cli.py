@@ -162,6 +162,8 @@ BAD_CONFIGS = [
     (("corner", "refine"), [0.0, 1.0]),  # a wedge grid of size 0
     (("sweep", "eps_values"), []),
     (("sweep", "eps_values"), [0.1]),
+    (("corner", "omegas"), []),          # a probe of no corner
+    (("corner", "qs"), []),              # entries with no wedge probe
 ]
 
 
@@ -285,6 +287,8 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
             {"mode": "epsilon-sweep", "sweep": {"t_end": 0.001}},
             {"mode": "corner-probe", "corner": {"count": 0}},
             {"mode": "corner-probe", "corner": {"qs": [0.0]}},
+            {"mode": "corner-probe", "corner": {"omegas": []}},
+            {"mode": "corner-probe", "corner": {"qs": []}},
             {"mode": "corner-probe", "corner": {"refine": [1.0]}},
             {"mode": "corner-probe", "corner": {"refine": [1.0, 1.01]}},
             {"mode": "epsilon-sweep", "sweep": {"eps_values": []}},
