@@ -439,6 +439,11 @@ def run_heat(cfg, params, outdir):
     return report, rows
 
 
+def _solver_report(solver):
+    """A lagged solver's counts plus the entries its held factors hold."""
+    return {**solver.counts(), "factor_nnz": solver.factor_nnz}
+
+
 def run_coupled(cfg, params, outdir, fit_report=False):
     problem = build_problem(cfg, params)
     grid = problem.grid
@@ -469,8 +474,8 @@ def run_coupled(cfg, params, outdir, fit_report=False):
         "max_recenter_drift": stats["max_recenter"],
         "contact_speeds_final": list(saved[-1][0].contact_speeds),
         "omega": problem.surface.omega,
-        "saddle_solver": problem.saddle_solver.counts(),
-        "heat_solver": problem.heat_solver.counts(),
+        "saddle_solver": _solver_report(problem.saddle_solver),
+        "heat_solver": _solver_report(problem.heat_solver),
     }
     if fit_report:
         fit = diag.fit_decay(times, e_tot, skip=len(times) // 5)

@@ -36,11 +36,20 @@ The kinematic update eta += dt Ztop u reuses the same Z2 top row, which
 closes the energy bookkeeping: the implicit surface blocks are exactly the
 discrete gradients of the surface energies.
 
-Near rest the saddle matrix moves by O(|eta|) from one step to the next, so
-a run factors it once and solves later steps by GMRES right-preconditioned
-with that lagged LU (LaggedLU), refactoring only when the GMRES result misses
-a 1e-13 relative residual; see Benzi, Golub & Liesen, Acta Numerica 14
-(2005) on lagged-factorization preconditioners.
+The saddle matrix is never assembled or factored whole: its zero pressure
+block forces off-diagonal pivots and a large fill. LaggedBlockSaddle holds two
+SPD factorizations instead, the sparse LU of the velocity block A and the
+banded Cholesky factor of the pressure Laplacian L_p = B M^-1 B^T, and solves
+by GMRES right-preconditioned with the block-triangular [[A, B^T], [0, -S]].
+S^-1 = L_p^-1 / dt + mu M_p^-1, with M_p = diag(Jvol hx hs), is the
+Cahouet-Chabard approximation of the Schur complement of unsteady Stokes
+(Cahouet & Chabard, Int. J. Numer. Meth. Fluids 8 (1988); Elman, Silvester &
+Wathen, Finite Elements and Fast Iterative Solvers, on the unsteady Stokes
+problem). Near rest the blocks move by O(|eta|) from one step to the next,
+so a run builds the factors once and reuses them for later steps,
+refactoring only when a solve misses a 1e-13 relative residual; the heat
+solve reuses one LU the same way (LaggedLU). See Benzi, Golub & Liesen, Acta
+Numerica 14 (2005) on block and lagged-factorization preconditioners.
 
 The curvature remainder
 
@@ -55,6 +64,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -138,32 +148,41 @@ def apply_contact_law(model, slopes, dslopes, eps, wall_slopes=(0.0, 0.0)):
 
 
 # ============================================================
-# lagged factorization
+# lagged factorizations
 # ============================================================
 
-LAG_RTOL = 1e-13      # accepted residual ||b - A x|| / ||b|| of a reused LU
-LAG_RESTART = 20      # Krylov dimension of the single GMRES cycle
+LAG_RTOL = 1e-13      # accepted residual ||b - A x|| / ||b|| of a lagged solve
+LAG_RESTART = 40      # Krylov dimension of the single GMRES cycle
+# GMRES stops a decade below LAG_RTOL: in a saddle solve the last digits of
+# the residual sit in the continuity rows, and this margin brings the
+# divergence residual down to the level of a direct solve
+GMRES_AIM = 1e-14
 
 
-class LaggedLU:
-    """Solves a sequence of nearby sparse systems with one held LU.
+class _LaggedSolver:
+    """Solves a sequence of nearby linear systems with factors held from
+    the first of them.
 
     The first system, and any whose shape or dt differ from the held
-    factor's, is factored and solved directly. Later systems get one GMRES
-    cycle right-preconditioned by the held LU, started from its solution;
-    the result is kept only when it is finite and its explicitly computed
-    residual is at most LAG_RTOL ||b||. Otherwise the held factor is
-    dropped before refactoring, so two factors never coexist.
+    factors', has its factors built (`_factor`, one count in
+    `factorizations`); every solve is then one GMRES cycle right-
+    preconditioned by the held factors, started from the preconditioned
+    right-hand side. A result is kept only when it is finite and its
+    explicitly computed residual is at most LAG_RTOL ||b||. A miss with
+    factors held from an earlier step drops them before refactoring, so two
+    factor sets never coexist; a miss with fresh factors raises
+    StabilityError. A zero right-hand side returns zeros without factoring.
 
     Each solve takes the caller's scipy.sparse.linalg handle, so every
-    factorization is made through the calling module's own `spla`.
+    sparse LU is made through the calling module's own `spla`.
     """
 
     def __init__(self):
-        self._lu = None
+        self._precondition = None     # held right preconditioner
         self._key = None
+        self.factor_nnz = 0           # entries held in the factors
         self.factorizations = 0
-        self.reused_solves = 0
+        self.reused_solves = 0        # solves with factors of an earlier step
         self.max_gmres_iterations = 0
         self.fallbacks = 0
 
@@ -173,48 +192,143 @@ class LaggedLU:
                 "max_gmres_iterations": self.max_gmres_iterations,
                 "fallbacks": self.fallbacks}
 
-    def solve(self, linalg, A, b, dt):
-        """x with A x = b (A in CSC form); raises StabilityError on NaN/inf."""
+    def solve(self, linalg, system, b, dt):
+        """x with system @ x = b; raises StabilityError on NaN/inf."""
         if not np.all(np.isfinite(b)):
             raise StabilityError("non-finite right-hand side")
         if not np.any(b):
             return np.zeros_like(b)   # keeps the rest state an exact fixed point
-        key = (A.shape, dt)
-        x = None
-        if self._lu is not None and self._key == key:
-            x = self._gmres(linalg, A, b)
-            if x is None:
-                self.fallbacks += 1
-                self._lu = None
-            else:
+        key = (system.shape, dt)
+        if self._precondition is not None and self._key == key:
+            x = self._cycle(linalg, system, b)
+            if x is not None:
                 self.reused_solves += 1
+                return x
+            self.fallbacks += 1
+            self._precondition = None
+        self._precondition, self.factor_nnz = self._factor(linalg, system, dt)
+        self._key = key
+        self.factorizations += 1
+        x = self._cycle(linalg, system, b)
         if x is None:
-            self._lu = linalg.splu(A)
-            self._key = key
-            self.factorizations += 1
-            x = self._lu.solve(b)
-            if not np.all(np.isfinite(x)):
-                raise StabilityError("sparse solve returned non-finite values")
+            raise StabilityError("solve with fresh factors returned non-finite"
+                                 " values or missed its residual bound")
         return x
 
-    def _gmres(self, linalg, A, b):
+    def _factor(self, linalg, system, dt):
+        """(preconditioner y -> P^-1 y, entries held) built from system."""
+        raise NotImplementedError
+
+    def _cycle(self, linalg, system, b):
         """One preconditioned GMRES cycle; None unless it meets LAG_RTOL."""
-        lu = self._lu
-        x0 = lu.solve(b)
-        target = LAG_RTOL * np.linalg.norm(b)
-        residuals = []        # one entry per inner GMRES iteration
-        preconditioned = linalg.LinearOperator(
-            A.shape, dtype=float, matvec=lambda y: A @ lu.solve(y))
-        y, _ = linalg.gmres(preconditioned, b - A @ x0, atol=target,
-                            rtol=0.0, restart=LAG_RESTART, maxiter=1,
-                            callback=residuals.append,
-                            callback_type="pr_norm")
-        self.max_gmres_iterations = max(self.max_gmres_iterations,
-                                        len(residuals))
-        x = x0 + lu.solve(y)
-        if np.all(np.isfinite(x)) and np.linalg.norm(b - A @ x) <= target:
+        precondition = self._precondition
+        bnorm = np.linalg.norm(b)
+        x = precondition(b)
+        r = b - system @ x
+        res = np.linalg.norm(r)
+        if np.isfinite(res) and res > GMRES_AIM * bnorm:
+            iterations = []       # one entry per inner GMRES iteration
+            preconditioned = linalg.LinearOperator(
+                system.shape, dtype=float,
+                matvec=lambda y: system @ precondition(y))
+            y, _ = linalg.gmres(preconditioned, r, atol=GMRES_AIM * bnorm,
+                                rtol=0.0, restart=LAG_RESTART, maxiter=1,
+                                callback=iterations.append,
+                                callback_type="pr_norm")
+            self.max_gmres_iterations = max(self.max_gmres_iterations,
+                                            len(iterations))
+            x = x + precondition(y)
+            res = np.linalg.norm(b - system @ x)
+        if res <= LAG_RTOL * bnorm and np.all(np.isfinite(x)):
             return x
         return None
+
+
+class LaggedLU(_LaggedSolver):
+    """Lagged solver whose held factor is the sparse LU of the first matrix
+    (the heat Crank-Nicolson solve); `system` is a CSC matrix."""
+
+    def _factor(self, linalg, A, dt):
+        lu = linalg.splu(A)
+        return lu.solve, lu.nnz
+
+
+class PressureLaplacian:
+    """Cholesky factor of L_p = B diag(mass)^-1 B^T.
+
+    In the x-major cell order a cell couples only to cells at most ny + 2
+    places away, so L_p is a band matrix and LAPACK's banded Cholesky
+    factors it with no fill outside the band. L_p is positive definite
+    without a shift: B^T has no constant null vector because the top flux
+    is free.
+    """
+
+    def __init__(self, B, mass):
+        L = sp.triu(B @ sp.diags(1.0 / mass) @ B.T).tocoo()
+        bw = int(np.max(L.col - L.row))
+        band = np.zeros((bw + 1, L.shape[0]))
+        band[bw + L.row - L.col, L.col] = L.data
+        try:
+            self._chol = scipy.linalg.cholesky_banded(band,
+                                                      check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise StabilityError("pressure Laplacian is not positive "
+                                 "definite") from exc
+        self.nnz = band.size - bw * (bw + 1) // 2
+
+    def solve(self, g):
+        return scipy.linalg.cho_solve_banded((self._chol, False), g,
+                                             check_finite=False)
+
+
+class SaddleSystem:
+    """The saddle matrix [[A, B^T], [B, 0]] kept as its blocks.
+
+    A: SPD velocity block on the free dofs; B: (ncell, ndof) divergence;
+    mass: the velocity mass diagonal on the free dofs; cell_measure: the
+    pressure mass diagonal Jvol hx hs; mu: the viscosity. `@` applies the
+    whole matrix, so the saddle matrix itself is never assembled.
+    """
+
+    def __init__(self, A, B, mass, cell_measure, mu):
+        self.A, self.B = A, B
+        self.BT = B.T.tocsr()
+        self.mass, self.cell_measure, self.mu = mass, cell_measure, mu
+        n = A.shape[0] + B.shape[0]
+        self.shape = (n, n)
+
+    def __matmul__(self, x):
+        u, p = x[:self.A.shape[0]], x[self.A.shape[0]:]
+        return np.concatenate([self.A @ u + self.BT @ p, self.B @ u])
+
+
+class LaggedBlockSaddle(_LaggedSolver):
+    """Lagged saddle solver holding the velocity-block LU and the pressure
+    Laplacian Cholesky factor; `system` is a SaddleSystem.
+
+    The right preconditioner is the block-triangular [[A, B^T], [0, -S]]
+    with the Cahouet-Chabard Schur inverse S^-1 = L_p^-1 / dt + mu M_p^-1:
+    the first term is exact when A = M/dt, the second is spectrally
+    equivalent to the Schur complement of the viscous block. One count in
+    `factorizations` is one build of the pair, and `factor_nnz` counts the
+    LU's L+U entries plus the Cholesky band.
+    """
+
+    def _factor(self, linalg, saddle, dt):
+        # A is SPD: a symmetric fill-reducing ordering and diagonal pivots
+        lu = linalg.splu(saddle.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        lap = PressureLaplacian(saddle.B, saddle.mass)
+        BT, nu = saddle.BT, saddle.A.shape[0]
+        viscous = saddle.mu / saddle.cell_measure
+
+        def precondition(r):
+            g = r[nu:]
+            p = -(lap.solve(g) / dt + viscous * g)
+            return np.concatenate([lu.solve(r[:nu] - BT @ p), p])
+
+        return precondition, lu.nnz + lap.nnz
 
 
 # ============================================================
@@ -292,8 +406,9 @@ class CoupledProblem:
     recenter: bool = True
     cfl: float = 0.9
     # lagged factorizations of the saddle and heat systems, one per problem
-    saddle_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
-                                    repr=False, compare=False)
+    saddle_solver: LaggedBlockSaddle = field(
+        default_factory=LaggedBlockSaddle, init=False, repr=False,
+        compare=False)
     heat_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
                                   repr=False, compare=False)
 
@@ -434,7 +549,8 @@ class FlowOperators:
         T11 = 2.0 * (mac.G11 + c12 @ mac.G21)
         T22 = 2.0 * (c22 @ mac.G22)
         T12 = c22 @ mac.G21 + mac.G12 + c12 @ mac.G22
-        Wc = sp.diags(met_c["Jvol"].ravel() * hx * hs)
+        self.cell_measure = met_c["Jvol"].ravel() * hx * hs
+        Wc = sp.diags(self.cell_measure)
         A_visc = 0.5 * params.mu * (T11.T @ Wc @ T11
                                     + 2.0 * (T12.T @ Wc @ T12)
                                     + T22.T @ Wc @ T22)
@@ -521,16 +637,24 @@ def _theta_at_yfaces(theta):
 # time stepping
 # ============================================================
 
+def _check_surface(problem, eta):
+    """SpillError unless the surface zeta0 + eta lies in (0, big_l]."""
+    zeta = problem.grid.zeta0_c + eta
+    if not (0.0 < np.min(zeta) and np.max(zeta) <= problem.params.big_l):
+        raise SpillError("surface range [%g, %g] outside (0, big_l]"
+                         % (np.min(zeta), np.max(zeta)))
+
+
 def momentum_step(problem, fields, state, theta=None, dt=None):
     """One implicit momentum/pressure/surface step.
 
     theta: node temperatures driving buoyancy and the thermal tension
     correction (None for isothermal runs). The saddle system is solved by
-    problem.saddle_solver, which reuses the LU of an earlier step as a
-    GMRES preconditioner and refactors only when that misses its residual
-    bound. Returns the advanced FlowState; raises StabilityError on CFL
-    violation (a NaN velocity counts as one) or a non-finite solve, and
-    SpillError when the surface leaves the channel.
+    problem.saddle_solver, which reuses the block factors of an earlier
+    step as a GMRES preconditioner and refactors only when that misses its
+    residual bound. Returns the advanced FlowState; raises StabilityError
+    on CFL violation (a NaN velocity counts as one) or a failed solve, and
+    SpillError when the surface, given or advanced, leaves the channel.
     """
     if dt is None:
         raise ValueError("dt is required")
@@ -538,6 +662,9 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     grid = problem.grid
     nx = grid.nx
 
+    # a spilled surface has non-positive column heights, and so an
+    # indefinite velocity block that no SPD factorization can take
+    _check_surface(problem, state.eta)
     speed = (np.max(np.abs(state.u1)) / grid.hx
              + np.max(np.abs(state.u2)) / grid.hs)
     if not speed * dt <= problem.cfl:
@@ -586,10 +713,10 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
         th_top_c = 0.5 * (theta[:-1, -1] + theta[1:, -1])
         rhs -= ops.Ztop.T @ (grid.hx * params.sigma2 * th_top_c * dflux_c)
 
-    sys = sp.bmat([[ops.A_dof, ops.B_dof.T], [ops.B_dof, None]],
-                  format="csc")
+    saddle = SaddleSystem(ops.A_dof, ops.B_dof, ops.mass_diag[mac.free],
+                          ops.cell_measure, params.mu)
     rhs_dof = np.concatenate([mac.P.T @ rhs, np.zeros(mac.ncell)])
-    sol = problem.saddle_solver.solve(spla, sys, rhs_dof, dt)
+    sol = problem.saddle_solver.solve(spla, saddle, rhs_dof, dt)
     ndof = mac.free.size
     ufull_new = mac.P @ sol[:ndof]
     p_new = sol[ndof:].reshape(nx, grid.ny)
@@ -603,11 +730,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     if problem.recenter:
         eta_new = eta_new - drift
 
-    zeta = grid.zeta0_c + eta_new
-    if not (0.0 < np.min(zeta) and np.max(zeta) <= params.big_l):
-        raise SpillError("surface range [%g, %g] outside (0, big_l]"
-                         % (np.min(zeta), np.max(zeta)))
-
+    _check_surface(problem, eta_new)
     dxz_new = mac.Dx @ zdot
     eps_diss = float(params.sigma1 * problem.eps * grid.hx
                      * np.sum(dxz_new ** 2 * inv32))
@@ -655,9 +778,11 @@ def coupled_step(problem, flow, heat_state, dt):
 def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
     """Project raw velocity data onto the discrete divergence-free space.
 
-    Solves the mass-weighted saddle projection, recenters eta0 to exact
-    zero mean and seeds the kinematic speed from the projected field, so
-    the t = 0 state satisfies the same discrete constraints the stepper
+    The mass-weighted projection [[M, B^T], [B, 0]] has the exact Schur
+    complement L_p = B M^-1 B^T, so one pressure Laplacian solve projects:
+    p = L_p^-1 B u_raw, u = u_raw - M^-1 B^T p. eta0 is recentered to exact
+    zero mean and the kinematic speed is seeded from the projected field,
+    so the t = 0 state satisfies the same discrete constraints the stepper
     preserves.
     """
     grid = problem.grid
@@ -672,13 +797,10 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         fields = geometry.build_geometry(grid, eta0)
         ops = FlowOperators(problem, fields, 1.0)
         mac = problem.stencils
-        ufull = mac.full_vector(u1, u2)
-        Mdof = sp.diags(ops.mass_diag[mac.free])
-        sys = sp.bmat([[Mdof, ops.B_dof.T], [ops.B_dof, None]], format="csc")
-        rhs = np.concatenate([mac.P.T @ (ops.mass_diag * ufull),
-                              np.zeros(mac.ncell)])
-        sol = spla.splu(sys).solve(rhs)
-        unew = mac.P @ sol[:mac.free.size]
+        u = mac.full_vector(u1, u2)[mac.free]
+        mass = ops.mass_diag[mac.free]
+        p = PressureLaplacian(ops.B_dof, mass).solve(ops.B_dof @ u)
+        unew = mac.P @ (u - (ops.B_dof.T @ p) / mass)
         u1n, u2n = mac.split_full(unew)
         state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),
                           eta=eta0,

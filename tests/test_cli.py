@@ -405,6 +405,20 @@ def test_decay_report_counts_lagged_solves(tmp_path):
         assert 1 <= rep[key]["max_gmres_iterations"] <= 20
 
 
+def test_decay_report_holds_factor_sizes(tmp_path):
+    cfg = dict(TINY, mode="decay", time=dict(TINY["time"], t_end=0.06))
+    cfg["initial"] = dict(TINY["initial"], theta_amp=0.01)
+    rc, outdir = _run(tmp_path, cfg)
+    assert rc == 0
+    rep = _report(outdir)
+    saddle, heat = rep["saddle_solver"]["factor_nnz"], \
+        rep["heat_solver"]["factor_nnz"]
+    # both factors are held; the saddle's velocity block alone has more
+    # unknowns than the heat system
+    assert isinstance(saddle, int) and isinstance(heat, int)
+    assert saddle > heat > 0
+
+
 def test_non_finite_state_exits_three(tmp_path, capsys, monkeypatch):
     def nan_theta(cfg, grid):
         theta = np.zeros((grid.nx + 1, grid.ny + 1))

@@ -327,3 +327,127 @@ def test_lagged_lu_falls_back_on_a_distant_system():
                                "fallbacks": 1}
     with pytest.raises(fl.StabilityError):
         solver.solve(spla, far, np.full(n, np.nan), 0.1)
+
+
+# ------------------------------------------------------------
+# block saddle solver
+# ------------------------------------------------------------
+
+class _DirectSaddle:
+    """Reference saddle solver: assembles [[A, B^T], [B, 0]] and factors it
+    afresh for every system."""
+
+    def solve(self, linalg, saddle, b, dt):
+        K = sp.bmat([[saddle.A, saddle.B.T], [saddle.B, None]], format="csc")
+        return spla.spsolve(K, b)
+
+
+def _saddle(problem, fields, dt, mu=None):
+    ops = fl.FlowOperators(problem, fields, dt)
+    return fl.SaddleSystem(ops.A_dof, ops.B_dof,
+                           ops.mass_diag[problem.stencils.free],
+                           ops.cell_measure,
+                           problem.params.mu if mu is None else mu)
+
+
+def _momentum_load(saddle, seed=5):
+    """Random momentum rows and zero continuity rows, like a step's load."""
+    b = np.zeros(saddle.shape[0])
+    b[:saddle.A.shape[0]] = np.random.default_rng(seed).standard_normal(
+        saddle.A.shape[0])
+    return b
+
+
+@pytest.mark.parametrize("jump", [0.3, -0.5])
+def test_block_solves_match_direct_saddle_solves(params, jump):
+    problem = _curved_problem(params, jump)
+    grid = problem.grid
+    reference = dataclasses.replace(problem)
+    reference.saddle_solver = _DirectSaddle()
+    flow, heat_state = _perturbed_start(problem)
+    dts = [0.02] * 20
+    block = _run_steps(problem, flow, heat_state, dts, fresh=False)
+    direct = _run_steps(reference, flow, heat_state, dts, fresh=False)
+    _assert_trajectories_match(block, direct)
+    for state, _ in block:
+        assert state.div_residual < 1e-12
+        assert abs(np.sum(state.eta)) * grid.hx < 1e-13
+        assert state.recenter_log < 1e-15
+    assert problem.saddle_solver.fallbacks == 0
+
+
+def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
+                                                          zero_fields):
+    base = _saddle(problem, zero_fields, 0.02)
+    # thirty times the viscosity: the held factors no longer precondition
+    # within one cycle, fresh ones do
+    viscous = dataclasses.replace(
+        problem, params=dataclasses.replace(params, mu=30.0 * params.mu))
+    far = _saddle(viscous, zero_fields, 0.02)
+    b = _momentum_load(base)
+    solver = fl.LaggedBlockSaddle()
+    assert not np.any(solver.solve(spla, base, np.zeros_like(b), 0.02))
+    assert solver.factorizations == 0
+    for saddle in (base, base, far):
+        x = solver.solve(spla, saddle, b, 0.02)
+        assert np.linalg.norm(b - saddle @ x) \
+            <= fl.LAG_RTOL * np.linalg.norm(b)
+    assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
+                               "max_gmres_iterations": fl.LAG_RESTART,
+                               "fallbacks": 1}
+    assert solver.factor_nnz > 0
+    with pytest.raises(fl.StabilityError):
+        solver.solve(spla, far, np.full_like(b, np.nan), 0.02)
+
+
+def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields):
+    # the viscosity enters only the Schur approximation; a wildly wrong one
+    # leaves the preconditioned matrix too far from the identity for one
+    # cycle, so the solve must stop instead of refactoring forever
+    bad = _saddle(problem, zero_fields, 0.02, mu=1e6)
+    solver = fl.LaggedBlockSaddle()
+    with pytest.raises(fl.StabilityError):
+        solver.solve(spla, bad, _momentum_load(bad), 0.02)
+    assert solver.counts()["factorizations"] == 1
+    assert solver.counts()["max_gmres_iterations"] == fl.LAG_RESTART
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
+def test_projection_matches_direct_saddle_solve(params, jump):
+    problem = _curved_problem(params, jump)
+    grid = problem.grid
+    eta0 = 1e-3 * np.cos(math.pi * grid.xc / grid.ell)
+    u1 = 1e-2 * np.sin(math.pi * grid.xf[:, None]) * np.ones((1, grid.ny))
+    u2 = 1e-2 * np.cos(math.pi * grid.xc[:, None] / 2) * np.ones((1, grid.ny + 1))
+    state = fl.construct_flow_initial_data(problem, eta0, u1, u2)
+
+    mac = problem.stencils
+    ops = fl.FlowOperators(problem, geo.build_geometry(grid, state.eta), 1.0)
+    mass = ops.mass_diag[mac.free]
+    K = sp.bmat([[sp.diags(mass), ops.B_dof.T], [ops.B_dof, None]],
+                format="csc")
+    rhs = np.concatenate([mass * mac.full_vector(u1, u2)[mac.free],
+                          np.zeros(mac.ncell)])
+    ref = mac.P @ spla.spsolve(K, rhs)[:mac.free.size]
+    got = mac.full_vector(state.u1, state.u2)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+
+def test_block_solves_keep_divergence_at_direct_level(params):
+    # at 48x32 on a curved rest state a GMRES stop at LAG_RTOL leaves up to
+    # 2e-12 in the divergence; the solver's tighter stop keeps it near 1e-13
+    params = dataclasses.replace(params, gamma_jump=0.3)
+    surface = eq.solve_equilibrium(params, 1.0)
+    grid = geo.make_grid(surface, 48, 32, params.depth)
+    problem = fl.CoupledProblem(params=params, surface=surface, grid=grid)
+    flow = fl.construct_flow_initial_data(
+        problem, 0.05 * np.cos(math.pi * grid.xc / grid.ell))
+    X, S = np.meshgrid(grid.xf, grid.sf, indexing="ij")
+    heat_state = ht.HeatState(
+        theta=1e-2 * np.sin(math.pi * (X + grid.ell) / (2.0 * grid.ell))
+        * np.sin(0.5 * math.pi * S))
+    for flow, _ in _run_steps(problem, flow, heat_state, [0.02] * 20,
+                              fresh=False):
+        assert flow.div_residual <= 1e-12
+    assert problem.saddle_solver.counts()["fallbacks"] == 0
