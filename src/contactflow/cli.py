@@ -51,11 +51,9 @@ def default_config():
     return {
         "mode": "decay",
         "out": "runs/out",
-        "svg": False,
         "mean_height": 1.0,
         "eps": 0.0,
         "w3": 1.0,
-        "recenter": True,
         "params": {
             "mu": 0.35, "k": 0.35, "g": 1.0, "sigma1": 1.0, "sigma2": 0.1,
             "beta": 1.0, "kappa": 1.0, "gamma_jump": 0.0,
@@ -143,8 +141,7 @@ def _non_finite_leaf(node, path=""):
     return None
 
 
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _type_mismatch(node, default, path=""):
@@ -278,44 +275,6 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def write_svg(path, times, values, title):
-    """Minimal log-scale polyline plot, no third-party plotting."""
-    W, Hgt, pad = 640, 400, 50
-    pts = [(t, v) for t, v in zip(times, values) if v > 0.0]
-    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
-             % (W, Hgt),
-             '<rect width="100%" height="100%" fill="white"/>',
-             '<text x="%d" y="20" font-size="14">%s</text>' % (pad, title)]
-    if len(pts) >= 2:
-        ts = [p[0] for p in pts]
-        lv = [math.log10(p[1]) for p in pts]
-        t0, t1 = min(ts), max(ts)
-        v0, v1 = min(lv), max(lv)
-        t1 = t1 if t1 > t0 else t0 + 1.0
-        v1 = v1 if v1 > v0 else v0 + 1.0
-
-        def sx(t):
-            return pad + (W - 2 * pad) * (t - t0) / (t1 - t0)
-
-        def sy(v):
-            return Hgt - pad - (Hgt - 2 * pad) * (v - v0) / (v1 - v0)
-
-        poly = " ".join("%.2f,%.2f" % (sx(t), sy(v))
-                        for t, v in zip(ts, lv))
-        lines.append('<polyline points="%s" fill="none" stroke="black"/>'
-                     % poly)
-        for frac in (0.0, 0.5, 1.0):
-            tv = t0 + frac * (t1 - t0)
-            lines.append('<text x="%.1f" y="%d" font-size="11">t=%.3g</text>'
-                         % (sx(tv) - 12, Hgt - pad + 20, tv))
-            vv = v0 + frac * (v1 - v0)
-            lines.append('<text x="4" y="%.1f" font-size="11">1e%.2f</text>'
-                         % (sy(vv) + 4, vv))
-    lines.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ============================================================
 # initial data recipes
 # ============================================================
@@ -362,8 +321,7 @@ def build_problem(cfg, params):
     grid = geometry.make_grid(surface, cfg["grid"]["nx"], cfg["grid"]["ny"],
                               params.depth)
     return flow_mod.CoupledProblem(params=params, surface=surface, grid=grid,
-                                   eps=cfg["eps"], w3=cfg["w3"],
-                                   recenter=cfg["recenter"])
+                                   eps=cfg["eps"], w3=cfg["w3"])
 
 
 # ============================================================
@@ -387,27 +345,51 @@ def run_equilibrium(cfg, params, outdir):
     return report, None
 
 
-def _series_loop(cfg, problem, flow_state, heat_state, t_end=None):
+def _series_loop(cfg, problem, flow_state, heat_state, step=None,
+                 fields=None, t_end=None, warmup=0.0):
+    """Step the states to t_end, reporting every save_every steps.
+
+    step(flow_state, heat_state, dt) -> (flow_state, heat_state, fields
+    the step ran on) is one time step, flow.coupled_step by default; fields
+    is the geometry of the t = 0 state, built from it when None. The first
+    round(warmup / dt) steps are taken before t = 0 and not reported.
+    Returns the energy rows, the flow state of each row and the largest
+    divergence residual and recenter drift.
+    """
     dt = cfg["time"]["dt"]
     t_end = cfg["time"]["t_end"] if t_end is None else t_end
     save_every = max(1, int(cfg["time"]["save_every"]))
     nsteps = int(round(t_end / dt))
-    fields = geometry.build_geometry(problem.grid, flow_state.eta,
-                                     flow_state.zdot)
+    if step is None:
+        def step(flow_state, heat_state, dt):
+            return flow_mod.coupled_step(problem, flow_state, heat_state, dt)
+    # An impulsive start has huge discrete time derivatives (u jumps from
+    # rest in one step), which say nothing about the decay of the evolved
+    # solution. Integrating through the transient and restarting the clock
+    # measures the budget from a state whose histories reflect the actual
+    # dynamics.
+    warmup_steps = int(round(warmup / dt))
+    for _ in range(warmup_steps):
+        flow_state, heat_state, _ = step(flow_state, heat_state, dt)
+    if warmup_steps:
+        flow_state = dataclasses.replace(flow_state, time=0.0)
+        heat_state = dataclasses.replace(heat_state, time=0.0)
+    if fields is None:
+        fields = geometry.build_geometry(problem.grid, flow_state.eta,
+                                         flow_state.zdot)
     rows = [diag.energy_report(problem, fields, flow_state,
                                heat_state).row()]
-    saved = [(flow_state, heat_state)]
+    saved = [flow_state]
     stats = {"max_div": 0.0, "max_recenter": 0.0}
-    for step in range(1, nsteps + 1):
-        flow_state, heat_state, fields = flow_mod.coupled_step(
-            problem, flow_state, heat_state, dt)
+    for n in range(1, nsteps + 1):
+        flow_state, heat_state, fields = step(flow_state, heat_state, dt)
         stats["max_div"] = max(stats["max_div"], flow_state.div_residual)
         stats["max_recenter"] = max(stats["max_recenter"],
                                     flow_state.recenter_log)
-        if step % save_every == 0 or step == nsteps:
+        if n % save_every == 0 or n == nsteps:
             rows.append(diag.energy_report(problem, fields, flow_state,
                                            heat_state).row())
-            saved.append((flow_state, heat_state))
+            saved.append(flow_state)
     return rows, saved, stats
 
 
@@ -415,17 +397,17 @@ def run_heat(cfg, params, outdir):
     problem = build_problem(cfg, params)
     grid = problem.grid
     fields = geometry.build_geometry(grid, np.zeros(grid.nx))
-    state = heat_mod.HeatState(theta=initial_theta(cfg, grid))
-    dt = cfg["time"]["dt"]
-    nsteps = int(round(cfg["time"]["t_end"] / dt))
-    save_every = max(1, int(cfg["time"]["save_every"]))
-    zero_flow = flow_mod.zero_flow_state(grid)
-    rows = [diag.energy_report(problem, fields, zero_flow, state).row()]
-    for step in range(1, nsteps + 1):
-        state = heat_mod.step_fd(fields, params.k, state, dt)
-        if step % save_every == 0 or step == nsteps:
-            rows.append(diag.energy_report(problem, fields, zero_flow,
-                                           state).row())
+
+    def conduct(flow_state, heat_state, dt):
+        """Conduction only: the flow stays at rest on the rest geometry."""
+        heat_state = heat_mod.step_fd(fields, params.k, heat_state, dt,
+                                      solver=problem.heat_solver)
+        return flow_state, heat_state, fields
+
+    rows, _, _ = _series_loop(
+        cfg, problem, flow_mod.zero_flow_state(grid),
+        heat_mod.HeatState(theta=initial_theta(cfg, grid)), step=conduct,
+        fields=fields)
     lam = heat_mod.lowest_eigenvalues(fields, params.k, m=1)[0]
     times = [r[0] for r in rows]
     e_th = [r[diag.SERIES_COLUMNS.index("E_th_L2")] for r in rows]
@@ -435,6 +417,7 @@ def run_heat(cfg, params, outdir):
         "fitted_rate_E_th_L2": fit.lam,
         "expected_rate_E_th_L2": 2.0 * lam,
         "fit_r2": fit.r2,
+        "heat_solver": _solver_report(problem.heat_solver),
     }
     return report, rows
 
@@ -452,19 +435,8 @@ def run_coupled(cfg, params, outdir, fit_report=False):
     flow_state = flow_mod.construct_flow_initial_data(problem, eta0, u1r,
                                                       u2r)
     heat_state = heat_mod.HeatState(theta=initial_theta(cfg, grid))
-    # Optional settling phase: an impulsive start has huge discrete time
-    # derivatives (u jumps from rest in one step), which says nothing about
-    # the decay of the evolved solution. Integrating through the transient
-    # and restarting the clock measures the budget from a state whose
-    # histories reflect the actual dynamics.
-    warmup_steps = int(round(cfg["time"]["warmup"] / cfg["time"]["dt"]))
-    for _ in range(warmup_steps):
-        flow_state, heat_state, _ = flow_mod.coupled_step(
-            problem, flow_state, heat_state, cfg["time"]["dt"])
-    if warmup_steps:
-        flow_state = dataclasses.replace(flow_state, time=0.0)
-        heat_state = dataclasses.replace(heat_state, time=0.0)
-    rows, saved, stats = _series_loop(cfg, problem, flow_state, heat_state)
+    rows, saved, stats = _series_loop(cfg, problem, flow_state, heat_state,
+                                      warmup=cfg["time"]["warmup"])
     times = [r[0] for r in rows]
     e_tot = [r[diag.SERIES_COLUMNS.index("E_total")] for r in rows]
     d_tot = [r[diag.SERIES_COLUMNS.index("D_total")] for r in rows]
@@ -472,7 +444,7 @@ def run_coupled(cfg, params, outdir, fit_report=False):
         "final_E_total": e_tot[-1],
         "max_div_residual": stats["max_div"],
         "max_recenter_drift": stats["max_recenter"],
-        "contact_speeds_final": list(saved[-1][0].contact_speeds),
+        "contact_speeds_final": list(saved[-1].contact_speeds),
         "omega": problem.surface.omega,
         "saddle_solver": _solver_report(problem.saddle_solver),
         "heat_solver": _solver_report(problem.heat_solver),
@@ -522,30 +494,22 @@ def run_epsilon_sweep(cfg, params, outdir):
     grid = problem0.grid
     eta0 = initial_eta(cfg, grid)
     eps_values = list(cfg["sweep"]["eps_values"])
-    t_end = cfg["sweep"]["t_end"]
     fields_eq = geometry.build_geometry(grid, np.zeros(grid.nx))
 
-    e0_plain = None
     e0_eps, trajectories = [], []
     rows_out = None
     for eps in eps_values:
-        problem = flow_mod.CoupledProblem(
-            params=params, surface=problem0.surface, grid=grid, eps=eps,
-            w3=cfg["w3"], recenter=cfg["recenter"])
+        problem = dataclasses.replace(problem0, eps=eps)
         flow_state = flow_mod.construct_flow_initial_data(problem, eta0)
-        heat_state = heat_mod.HeatState(
-            theta=initial_theta(cfg, grid))
-        rep0 = diag.energy_report(
-            problem, geometry.build_geometry(grid, flow_state.eta),
-            flow_state, heat_state)
-        if e0_plain is None:
-            e0_plain = rep0.energy
-        e0_eps.append(rep0.energy_eps)
+        heat_state = heat_mod.HeatState(theta=initial_theta(cfg, grid))
         rows, saved, _ = _series_loop(cfg, problem, flow_state, heat_state,
-                                      t_end=t_end)
-        trajectories.append([s[0] for s in saved])
+                                      t_end=cfg["sweep"]["t_end"])
+        e0_eps.append(rows[0][diag.SERIES_COLUMNS.index("E_eps")])
+        trajectories.append(saved)
         if rows_out is None:
             rows_out = rows
+    # the plain energy does not depend on eps
+    e0_plain = rows_out[0][diag.SERIES_COLUMNS.index("E_total")]
 
     diffs = [e - e0_plain for e in e0_eps]
     lin_ratios = [diffs[i] / diffs[i + 1] if diffs[i + 1] != 0 else math.nan
@@ -639,11 +603,6 @@ def main(argv=None):
                              "python": platform.python_version()}})
     if rows is not None:
         write_series_csv(os.path.join(outdir, "series.csv"), rows)
-        if cfg["svg"]:
-            idx = diag.SERIES_COLUMNS.index("E_total")
-            write_svg(os.path.join(outdir, "energy.svg"),
-                      [r[0] for r in rows], [r[idx] for r in rows],
-                      "total energy, mode=%s" % cfg["mode"])
     return 0
 
 

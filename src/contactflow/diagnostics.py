@@ -350,7 +350,7 @@ def energy_report(problem, fields, flow, heat_state=None):
 
     t["Eeps_dteta_W3qp"] = eps * eps \
         * surface_norm(deta, 3.0 - 1.0 / qp, ell, qp) ** 2
-    t["Eeps_eta_Hma"] = eps * surface_norm(eta, 1.5 - al, ell) ** 2
+    t["Eeps_eta_Hma"] = eps * t["D_eta_Hma"]
     t["Eeps_dteta_Hma"] = eps * t["D_dteta_Hma"]
     t["Eeps_d2eta_Hma"] = eps * t["D_d2eta_Hma"]
     t["Deps_dteta_W3qp"] = t["Eeps_dteta_W3qp"]

@@ -73,7 +73,7 @@ from .params import select_exponents
 
 
 class StabilityError(RuntimeError):
-    """CFL violation or solver breakdown."""
+    """CFL violation, folded flattening map or solver breakdown."""
 
 
 class SpillError(RuntimeError):
@@ -403,8 +403,6 @@ class CoupledProblem:
     grid: object
     eps: float = 0.0
     w3: float = 1.0
-    recenter: bool = True
-    cfl: float = 0.9
     # lagged factorizations of the saddle and heat systems, one per problem
     saddle_solver: LaggedBlockSaddle = field(
         default_factory=LaggedBlockSaddle, init=False, repr=False,
@@ -562,6 +560,13 @@ class FlowOperators:
         w2[:, -1] *= 0.5                       # top faces own half cells
         self.mass_diag = np.concatenate([(met_xf["Jvol"] * hx * hs).ravel(),
                                          w2.ravel()])
+        # a folded map has non-positive volume weights: its blocks are
+        # indefinite, and no solve of them means anything
+        low_cell, low_mass = np.min(self.cell_measure), np.min(self.mass_diag)
+        if not (low_cell > 0.0 and low_mass > 0.0):
+            raise StabilityError("flattening map folds: smallest cell "
+                                 "measure %.3g, smallest velocity mass %.3g"
+                                 % (low_cell, low_mass))
 
         # -------- flux divergence --------
         zw = np.concatenate([met_xf["Jvol"].ravel(),
@@ -637,6 +642,9 @@ def _theta_at_yfaces(theta):
 # time stepping
 # ============================================================
 
+CFL_LIMIT = 0.9      # largest advective CFL number a step accepts
+
+
 def _check_surface(problem, eta):
     """SpillError unless the surface zeta0 + eta lies in (0, big_l]."""
     zeta = problem.grid.zeta0_c + eta
@@ -653,8 +661,9 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     problem.saddle_solver, which reuses the block factors of an earlier
     step as a GMRES preconditioner and refactors only when that misses its
     residual bound. Returns the advanced FlowState; raises StabilityError
-    on CFL violation (a NaN velocity counts as one) or a failed solve, and
-    SpillError when the surface, given or advanced, leaves the channel.
+    on CFL violation (a NaN velocity counts as one), a folded flattening
+    map or a failed solve, and SpillError when the surface, given or
+    advanced, leaves the channel.
     """
     if dt is None:
         raise ValueError("dt is required")
@@ -667,9 +676,9 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     _check_surface(problem, state.eta)
     speed = (np.max(np.abs(state.u1)) / grid.hx
              + np.max(np.abs(state.u2)) / grid.hs)
-    if not speed * dt <= problem.cfl:
+    if not speed * dt <= CFL_LIMIT:
         raise StabilityError("advective CFL %.3g exceeds %.2f"
-                             % (speed * dt, problem.cfl))
+                             % (speed * dt, CFL_LIMIT))
 
     ops = FlowOperators(problem, fields, dt)
     mac = problem.stencils
@@ -727,8 +736,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
 
     eta_new = state.eta + dt * zdot
     drift = float(np.sum(eta_new) * grid.hx / (2.0 * grid.ell))
-    if problem.recenter:
-        eta_new = eta_new - drift
+    eta_new = eta_new - drift
 
     _check_surface(problem, eta_new)
     dxz_new = mac.Dx @ zdot

@@ -45,7 +45,6 @@ class HeatOperators:
         nx, ny = grid.nx, grid.ny
         hx, hs = grid.hx, grid.hs
         self.grid = grid
-        self.k_cond = k_cond
         nn = (nx + 1) * (ny + 1)
 
         # tensor grid of 2x2 Gauss stations, cell (i, j) owns [2i+gx, 2j+gz]
@@ -130,12 +129,6 @@ class HeatOperators:
         self.free = np.flatnonzero(free.ravel())
         self.M_ff = self.M[self.free][:, self.free].tocsc()
         self.B_ff = self.B[self.free][:, self.free].tocsc()
-        self._lu = {}
-
-    def lu(self, key, mat):
-        if key not in self._lu:
-            self._lu[key] = spla.splu(mat.tocsc())
-        return self._lu[key]
 
     def embed(self, vec_free):
         nn = self.M.shape[0]
@@ -209,15 +202,16 @@ def _load_vector(ops, f8, f9):
 # time stepping
 # ============================================================
 
-def step_fd(fields, k_cond, state, dt, transport=None, f8=None, f9=None,
-            solver=None):
+def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
+            f9=None):
     """One Crank-Nicolson step of the nodal scheme.
 
+    solver: the flow.LaggedLU of the run. It factors the first step's
+    matrix and reuses that factor for later steps, exactly on frozen
+    geometry and as a GMRES preconditioner on moving geometry.
     transport: node-sampled velocity (2, nx+1, ny+1) or None. Advection and
     mesh motion are treated explicitly with the two-level extrapolant
     1.5 theta^n - 0.5 theta^{n-1} so the implicit matrix stays symmetric.
-    solver: a flow.LaggedLU that carries one factorization across steps on
-    moving geometry; without it the exact LU is cached on the fields.
     """
     ops = heat_operators(fields, k_cond)
     th = state.theta.ravel()
@@ -232,10 +226,7 @@ def step_fd(fields, k_cond, state, dt, transport=None, f8=None, f9=None,
         rhs += ops.M @ adv.ravel()
 
     mat = ops.M_ff / dt + ops.B_ff * 0.5
-    if solver is None:
-        sol = ops.lu(("cn", round(dt, 14)), mat).solve(rhs[ops.free])
-    else:
-        sol = solver.solve(spla, mat.tocsc(), rhs[ops.free], dt)
+    sol = solver.solve(spla, mat.tocsc(), rhs[ops.free], dt)
     theta_new = ops.embed(sol).reshape(state.theta.shape)
     return state.advanced(theta_new, dt)
 

@@ -71,12 +71,14 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     path = _write_config(tmp_path, {"params": {"zap": 1}}, name="n.json")
     with pytest.raises(ConstraintError, match="params.zap"):
         cli.load_config(path, environ={})
-    # removed key, still present in older meta.json files
-    path = _write_config(tmp_path, {"initial": {"consistent_heat": True}},
-                         name="old.json")
-    assert cli.main(["--config", path, "--validate-only"]) == 2
-    assert ("unknown config key: initial.consistent_heat"
-            in capsys.readouterr().err)
+    # removed keys, still present in older meta.json files
+    for i, old in enumerate([{"initial": {"consistent_heat": True}},
+                             {"svg": False}, {"recenter": True}]):
+        path = _write_config(tmp_path, old, name="old%d.json" % i)
+        assert cli.main(["--config", path, "--validate-only"]) == 2
+    err = capsys.readouterr().err
+    for name in ("initial.consistent_heat", "svg", "recenter"):
+        assert "unknown config key: " + name in err
 
 
 def test_scalar_override_for_table_rejected(tmp_path):
@@ -88,14 +90,14 @@ def test_scalar_override_for_table_rejected(tmp_path):
 def test_env_overrides_parse_json_with_string_fallback():
     env = {
         "CONTACTFLOW_PARAMS__MU": "0.5",      # json number
-        "CONTACTFLOW_RECENTER": "false",      # json bool
+        "CONTACTFLOW_CORNER__QS": "[1.5]",    # json list
         "CONTACTFLOW_OUT": "runs/elsewhere",  # not json, kept as string
         "UNRELATED": "1",
     }
     cfg = cli.load_config(environ=env)
     assert cfg["params"]["mu"] == 0.5
     assert isinstance(cfg["params"]["mu"], float)
-    assert cfg["recenter"] is False
+    assert cfg["corner"]["qs"] == [1.5]
     assert cfg["out"] == "runs/elsewhere"
     # untouched keys keep their defaults
     assert cfg["params"]["k"] == cli.default_config()["params"]["k"]
@@ -151,7 +153,7 @@ BAD_CONFIGS = [
     (("corner", "count"), "4"),
     (("corner", "omegas"), 1.5),
     (("params", "mu"), "0.35"),
-    (("svg",), 1),
+    (("out",), 1),
     # configs that cannot give a meaningful run
     (("sweep", "eps_values"), [-0.5, 0.1]),
     (("time", "t_end"), 0.001),       # decay with zero steps
@@ -350,6 +352,14 @@ def test_heat_mode_recovers_spectral_decay_rate(tmp_path):
         / rep["expected_rate_E_th_L2"]
     assert rel < 0.05
     assert rep["fit_r2"] > 0.999
+    # 20 steps on frozen geometry: the first factor solves every later step
+    # exactly, with no GMRES iteration
+    solver = rep["heat_solver"]
+    assert solver["factorizations"] == 1
+    assert solver["reused_solves"] == 19
+    assert solver["fallbacks"] == 0
+    assert solver["max_gmres_iterations"] == 0
+    assert solver["factor_nnz"] > 0
 
 
 def test_decay_mode_report_and_series(tmp_path):

@@ -140,6 +140,20 @@ def test_spill_raises(problem, grid):
         fl.momentum_step(problem, fields, state, dt=1e-3)
 
 
+@pytest.mark.parametrize("nx,ny", [(12, 8), (24, 16)])
+def test_folded_map_raises(params, flat_surface, nx, ny):
+    # zeta stays in [0.70, 1.30], inside (0, big_l], so the spill guard
+    # passes; but the face Jacobians of this flattening map go negative
+    grid = geo.make_grid(flat_surface, nx, ny, params.depth)
+    problem = fl.CoupledProblem(params=params, surface=flat_surface,
+                                grid=grid)
+    state = fl.zero_flow_state(grid)
+    state.eta = _centered(0.3 * np.cos(math.pi * grid.xc / grid.ell))
+    fields = geo.build_geometry(grid, state.eta, state.zdot)
+    with pytest.raises(fl.StabilityError, match="flattening map folds"):
+        fl.momentum_step(problem, fields, state, dt=0.02)
+
+
 def test_nan_velocity_raises(problem, zero_fields, grid):
     # comparisons with NaN are False, so the CFL guard must be a negated <=
     state = fl.zero_flow_state(grid)
