@@ -200,6 +200,8 @@ def validate_config(cfg):
         raise ConstraintError("time.dt and time.t_end must be positive")
     if cfg["time"]["warmup"] < 0:
         raise ConstraintError("time.warmup must be nonnegative")
+    if cfg["time"]["save_every"] < 1:
+        raise ConstraintError("time.save_every must be at least 1")
     if cfg["eps"] < 0 or any(e < 0 for e in cfg["sweep"]["eps_values"]):
         raise ConstraintError("eps and sweep.eps_values must be nonnegative")
     # the linearity and Cauchy ratios compare neighbouring eps values
@@ -358,7 +360,7 @@ def _series_loop(cfg, problem, flow_state, heat_state, step=None,
     """
     dt = cfg["time"]["dt"]
     t_end = cfg["time"]["t_end"] if t_end is None else t_end
-    save_every = max(1, int(cfg["time"]["save_every"]))
+    save_every = cfg["time"]["save_every"]
     nsteps = int(round(t_end / dt))
     if step is None:
         def step(flow_state, heat_state, dt):

@@ -364,9 +364,6 @@ class FlowState:
         return (getattr(self, name) - 2.0 * self._lvl(0, name)
                 + self._lvl(1, name)) / self.dt ** 2
 
-    def dt_eta(self):
-        return self.zdot
-
     def d2t_eta(self):
         return self.dt_field("zdot")
 
@@ -750,9 +747,8 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
                           eps_dissipation=eps_diss)
 
 
-def velocity_at_nodes(state):
-    """Interpolate MAC velocities to the node grid (for heat transport)."""
-    u1, u2 = state.u1, state.u2
+def velocity_at_nodes(u1, u2):
+    """Interpolate MAC face velocities to the node grid."""
     nxp, ny = u1.shape
     u1n = np.empty((nxp, ny + 1))
     u1n[:, 1:-1] = 0.5 * (u1[:, :-1] + u1[:, 1:])
@@ -770,7 +766,7 @@ def coupled_step(problem, flow, heat_state, dt):
     """Heat then momentum, geometry frozen at the step start."""
     from . import heat as heat_mod
     fields = geometry.build_geometry(problem.grid, flow.eta, flow.zdot)
-    u_nodes = velocity_at_nodes(flow)
+    u_nodes = velocity_at_nodes(flow.u1, flow.u2)
     heat_new = heat_mod.step_fd(fields, problem.params.k, heat_state, dt,
                                 transport=u_nodes,
                                 solver=problem.heat_solver)

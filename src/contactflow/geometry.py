@@ -279,9 +279,12 @@ def build_geometry(grid, eta, deta_dt=None):
 # ============================================================
 
 def ref_gradient(f, hx, hs):
-    """(d/dx1, d/ds) by centered differences, one-sided 2nd order at edges."""
-    return (np.gradient(f, hx, axis=0, edge_order=2),
-            np.gradient(f, hs, axis=1, edge_order=2))
+    """(d/dx1, d/ds) by centered differences, one-sided 2nd order at edges.
+
+    f: node array, or a stack of them along leading axes.
+    """
+    return (np.gradient(f, hx, axis=-2, edge_order=2),
+            np.gradient(f, hs, axis=-1, edge_order=2))
 
 
 def omega_gradient(met, f, hx, hs):

@@ -219,7 +219,7 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
     if state.levels:
         that = 1.5 * state.theta - 0.5 * state.levels[0]
 
-    rhs = (ops.M / dt - ops.B * 0.5) @ th
+    rhs = ops.M @ th / dt - 0.5 * (ops.B @ th)
     rhs += _load_vector(ops, f8, f9)
     adv = _transport_nodes(fields, that, transport)
     if np.any(adv):

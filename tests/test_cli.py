@@ -166,6 +166,8 @@ BAD_CONFIGS = [
     (("sweep", "eps_values"), [0.1]),
     (("corner", "omegas"), []),          # a probe of no corner
     (("corner", "qs"), []),              # entries with no wedge probe
+    (("time", "save_every"), 0),
+    (("time", "save_every"), -3),
 ]
 
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from contactflow import diagnostics as dg
 from contactflow import flow as fl
 from contactflow import heat as ht
+from contactflow.params import select_exponents
 
 from _reference import GS_CASES
 
@@ -63,6 +64,35 @@ def test_surface_norm_triangle_inequality(s, k):
     assert nfg <= nf + ng + 1e-12 * (nf + ng)
 
 
+def _gs_double_loop(g, hx, sigma, q):
+    """Reference Gagliardo sum: one term per ordered pair of samples."""
+    n = len(g)
+    acc = 0.0
+    for k in range(1, n):
+        d = hx * min(k, n - k)
+        for i in range(n):
+            acc += abs(g[(i + k) % n] - g[i]) ** q / d ** (1.0 + sigma * q)
+    acc *= hx * hx
+    if q == 2.0:
+        acc /= dg.gs_calibration(sigma)
+    return acc ** (1.0 / q)
+
+
+_EXPS = select_exponents(1.876)
+
+
+@pytest.mark.parametrize("q", [2.0, _EXPS.q_plus, _EXPS.q_minus])
+@pytest.mark.parametrize("n", [7, 64])
+def test_gs_seminorm_matches_double_loop(n, q):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal(n)
+    hx = 2.0 / n
+    for sigma in (0.2, 0.5, 0.85):
+        want = _gs_double_loop(g, hx, sigma, q)
+        got = dg.gs_seminorm(g, hx, sigma, q)
+        assert abs(got - want) <= 1e-13 * want
+
+
 def test_integer_order_matches_derivative_stack():
     # s = 1, q = 2: norm^2 = |f|_L2^2 + |f'|_L2^2 on the period-4 extension
     n = 512
@@ -81,6 +111,19 @@ def test_bulk_norm_homogeneity_and_zero(zero_fields):
         n2 = dg.bulk_norm(zero_fields, 2.0 * f, s)
         assert abs(n2 - 2.0 * n1) < 1e-11 * max(n1, 1.0)
     assert dg.bulk_norm(zero_fields, np.zeros_like(f), 1.3) == 0.0
+
+
+def test_bulk_norm_fractional_interpolates_integer_orders(zero_fields):
+    met = zero_fields.at("nodes")
+    u = np.array([np.cos(met["x1"])[:, None] * (met["x2"] + 0.5),
+                  np.sin(2.0 * met["x1"])[:, None] * met["x2"] ** 2])
+    for s, q in ((1.3, 2.0), (0.6, 1.5), (2.25, 2.0)):
+        m, t = int(s), s - int(s)
+        lo = dg.bulk_norm(zero_fields, u, m, q)
+        hi = dg.bulk_norm(zero_fields, u, m + 1, q)
+        want = lo ** (1.0 - t) * hi ** t
+        got = dg.bulk_norm(zero_fields, u, s, q)
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_bulk_norm_constant_is_weighted_volume(zero_fields):
