@@ -9,9 +9,8 @@ from .geometry import Grid, GeometryFields, build_geometry, make_grid
 from .corner import angular_eigenvalues, regularity_threshold, \
     wedge_poisson_probe
 from .heat import HeatState, step_fd
-from .flow import (ContactModel, CoupledProblem, FlowState, SpillError,
-                   StabilityError, apply_contact_law, coupled_step,
-                   construct_flow_initial_data, momentum_step)
+from .flow import (CoupledProblem, FlowState, SpillError, StabilityError,
+                   coupled_step, construct_flow_initial_data, momentum_step)
 from .diagnostics import EnergyReport, energy_report, fit_decay, \
     surface_norm
 
@@ -24,9 +23,8 @@ __all__ = [
     "Grid", "GeometryFields", "build_geometry", "make_grid",
     "angular_eigenvalues", "regularity_threshold", "wedge_poisson_probe",
     "HeatState", "step_fd",
-    "ContactModel", "CoupledProblem", "FlowState", "SpillError",
-    "StabilityError", "apply_contact_law", "coupled_step",
-    "construct_flow_initial_data", "momentum_step",
+    "CoupledProblem", "FlowState", "SpillError", "StabilityError",
+    "coupled_step", "construct_flow_initial_data", "momentum_step",
     "EnergyReport", "energy_report", "fit_decay", "surface_norm",
     "__version__",
 ]

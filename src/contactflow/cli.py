@@ -24,6 +24,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -351,20 +352,23 @@ def _series_loop(cfg, problem, flow_state, heat_state, step=None,
                  fields=None, t_end=None, warmup=0.0):
     """Step the states to t_end, reporting every save_every steps.
 
-    step(flow_state, heat_state, dt) -> (flow_state, heat_state, fields
-    the step ran on) is one time step, flow.coupled_step by default; fields
-    is the geometry of the t = 0 state, built from it when None. The first
-    round(warmup / dt) steps are taken before t = 0 and not reported.
-    Returns the energy rows, the flow state of each row and the largest
-    divergence residual and recenter drift.
+    step(fields, flow_state, heat_state, dt) -> (flow_state, heat_state,
+    fields of the new state) is one time step from a state whose geometry
+    is fields, flow.coupled_step by default; fields is the geometry of the
+    starting state, built from it when None. Each report uses its own
+    state's geometry. The first round(warmup / dt) steps are taken before
+    t = 0 and not reported. Returns the energy rows, the flow state of each
+    row and the largest divergence residual and recenter drift.
     """
     dt = cfg["time"]["dt"]
     t_end = cfg["time"]["t_end"] if t_end is None else t_end
     save_every = cfg["time"]["save_every"]
     nsteps = int(round(t_end / dt))
     if step is None:
-        def step(flow_state, heat_state, dt):
-            return flow_mod.coupled_step(problem, flow_state, heat_state, dt)
+        step = functools.partial(flow_mod.coupled_step, problem)
+    if fields is None:
+        fields = geometry.build_geometry(problem.grid, flow_state.eta,
+                                         flow_state.zdot)
     # An impulsive start has huge discrete time derivatives (u jumps from
     # rest in one step), which say nothing about the decay of the evolved
     # solution. Integrating through the transient and restarting the clock
@@ -372,19 +376,18 @@ def _series_loop(cfg, problem, flow_state, heat_state, step=None,
     # dynamics.
     warmup_steps = int(round(warmup / dt))
     for _ in range(warmup_steps):
-        flow_state, heat_state, _ = step(flow_state, heat_state, dt)
+        flow_state, heat_state, fields = step(fields, flow_state, heat_state,
+                                              dt)
     if warmup_steps:
         flow_state = dataclasses.replace(flow_state, time=0.0)
         heat_state = dataclasses.replace(heat_state, time=0.0)
-    if fields is None:
-        fields = geometry.build_geometry(problem.grid, flow_state.eta,
-                                         flow_state.zdot)
     rows = [diag.energy_report(problem, fields, flow_state,
                                heat_state).row()]
     saved = [flow_state]
     stats = {"max_div": 0.0, "max_recenter": 0.0}
     for n in range(1, nsteps + 1):
-        flow_state, heat_state, fields = step(flow_state, heat_state, dt)
+        flow_state, heat_state, fields = step(fields, flow_state, heat_state,
+                                              dt)
         stats["max_div"] = max(stats["max_div"], flow_state.div_residual)
         stats["max_recenter"] = max(stats["max_recenter"],
                                     flow_state.recenter_log)
@@ -400,7 +403,7 @@ def run_heat(cfg, params, outdir):
     grid = problem.grid
     fields = geometry.build_geometry(grid, np.zeros(grid.nx))
 
-    def conduct(flow_state, heat_state, dt):
+    def conduct(fields, flow_state, heat_state, dt):
         """Conduction only: the flow stays at rest on the rest geometry."""
         heat_state = heat_mod.step_fd(fields, params.k, heat_state, dt,
                                       solver=problem.heat_solver)

@@ -25,6 +25,7 @@ The energy and dissipation reports expose every constituent under a frozen
 ASCII key so CSV columns never move between runs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,27 +68,39 @@ def _periodic_diff(g, hx):
     return (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * hx)
 
 
-def surface_norm(values, s, ell, q=2.0):
-    """W^{s,q} norm of top-boundary cell samples via the even extension.
+def _split_order(s):
+    """(m, fraction) of an order s = m + fraction, fraction in [0, 1)."""
+    m = int(math.floor(s + 1e-12))
+    frac = s - m
+    return m, (frac if frac >= 1e-12 else 0.0)
 
-    s = m + sigma with integer m >= 0 and sigma in [0, 1). Integer part:
-    L^q masses of the first m centered periodic derivatives; fractional
-    part: Gagliardo seminorm of the m-th derivative.
+
+def surface_norm(values, orders, ell):
+    """W^{s,q} norms of top-boundary cell samples via the even extension.
+
+    orders: sequence of (s, q); one norm per pair, in the order given. For
+    s = m + sigma with integer m >= 0 and sigma in [0, 1): L^q masses of the
+    first m centered periodic derivatives, plus the Gagliardo seminorm of
+    the m-th derivative when sigma > 0. The derivative chain is taken once
+    for all orders, and each distinct q sums its masses once.
     """
     values = np.asarray(values, float)
     _, g = geometry.extend_surface(values, ell)
     hx = 2.0 * ell / values.size
-    m = int(math.floor(s + 1e-12))
-    sigma = s - m
-    if sigma < 1e-12:
-        sigma = 0.0
-    total = np.sum(np.abs(g) ** q) * hx
-    for _ in range(m):
-        g = _periodic_diff(g, hx)
-        total += np.sum(np.abs(g) ** q) * hx
-    if sigma > 0.0:
-        total += gs_seminorm(g, hx, sigma, q) ** q
-    return total ** (1.0 / q)
+    splits = [_split_order(s) for s, _ in orders]
+    chain = [g]
+    for _ in range(max(m for m, _ in splits)):
+        chain.append(_periodic_diff(chain[-1], hx))
+    # masses[q][j]: L^q mass of derivatives 0..j, summed in order
+    masses = {q: np.cumsum([np.sum(np.abs(d) ** q) * hx for d in chain])
+              for q in {q for _, q in orders}}
+    out = []
+    for (m, sigma), (_, q) in zip(splits, orders):
+        total = masses[q][m]
+        if sigma > 0.0:
+            total += gs_seminorm(chain[m], hx, sigma, q) ** q
+        out.append(total ** (1.0 / q))
+    return out
 
 
 # ============================================================
@@ -106,34 +119,35 @@ def _node_weights(fields):
     return w
 
 
-def bulk_norm(fields, f, s, q=2.0):
-    """W^{s,q} norm on the flattened domain; components summed for vectors.
+def bulk_norm(fields, f, orders):
+    """W^{s,q} norms on the flattened domain; components summed for vectors.
 
+    orders: sequence of (s, q); one norm per pair, in the order given.
     Fractional s interpolates between the neighboring integer norms
     (log-convex surrogate). f: node array, or tuple/stacked array of node
-    components.
+    components. The flattened-derivative stack is built once for all
+    orders, and each distinct q sums its masses once.
     """
     grid = fields.grid
     met = fields.at("nodes")
     w = _node_weights(fields)
-    m = int(math.floor(s + 1e-12))
-    t = s - m
-    if t < 1e-12:
-        t = 0.0
-    # every flattened derivative component of one order, stacked
-    layer = np.asarray(f, float).reshape((-1,) + w.shape)
-    mass = [np.sum(np.abs(layer) ** q * w)]   # mass[j]: orders 0..j
-    for _ in range(m + (t > 0.0)):
-        layer = geometry.omega_gradient(met, layer, grid.hx, grid.hs)
-        layer = layer.reshape((-1,) + w.shape)
-        mass.append(mass[-1] + np.sum(np.abs(layer) ** q * w))
-    lo = mass[m] ** (1.0 / q)
-    if t == 0.0:
-        return lo
-    hi = mass[m + 1] ** (1.0 / q)
-    if lo == 0.0 or hi == 0.0:
-        return 0.0
-    return lo ** (1.0 - t) * hi ** t
+    splits = [_split_order(s) for s, _ in orders]
+    # stack[j]: every flattened derivative component of order j
+    stack = [np.asarray(f, float).reshape((-1,) + w.shape)]
+    for _ in range(max(m + (t > 0.0) for m, t in splits)):
+        layer = geometry.omega_gradient(met, stack[-1], grid.hx, grid.hs)
+        stack.append(layer.reshape((-1,) + w.shape))
+    masses = {q: np.cumsum([np.sum(np.abs(a) ** q * w) for a in stack])
+              for q in {q for _, q in orders}}
+    out = []
+    for (m, t), (_, q) in zip(splits, orders):
+        norm = masses[q][m] ** (1.0 / q)
+        if t > 0.0:
+            hi = masses[q][m + 1] ** (1.0 / q)
+            norm = (0.0 if norm == 0.0 or hi == 0.0
+                    else norm ** (1.0 - t) * hi ** t)
+        out.append(norm)
+    return out
 
 
 def trace_norm_slip(fields, comps):
@@ -245,15 +259,19 @@ def energy_report(problem, fields, flow, heat_state=None):
 
     Time derivatives come from the state histories by backward differences;
     entries whose history is too short report zero. eta lives at top cell
-    centers, everything else at nodes.
+    centers, everything else at nodes. Each field's norms come from one
+    call; a field that is absent (no heat state) or all zero has zero norms
+    of every order and is not measured.
     """
     params = problem.params
-    grid = problem.grid
-    ell = grid.ell
+    ell = problem.grid.ell
     exps = problem.exps
     qp, qm, al = exps.q_plus, exps.q_minus, exps.alpha
     em = exps.eps_minus
     eps = problem.eps
+
+    def top_trace(f, _):
+        return [trace_norm_surface(fields, f[:, -1])]
 
     un = velocity_at_nodes(flow.u1, flow.u2)
     dun = velocity_at_nodes(flow.dt_field("u1"), flow.dt_field("u2"))
@@ -261,75 +279,69 @@ def energy_report(problem, fields, flow, heat_state=None):
     pn = _cells_to_nodes(flow.p)
     dpn = _cells_to_nodes(flow.dt_field("p"))
     eta, deta = flow.eta, flow.zdot
-    d2eta = flow.d2t_eta()
-    d3eta = flow.d3t_eta()
-
-    t = {}
-    t["E_u_W2qp"] = bulk_norm(fields, un, 2, qp) ** 2
-    t["E_dtu_Hfrac"] = bulk_norm(fields, dun, 1.0 + em / 2.0) ** 2
-    t["E_u_L2"] = bulk_norm(fields, un, 0) ** 2
-    t["E_dtu_L2"] = bulk_norm(fields, dun, 0) ** 2
-    t["E_d2u_L2"] = bulk_norm(fields, d2un, 0) ** 2
-    t["E_p_W1qp"] = bulk_norm(fields, pn, 1, qp) ** 2
-    t["E_dtp_L2"] = bulk_norm(fields, dpn, 0) ** 2
-    t["E_eta_W3qp"] = surface_norm(eta, 3.0 - 1.0 / qp, ell, qp) ** 2
-    t["E_dteta_Hhi"] = surface_norm(deta, 1.5 + (em - al) / 2.0, ell) ** 2
-    t["E_eta_H1"] = surface_norm(eta, 1, ell) ** 2
-    t["E_dteta_H1"] = surface_norm(deta, 1, ell) ** 2
-    t["E_d2eta_H1"] = surface_norm(d2eta, 1, ell) ** 2
-
-    t["D_u_W2qp"] = t["E_u_W2qp"]
-    t["D_dtu_W2qm"] = bulk_norm(fields, dun, 2, qm) ** 2
-    t["D_u_H1"] = bulk_norm(fields, un, 1) ** 2
-    t["D_dtu_H1"] = bulk_norm(fields, dun, 1) ** 2
-    t["D_d2u_H1"] = bulk_norm(fields, d2un, 1) ** 2
-    t["D_u_L2slip"] = trace_norm_slip(fields, un) ** 2
-    t["D_dtu_L2slip"] = trace_norm_slip(fields, dun) ** 2
-    t["D_d2u_L2slip"] = trace_norm_slip(fields, d2un) ** 2
-    t["D_p_W1qp"] = t["E_p_W1qp"]
-    t["D_dtp_W1qm"] = bulk_norm(fields, dpn, 1, qm) ** 2
-    t["D_eta_W3qp"] = t["E_eta_W3qp"]
-    t["D_dteta_W3qm"] = surface_norm(deta, 3.0 - 1.0 / qm, ell, qm) ** 2
-    t["D_eta_Hma"] = surface_norm(eta, 1.5 - al, ell) ** 2
-    t["D_dteta_Hma"] = surface_norm(deta, 1.5 - al, ell) ** 2
-    t["D_d2eta_Hma"] = surface_norm(d2eta, 1.5 - al, ell) ** 2
-    t["D_br_dteta"] = bracket_term(params.kappa, deta)
-    t["D_br_d2eta"] = bracket_term(params.kappa, d2eta)
-    t["D_br_d3eta"] = bracket_term(params.kappa, d3eta)
-    t["D_d3eta_Hlo"] = surface_norm(d3eta, 0.5 - al, ell) ** 2
-
+    d2eta = flow.dt_field("zdot")
+    d3eta = flow.d2t_field("zdot")   # backward difference of speeds: O(dt)
+    th = dth = d2th = None
     if heat_state is not None:
         th = heat_state.theta
         dth = heat_state.dtheta_dt()
         d2th = heat_state.d2theta_dt2()
-        t["E_th_W2qp"] = bulk_norm(fields, th, 2, qp) ** 2
-        t["E_dtth_Hfrac"] = bulk_norm(fields, dth, 1.0 + em / 2.0) ** 2
-        t["E_th_L2"] = bulk_norm(fields, th, 0) ** 2
-        t["E_dtth_L2"] = bulk_norm(fields, dth, 0) ** 2
-        t["E_d2th_L2"] = bulk_norm(fields, d2th, 0) ** 2
-        t["D_th_W2qp"] = t["E_th_W2qp"]
-        t["D_dtth_W2qm"] = bulk_norm(fields, dth, 2, qm) ** 2
-        t["D_th_H1"] = bulk_norm(fields, th, 1) ** 2
-        t["D_dtth_H1"] = bulk_norm(fields, dth, 1) ** 2
-        t["D_d2th_H1"] = bulk_norm(fields, d2th, 1) ** 2
-        t["D_th_L2srf"] = trace_norm_surface(fields, th[:, -1]) ** 2
-        t["D_dtth_L2srf"] = trace_norm_surface(fields, dth[:, -1]) ** 2
-        t["D_d2th_L2srf"] = trace_norm_surface(fields, d2th[:, -1]) ** 2
-    else:
-        for k in ("E_th_W2qp", "E_dtth_Hfrac", "E_th_L2", "E_dtth_L2",
-                  "E_d2th_L2", "D_th_W2qp", "D_dtth_W2qm", "D_th_H1",
-                  "D_dtth_H1", "D_d2th_H1", "D_th_L2srf", "D_dtth_L2srf",
-                  "D_d2th_L2srf"):
-            t[k] = 0.0
 
-    t["Eeps_dteta_W3qp"] = eps * eps \
-        * surface_norm(deta, 3.0 - 1.0 / qp, ell, qp) ** 2
+    # (norms, field, {key: (s, q)}): each key gets the squared norm of one
+    # order; the Eeps/Deps keys get raw squares, scaled by eps below
+    bulk = functools.partial(bulk_norm, fields)
+    surface = functools.partial(surface_norm, ell=ell)
+    L2, H1, Hma = (0, 2.0), (1, 2.0), (1.5 - al, 2.0)
+    Hfrac = (1.0 + em / 2.0, 2.0)
+    W3qp, W3qm = (3.0 - 1.0 / qp, qp), (3.0 - 1.0 / qm, qm)
+    measured = (
+        (bulk, un, {"E_u_W2qp": (2, qp), "E_u_L2": L2, "D_u_H1": H1}),
+        (bulk, dun, {"E_dtu_Hfrac": Hfrac, "E_dtu_L2": L2,
+                     "D_dtu_W2qm": (2, qm), "D_dtu_H1": H1}),
+        (bulk, d2un, {"E_d2u_L2": L2, "D_d2u_H1": H1}),
+        (bulk, pn, {"E_p_W1qp": (1, qp)}),
+        (bulk, dpn, {"E_dtp_L2": L2, "D_dtp_W1qm": (1, qm)}),
+        (bulk, th, {"E_th_W2qp": (2, qp), "E_th_L2": L2, "D_th_H1": H1}),
+        (bulk, dth, {"E_dtth_Hfrac": Hfrac, "E_dtth_L2": L2,
+                     "D_dtth_W2qm": (2, qm), "D_dtth_H1": H1}),
+        (bulk, d2th, {"E_d2th_L2": L2, "D_d2th_H1": H1}),
+        (surface, eta, {"E_eta_W3qp": W3qp, "E_eta_H1": H1,
+                        "D_eta_Hma": Hma}),
+        (surface, deta, {"E_dteta_Hhi": (1.5 + (em - al) / 2.0, 2.0),
+                         "E_dteta_H1": H1, "D_dteta_W3qm": W3qm,
+                         "D_dteta_Hma": Hma, "Eeps_dteta_W3qp": W3qp}),
+        (surface, d2eta, {"E_d2eta_H1": H1, "D_d2eta_Hma": Hma,
+                          "Deps_d2eta_W3qm": W3qm}),
+        (surface, d3eta, {"D_d3eta_Hlo": (0.5 - al, 2.0)}),
+        (top_trace, th, {"D_th_L2srf": None}),
+        (top_trace, dth, {"D_dtth_L2srf": None}),
+        (top_trace, d2th, {"D_d2th_L2srf": None}),
+    )
+    t = {}
+    for norms, f, orders in measured:
+        if f is None or not np.any(f):
+            t.update(dict.fromkeys(orders, 0.0))
+        else:
+            t.update(zip(orders, (n ** 2 for n in
+                                  norms(f, list(orders.values())))))
+
+    t["D_u_W2qp"] = t["E_u_W2qp"]
+    t["D_p_W1qp"] = t["E_p_W1qp"]
+    t["D_eta_W3qp"] = t["E_eta_W3qp"]
+    t["D_th_W2qp"] = t["E_th_W2qp"]
+    t["D_u_L2slip"] = trace_norm_slip(fields, un) ** 2
+    t["D_dtu_L2slip"] = trace_norm_slip(fields, dun) ** 2
+    t["D_d2u_L2slip"] = trace_norm_slip(fields, d2un) ** 2
+    t["D_br_dteta"] = bracket_term(params.kappa, deta)
+    t["D_br_d2eta"] = bracket_term(params.kappa, d2eta)
+    t["D_br_d3eta"] = bracket_term(params.kappa, d3eta)
+
+    t["Eeps_dteta_W3qp"] *= eps * eps
     t["Eeps_eta_Hma"] = eps * t["D_eta_Hma"]
     t["Eeps_dteta_Hma"] = eps * t["D_dteta_Hma"]
     t["Eeps_d2eta_Hma"] = eps * t["D_d2eta_Hma"]
     t["Deps_dteta_W3qp"] = t["Eeps_dteta_W3qp"]
-    t["Deps_d2eta_W3qm"] = eps * eps \
-        * surface_norm(d2eta, 3.0 - 1.0 / qm, ell, qm) ** 2
+    t["Deps_d2eta_W3qm"] *= eps * eps
     t["Deps_eta_H1"] = eps * t["E_eta_H1"]
     t["Deps_dteta_H1"] = eps * t["E_dteta_H1"]
     t["Deps_d2eta_H1"] = eps * t["E_d2eta_H1"]

@@ -45,12 +45,12 @@ class EquilibriumSurface:
 
     def interpolators(self):
         """Cubic-spline callables (zeta0, dzeta0) for off-node sampling."""
-        from scipy.interpolate import CubicSpline
-        # flat surface: cheap exact constants
+        # flat surface: cheap exact constants, and no scipy.interpolate import
         if float(np.ptp(self.zeta0)) < 1e-13 * max(1.0, abs(self.p0)):
             z = float(self.zeta0[0])
             return (lambda x: np.full_like(np.asarray(x, float), z),
                     lambda x: np.zeros_like(np.asarray(x, float)))
+        from scipy.interpolate import CubicSpline
         zs = CubicSpline(self.x, self.zeta0)
         ds = CubicSpline(self.x, self.dzeta0)
         return (lambda x: zs(np.asarray(x, float)),

@@ -57,7 +57,7 @@ The curvature remainder
 
 collects everything beyond the linearization of the exact flux; the contact
 law kappa(dt_eta + W(dt_eta)) = -+ sigma1 (flux at +-ell) closes the system
-at the moving contact points, with W(z) = w3 z^3 by default.
+at the moving contact points, with W(z) = w3 z^3.
 """
 
 import functools
@@ -81,7 +81,7 @@ class SpillError(RuntimeError):
 
 
 # ============================================================
-# curvature remainder and contact law
+# curvature remainder
 # ============================================================
 
 def curvature_flux(z):
@@ -95,56 +95,6 @@ def remainder_r(s0, s):
     s = np.asarray(s, float)
     return (curvature_flux(s0 + s) - curvature_flux(s0)
             - s / (1.0 + s0 * s0) ** 1.5)
-
-
-@dataclass(frozen=True)
-class ContactModel:
-    kappa: float
-    sigma1: float
-    w3: float = 1.0          # cubic response coefficient of W(z) = w3 z^3
-
-    def response(self, z):
-        return self.w3 * np.asarray(z, float) ** 3
-
-
-def _solve_contact_scalar(model, rhs):
-    """Root of kappa (z + w3 z^3) = rhs; monotone, bisection to roundoff.
-
-    For w3 >= 0 the root is bounded by |rhs|/kappa, so that bracket always
-    contains it (including the linear limit w3 = 0).
-    """
-    rhs = np.asarray(rhs, float)
-    scale = np.abs(rhs) / model.kappa
-    hi = scale + 1.0
-    lo = -hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        f = model.kappa * (mid + model.response(mid)) - rhs
-        neg = f < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def apply_contact_law(model, slopes, dslopes, eps, wall_slopes=(0.0, 0.0)):
-    """Endpoint speeds from the contact law.
-
-    slopes/dslopes: (left, right) values of d1 eta and d1 dt_eta at the
-    walls; wall_slopes are the rest slopes zeta0'(-+ell). Solves
-
-        kappa (z + W(z)) = -+ sigma1 [ (d1 eta + eps d1 dt_eta)
-                                       / (1+zeta0'^2)^{3/2} + R ]
-
-    and returns (z_left, z_right).
-    """
-    out = []
-    for side, sign in ((0, +1.0), (1, -1.0)):
-        s0 = wall_slopes[side]
-        flux = ((slopes[side] + eps * dslopes[side])
-                / (1.0 + s0 * s0) ** 1.5
-                + float(remainder_r(s0, slopes[side])))
-        out.append(float(_solve_contact_scalar(model, sign * model.sigma1 * flux)))
-    return tuple(out)
 
 
 # ============================================================
@@ -348,7 +298,6 @@ class FlowState:
     recenter_log: float = 0.0
     div_residual: float = 0.0
     contact_speeds: tuple = (0.0, 0.0)
-    eps_dissipation: float = 0.0   # sigma1 eps |d1 zdot|^2 weighted sum, >= 0
 
     def _lvl(self, n, name):
         return getattr(self.levels[n], name)
@@ -363,13 +312,6 @@ class FlowState:
             return np.zeros_like(getattr(self, name))
         return (getattr(self, name) - 2.0 * self._lvl(0, name)
                 + self._lvl(1, name)) / self.dt ** 2
-
-    def d2t_eta(self):
-        return self.dt_field("zdot")
-
-    def d3t_eta(self):
-        """Backward second difference of the stored speeds; O(dt) only."""
-        return self.d2t_field("zdot")
 
     def _bare(self):
         """Snapshot carrying the arrays only; histories never nest."""
@@ -406,10 +348,6 @@ class CoupledProblem:
         compare=False)
     heat_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
                                   repr=False, compare=False)
-
-    def contact_model(self):
-        return ContactModel(kappa=self.params.kappa,
-                            sigma1=self.params.sigma1, w3=self.w3)
 
     @functools.cached_property
     def stencils(self):
@@ -700,19 +638,19 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     rhs -= ops.DxZ.T @ v_expl
     rhs -= ops.Ztop.T @ (params.g * grid.hx * state.eta)
 
-    # explicit contact response
-    model = problem.contact_model()
-    zL, zR = (float(z) for z in mac.ends @ state.zdot)
-    rhs -= np.asarray(ops.EL.T @ [params.kappa * float(model.response(zL))]).ravel()
-    rhs -= np.asarray(ops.ER.T @ [params.kappa * float(model.response(zR))]).ravel()
+    # explicit contact response W(z) = w3 z^3 at the two contact points
+    z = mac.ends @ state.zdot
+    cubic = problem.w3 * z ** 3
+    rhs -= np.asarray(ops.EL.T @ [params.kappa * cubic[0]]).ravel()
+    rhs -= np.asarray(ops.ER.T @ [params.kappa * cubic[1]]).ravel()
 
     # thermal tension correction, fully lagged
     if theta is not None and params.sigma2 != 0.0:
         dxz = mac.Dx @ state.zdot
         flux_nodes = np.empty(nx + 1)
         flux_nodes[1:-1] = (dxe + problem.eps * dxz) * inv32 + rem
-        wL = model.kappa * (zL + float(model.response(zL)))
-        wR = model.kappa * (zR + float(model.response(zR)))
+        wL = params.kappa * (z[0] + cubic[0])
+        wR = params.kappa * (z[1] + cubic[1])
         flux_nodes[0] = wL / params.sigma1
         flux_nodes[-1] = -wR / params.sigma1
         dflux_c = np.diff(flux_nodes) / grid.hx
@@ -736,15 +674,11 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     eta_new = eta_new - drift
 
     _check_surface(problem, eta_new)
-    dxz_new = mac.Dx @ zdot
-    eps_diss = float(params.sigma1 * problem.eps * grid.hx
-                     * np.sum(dxz_new ** 2 * inv32))
     return state.advanced(u1=u1_new, u2=u2_new, p=p_new, eta=eta_new,
                           zdot=zdot, time=state.time + dt, dt=dt,
                           recenter_log=abs(drift), div_residual=div_res,
                           contact_speeds=tuple(float(z)
-                                               for z in mac.ends @ zdot),
-                          eps_dissipation=eps_diss)
+                                               for z in mac.ends @ zdot))
 
 
 def velocity_at_nodes(u1, u2):
@@ -762,17 +696,21 @@ def velocity_at_nodes(u1, u2):
     return np.array([u1n, u2n])
 
 
-def coupled_step(problem, flow, heat_state, dt):
-    """Heat then momentum, geometry frozen at the step start."""
+def coupled_step(problem, fields, flow, heat_state, dt):
+    """Heat then momentum on fields, the geometry of the given state.
+
+    Returns the new flow and heat states and the geometry of the new state,
+    which the next step and the new state's energy report both use.
+    """
     from . import heat as heat_mod
-    fields = geometry.build_geometry(problem.grid, flow.eta, flow.zdot)
     u_nodes = velocity_at_nodes(flow.u1, flow.u2)
     heat_new = heat_mod.step_fd(fields, problem.params.k, heat_state, dt,
                                 transport=u_nodes,
                                 solver=problem.heat_solver)
     flow_new = momentum_step(problem, fields, flow, theta=heat_new.theta,
                              dt=dt)
-    return flow_new, heat_new, fields
+    return flow_new, heat_new, geometry.build_geometry(
+        problem.grid, flow_new.eta, flow_new.zdot)
 
 
 # ============================================================

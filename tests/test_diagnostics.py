@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from contactflow import diagnostics as dg
 from contactflow import flow as fl
+from contactflow import geometry as geo
 from contactflow import heat as ht
 from contactflow.params import select_exponents
 
@@ -36,7 +37,7 @@ def test_cosine_norms_match_continuum(s, k, amp, want):
     n = 256
     x = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     vals = amp * np.cos(k * math.pi * x)
-    got = dg.surface_norm(vals, s, 1.0) ** 2
+    got = dg.surface_norm(vals, [(s, 2.0)], 1.0)[0] ** 2
     assert abs(got - want) / want < 0.02
 
 
@@ -44,9 +45,9 @@ def test_surface_norm_zero_and_homogeneity():
     n = 128
     x = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     vals = np.cos(math.pi * x)
-    assert dg.surface_norm(np.zeros(n), 1.5, 1.0) == 0.0
-    a = dg.surface_norm(vals, 1.5, 1.0)
-    b = dg.surface_norm(3.0 * vals, 1.5, 1.0)
+    assert dg.surface_norm(np.zeros(n), [(1.5, 2.0)], 1.0) == [0.0]
+    a, = dg.surface_norm(vals, [(1.5, 2.0)], 1.0)
+    b, = dg.surface_norm(3.0 * vals, [(1.5, 2.0)], 1.0)
     assert abs(b - 3.0 * a) < 1e-10 * a
 
 
@@ -58,9 +59,9 @@ def test_surface_norm_triangle_inequality(s, k):
     x = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     f = np.cos(k * math.pi * x)
     g = np.sin(math.pi * x) ** 2
-    nf = dg.surface_norm(f, s, 1.0)
-    ng = dg.surface_norm(g, s, 1.0)
-    nfg = dg.surface_norm(f + g, s, 1.0)
+    nf, = dg.surface_norm(f, [(s, 2.0)], 1.0)
+    ng, = dg.surface_norm(g, [(s, 2.0)], 1.0)
+    nfg, = dg.surface_norm(f + g, [(s, 2.0)], 1.0)
     assert nfg <= nf + ng + 1e-12 * (nf + ng)
 
 
@@ -98,7 +99,7 @@ def test_integer_order_matches_derivative_stack():
     n = 512
     x = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     vals = np.cos(math.pi * x)
-    got = dg.surface_norm(vals, 1, 1.0) ** 2
+    got = dg.surface_norm(vals, [(1, 2.0)], 1.0)[0] ** 2
     want = 0.5 * 4.0 * (1.0 + math.pi ** 2)
     assert abs(got - want) / want < 1e-3
 
@@ -107,10 +108,10 @@ def test_bulk_norm_homogeneity_and_zero(zero_fields):
     met = zero_fields.at("nodes")
     f = np.cos(met["x1"])[:, None] * (met["x2"] + 0.5)
     for s in (0, 1, 1.3):
-        n1 = dg.bulk_norm(zero_fields, f, s)
-        n2 = dg.bulk_norm(zero_fields, 2.0 * f, s)
+        n1, = dg.bulk_norm(zero_fields, f, [(s, 2.0)])
+        n2, = dg.bulk_norm(zero_fields, 2.0 * f, [(s, 2.0)])
         assert abs(n2 - 2.0 * n1) < 1e-11 * max(n1, 1.0)
-    assert dg.bulk_norm(zero_fields, np.zeros_like(f), 1.3) == 0.0
+    assert dg.bulk_norm(zero_fields, np.zeros_like(f), [(1.3, 2.0)]) == [0.0]
 
 
 def test_bulk_norm_fractional_interpolates_integer_orders(zero_fields):
@@ -119,17 +120,36 @@ def test_bulk_norm_fractional_interpolates_integer_orders(zero_fields):
                   np.sin(2.0 * met["x1"])[:, None] * met["x2"] ** 2])
     for s, q in ((1.3, 2.0), (0.6, 1.5), (2.25, 2.0)):
         m, t = int(s), s - int(s)
-        lo = dg.bulk_norm(zero_fields, u, m, q)
-        hi = dg.bulk_norm(zero_fields, u, m + 1, q)
+        lo, = dg.bulk_norm(zero_fields, u, [(m, q)])
+        hi, = dg.bulk_norm(zero_fields, u, [(m + 1, q)])
         want = lo ** (1.0 - t) * hi ** t
-        got = dg.bulk_norm(zero_fields, u, s, q)
+        got, = dg.bulk_norm(zero_fields, u, [(s, q)])
         assert abs(got - want) <= 1e-13 * want
 
 
 def test_bulk_norm_constant_is_weighted_volume(zero_fields):
     # rest rectangle has area 2 ell * (hbar + d) = 3
-    val = dg.bulk_norm(zero_fields, np.ones((25, 17)), 0)
+    val, = dg.bulk_norm(zero_fields, np.ones((25, 17)), [(0, 2.0)])
     assert abs(val - math.sqrt(3.0)) < 1e-12
+
+
+def test_multi_order_norms_equal_single_order_calls(grid, cos_eta):
+    fields = geo.build_geometry(grid, 30.0 * cos_eta)
+    met = fields.at("nodes")
+    u = np.array([np.cos(met["x1"])[:, None] * (met["x2"] + 0.5),
+                  np.sin(2.0 * met["x1"])[:, None] * met["x2"] ** 2])
+    qp, qm, al = _EXPS.q_plus, _EXPS.q_minus, _EXPS.alpha
+    # out of order, with repeats, several orders per q
+    orders = [(2, qp), (0, 2.0), (1.3, 2.0), (1, qm), (0, 2.0), (2.25, 2.0),
+              (1, 2.0), (2, qm), (1.3, 2.0)]
+    got = dg.bulk_norm(fields, u, orders)
+    assert got == [dg.bulk_norm(fields, u, [o])[0] for o in orders]
+    vals = np.cos(math.pi * grid.xc) + 0.3 * np.sin(3.0 * grid.xc)
+    orders = [(3.0 - 1.0 / qp, qp), (1, 2.0), (0.5 - al, 2.0),
+              (3.0 - 1.0 / qp, qp), (1.5 - al, 2.0), (0, 2.0),
+              (3.0 - 1.0 / qm, qm), (1, 2.0)]
+    got = dg.surface_norm(vals, orders, grid.ell)
+    assert got == [dg.surface_norm(vals, [o], grid.ell)[0] for o in orders]
 
 
 def test_bracket_term_quadratic():
@@ -229,6 +249,49 @@ def test_energy_report_zero_at_rest(problem, zero_fields, grid):
     assert rep.energy_eps == 0.0
     assert rep.dissipation_eps == 0.0
     assert set(rep.terms) == set(dg.ALL_KEYS)
+
+
+def _moving_flow(grid, cos_eta):
+    """A flow state with two history levels and nonzero fields."""
+    flow = fl.zero_flow_state(grid)
+    for n in range(1, 3):
+        flow = flow.advanced(u1=flow.u1 + 1e-3 * n, p=flow.p + 1e-2 * n,
+                             eta=n * cos_eta, zdot=0.5 * n * n * cos_eta,
+                             time=0.1 * n, dt=0.1)
+    return flow
+
+
+def test_absent_heat_state_reports_as_zero_heat_state(problem, zero_fields,
+                                                      grid, cos_eta):
+    flow = _moving_flow(grid, cos_eta)
+    zero = ht.HeatState(theta=np.zeros((grid.nx + 1, grid.ny + 1)))
+    absent = dg.energy_report(problem, zero_fields, flow)
+    assert absent.terms == dg.energy_report(problem, zero_fields, flow,
+                                            zero).terms
+    assert absent.terms["E_u_L2"] > 0.0
+    assert absent.terms["D_d3eta_Hlo"] > 0.0
+
+
+def test_energy_report_measures_each_nonzero_field_once(problem, zero_fields,
+                                                        grid, monkeypatch):
+    calls = []
+
+    def counted(norm):
+        def wrapper(*args, **kwargs):
+            calls.append(norm.__name__)
+            return norm(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dg, "bulk_norm", counted(dg.bulk_norm))
+    monkeypatch.setattr(dg, "surface_norm", counted(dg.surface_norm))
+    X, S = np.meshgrid(grid.xf, grid.sf, indexing="ij")
+    heat_state = ht.HeatState(theta=np.cos(X) * S)
+    # conduction only: the flow and the theta histories are zero
+    rep = dg.energy_report(problem, zero_fields, fl.zero_flow_state(grid),
+                           heat_state)
+    assert calls == ["bulk_norm"]
+    assert rep.terms["E_th_L2"] > 0.0
+    assert rep.terms["E_u_W2qp"] == rep.terms["E_dtth_L2"] == 0.0
 
 
 def test_energy_eps_collapses_at_zero_eps(problem, zero_fields, grid, cos_eta):
