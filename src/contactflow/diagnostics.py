@@ -174,7 +174,7 @@ def trace_norm_slip(fields, comps):
 def trace_norm_surface(fields, g):
     """L^2 norm of node data on the top boundary, weighted by |N|."""
     grid = fields.grid
-    srf = fields.surface("nodes")
+    srf = fields.surface()
     w = np.full(grid.nx + 1, grid.hx)
     w[0] *= 0.5
     w[-1] *= 0.5

@@ -1,4 +1,4 @@
-"""Flattening map, harmonic surface extension and geometric operator fields.
+"""Flattening map, separable surface extension and geometric operator fields.
 
 The moving domain under x2 = zeta0(x1) + eta(t, x1) is pulled back to the
 fixed equilibrium domain by
@@ -12,9 +12,10 @@ the cutoff band and matches the full surface displacement at x2 = zeta0.
 
 The extension is built in two steps. eta on (-ell, ell) is reflected evenly
 about the walls into a period-4ell function (cell-center samples make the
-reflection seamless), and then extended harmonically downward: each DFT mode
-xi picks up the decay factor exp(2 pi |xi| (x2 - zeta0)). Restriction to the
-surface is exact by construction.
+reflection seamless), and then each DFT mode xi is extended downward with
+the decay factor exp(2 pi |xi| Hbar (s - 1)), s the reference height below
+and Hbar = depth + zeta0(0) one column height. This separable extension is
+exact at the surface and bounded; on a flat rest state it is harmonic.
 
 With W = phi/zeta0,
 
@@ -81,11 +82,11 @@ def extend_surface(eta, ell):
 
 
 # ============================================================
-# harmonic (Poisson) extension
+# separable mode extension
 # ============================================================
 
 class _ModeSampler:
-    """Evaluates the harmonic extension and its derivatives anywhere.
+    """Evaluates the mode extension and its derivatives anywhere.
 
     Holds the rfft coefficients c_k of the extension with their weights
     m_k; the extension is Re sum_k m_k c_k exp(i ang_k x1 + ang_k d) at
@@ -106,30 +107,21 @@ class _ModeSampler:
         self.coef = mult * fhat * np.exp(1j * self.ang * (ell - 2.0 * ell / n))
 
     def sample_triple(self, x1, depth):
-        """(value, d/dx1, d/dx2) sharing one decay-factor array.
+        """(value, d/dx1, d/d depth) on the tensor grid x1 (n1,) x depth (ns,).
 
-        The exp over (n1, ns, modes) dominates large builds; computing it
-        once for all three derivative combinations is a 3x saving. When the
-        rest surface is flat every column sees the same depth profile and
-        the mode sum collapses to a matmul.
+        One (modes, ns) decay table serves all three, so each is a single
+        (n1, modes) @ (modes, ns) matmul.
         """
         base = self.coef * np.exp(
             1j * np.multiply.outer(np.asarray(x1, float), self.ang))
-        depth = np.asarray(depth, float)
-        if depth.ndim == 2 and bool((depth == depth[:1]).all()):
-            ed = np.exp(np.multiply.outer(depth[0], self.ang)).T  # (k, ns)
-            return ((base @ ed).real,
-                    ((base * (1j * self.ang)) @ ed).real,
-                    ((base * self.ang) @ ed).real)
-        ed = np.exp(np.multiply.outer(depth, self.ang))
-        val = np.einsum("nk,nsk->ns", base, ed).real
-        dx1 = np.einsum("nk,nsk->ns", base * (1j * self.ang), ed).real
-        dx2 = np.einsum("nk,nsk->ns", base * self.ang, ed).real
-        return val, dx1, dx2
+        ed = np.exp(np.multiply.outer(np.asarray(depth, float), self.ang)).T
+        return ((base @ ed).real,
+                ((base * (1j * self.ang)) @ ed).real,
+                ((base * self.ang) @ ed).real)
 
-    def sample_line(self, x1, a=0):
-        """Surface trace (depth 0) derivatives along x1: returns (n1,)."""
-        w = self.coef * (1j * self.ang) ** a
+    def sample_line(self, x1):
+        """Surface trace (depth 0) of d/dx1 at stations x1: returns (n1,)."""
+        w = self.coef * (1j * self.ang)
         e1 = np.exp(1j * np.multiply.outer(np.asarray(x1, float), self.ang))
         return (e1 @ w).real
 
@@ -166,6 +158,7 @@ class Grid:
         self.dzeta0_c = np.asarray(self.dzeta0_fn(self.xc), float)
         self.dzeta0_f = np.asarray(self.dzeta0_fn(self.xf), float)
         self.zmin = float(min(self.zeta0_c.min(), self.zeta0_f.min()))
+        self.hbar = self.depth + float(self.zeta0_fn(0.0))  # H when flat
         if self.zmin <= 0:
             raise ValueError("rest surface must stay above the bottom corner")
 
@@ -191,8 +184,8 @@ _STAGGER = {
 class GeometryFields:
     """All metric fields of the flattening map for one (eta, d/dt eta) pair.
 
-    Fields on each staggering come from at(where) and surface traces from
-    surface(where); both are sampled on first use and cached. Arrays are
+    Fields on each staggering come from at(where) and nodal surface traces
+    from surface(); both are sampled on first use and cached. Arrays are
     laid out (n_x1, n_s).
     """
 
@@ -220,7 +213,6 @@ class GeometryFields:
         dz0 = np.asarray(g.dzeta0_fn(x1), float)
         H = g.depth + z0
         x2 = -g.depth + np.multiply.outer(H, s)
-        depth_off = np.multiply.outer(H, s - 1.0)  # x2 - zeta0 <= 0
         phi, dphi = phi_cutoff(x2, g.zmin)
         W = phi / z0[:, None]
 
@@ -228,8 +220,12 @@ class GeometryFields:
                "x2": x2, "phi": phi, "dphi": dphi, "W": W,
                "invH": 1.0 / H, "b": -np.multiply.outer(dz0 / H, s)}
 
-        eb, dx1, d2 = self._samp.sample_triple(x1, depth_off)
-        d1 = dx1 - dz0[:, None] * d2
+        # etabar = F(x1, Hbar (s - 1)) with s = (x2 + depth)/H(x1), so at
+        # fixed x2: d2 = F_depth Hbar/H and d1 = F_x1 - s zeta0' d2
+        depth_off = g.hbar * (s - 1.0)
+        eb, dx1, dd = self._samp.sample_triple(x1, depth_off)
+        d2 = dd * (g.hbar / H)[:, None]
+        d1 = dx1 - s * dz0[:, None] * d2
         A = W * d1 - (phi * (dz0 / z0 ** 2)[:, None]) * eb
         J = 1.0 + ((dphi / z0[:, None]) * eb + W * d2)
         K = 1.0 / J
@@ -256,18 +252,15 @@ class GeometryFields:
         N = (-d1 zeta, 1)."""
         x1 = np.asarray(x1, float)
         dz0 = np.asarray(self.grid.dzeta0_fn(x1), float)
-        d1_eta = self._samp.sample_line(x1, 1)
+        d1_eta = self._samp.sample_line(x1)
         slope = dz0 + d1_eta
         return {"x1": x1, "dzeta0": dz0, "d1_eta": d1_eta, "slope": slope,
                 "abs_n": np.sqrt(1.0 + slope ** 2)}
 
-    def surface(self, where="nodes"):
-        key = "surf_" + where
-        if key not in self._cache:
-            g = self.grid
-            self._cache[key] = self.surface_metric(
-                g.xf if where == "nodes" else g.xc)
-        return self._cache[key]
+    def surface(self):
+        if "surface" not in self._cache:
+            self._cache["surface"] = self.surface_metric(self.grid.xf)
+        return self._cache["surface"]
 
 
 def build_geometry(grid, eta, deta_dt=None):

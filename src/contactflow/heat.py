@@ -238,9 +238,11 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
 def build_basis(fields, k_cond, m):
     """Lowest m eigenpairs of (B, M) on the free nodes, frozen at the given
     fields, by shift-invert Lanczos. Returns (eigenvalues, M-orthonormal
-    eigenvectors as columns), ascending."""
+    eigenvectors as columns), ascending. The fixed start vector makes
+    repeated calls bitwise equal."""
     ops = heat_operators(fields, k_cond)
-    lam, vecs = spla.eigsh(ops.B_ff, k=m, M=ops.M_ff, sigma=0.0)
+    lam, vecs = spla.eigsh(ops.B_ff, k=m, M=ops.M_ff, sigma=0.0,
+                           v0=np.ones(ops.free.size))
     order = np.argsort(lam)
     return lam[order], vecs[:, order]
 

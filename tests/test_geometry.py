@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,18 @@ from _reference import J_PROBES
 def _single_mode_fields(grid, amp=1e-3, k=1):
     eta = amp * np.cos(k * math.pi * grid.xc / grid.ell)
     return geo.build_geometry(grid, eta - eta.mean())
+
+
+def _rest_grid(params, jump):
+    surf = eq.solve_equilibrium(
+        dataclasses.replace(params, gamma_jump=jump), 1.0)
+    return geo.make_grid(surf, 24, 16, params.depth)
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.3], ids=["flat", "curved"])
+def rest_grid(request, params):
+    """24x16 grids on the flat and on a gamma_jump = 0.3 rest state."""
+    return _rest_grid(params, request.param)
 
 
 # ------------------------------------------------------------
@@ -36,19 +49,19 @@ def test_rest_map_is_identity(zero_fields):
     assert np.all(met["K"] == 1.0)
 
 
-def test_inverse_metric_identity(grid):
-    fields = _single_mode_fields(grid, amp=5e-3)
+def test_inverse_metric_identity(rest_grid):
+    fields = _single_mode_fields(rest_grid, amp=5e-3)
     for where in ("nodes", "centers"):
         met = fields.at(where)
         assert np.max(np.abs(met["J"] * met["K"] - 1.0)) < 1e-13
 
 
-def test_surface_trace_reconstructs_single_mode(grid):
-    # a single cosine is band limited, so the harmonic extension evaluated
-    # back at the surface must reproduce it to roundoff
-    fields = _single_mode_fields(grid, amp=1e-3, k=2)
+def test_surface_trace_reconstructs_single_mode(rest_grid):
+    # a single cosine is band limited, so the mode extension evaluated back
+    # at the surface (zero decay) must reproduce it to roundoff
+    fields = _single_mode_fields(rest_grid, amp=1e-3, k=2)
     met = fields.at("nodes")
-    want = 1e-3 * np.cos(2 * math.pi * grid.xf / grid.ell)
+    want = 1e-3 * np.cos(2 * math.pi * rest_grid.xf / rest_grid.ell)
     assert np.max(np.abs(met["eta_bar"][:, -1] - want)) < 1e-15
 
 
@@ -89,22 +102,57 @@ def test_extension_is_even_reflection():
 
 def test_sample_triple_matches_single_samples():
     # a cos(xi x) with xi = pi/ell is one mode of the period-4ell even
-    # extension, so its harmonic extension is a cos(xi x) e^{xi d} exactly
+    # extension, so its extension is a cos(xi x) e^{xi d} exactly
     amp, xi = 1e-3, math.pi
     xc = -1.0 + (np.arange(20) + 0.5) * 0.1
     _, f_ext = geo.extend_surface(amp * np.cos(xi * xc), 1.0)
     samp = geo._ModeSampler(f_ext, 1.0)
     x1 = np.linspace(-1.0, 1.0, 9)
-    for depth in (np.tile(np.linspace(-0.8, 0.0, 5), (9, 1)),   # flat rows
-                  np.linspace(-0.8, 0.0, 45).reshape(9, 5)):    # curved rows
-        decay = amp * np.exp(xi * depth)
-        v, d1, d2 = samp.sample_triple(x1, depth)
-        assert np.allclose(v, np.cos(xi * x1)[:, None] * decay,
-                           rtol=0.0, atol=1e-17)
-        assert np.allclose(d1, -xi * np.sin(xi * x1)[:, None] * decay,
-                           rtol=0.0, atol=1e-16)
-        assert np.allclose(d2, xi * np.cos(xi * x1)[:, None] * decay,
-                           rtol=0.0, atol=1e-16)
+    depth = np.linspace(-0.8, 0.0, 5)
+    decay = amp * np.exp(xi * depth)
+    v, d1, d2 = samp.sample_triple(x1, depth)
+    assert np.allclose(v, np.cos(xi * x1)[:, None] * decay,
+                       rtol=0.0, atol=1e-17)
+    assert np.allclose(d1, -xi * np.sin(xi * x1)[:, None] * decay,
+                       rtol=0.0, atol=1e-16)
+    assert np.allclose(d2, xi * np.cos(xi * x1)[:, None] * decay,
+                       rtol=0.0, atol=1e-16)
+
+
+@pytest.mark.parametrize("jump", [0.3, -0.5])
+def test_extension_derivatives_match_finite_differences(params, jump):
+    # on a curved rest state the extension decays in the reference height s,
+    # so its physical derivatives come from the chain rule through s(x1, x2);
+    # recover them from A and J above the band (phi = x2, phi' = 1) and
+    # difference etabar at fixed physical x2 and at fixed x1
+    grid = _rest_grid(params, jump)
+    x = grid.xc / grid.ell
+    eta = 2e-3 * np.cos(math.pi * x) + 1e-3 * np.sin(0.5 * math.pi * x)
+    fields = geo.build_geometry(grid, eta - eta.mean())
+
+    def metric(x1, x2):
+        s = (x2 + grid.depth) / (grid.depth + float(grid.zeta0_fn(x1)))
+        return fields.sample_metric([x1], [s])
+
+    h = 1e-5
+    got, want = [], []
+    for x1 in (-0.8, -0.3, 0.1, 0.6):
+        for drop in (0.05, 0.2, 0.35):
+            x2 = float(grid.zeta0_fn(x1)) - drop
+            assert x2 - h > grid.zmin / 2.0
+            met = {k: np.asarray(v).ravel()[0]
+                   for k, v in metric(x1, x2).items()}
+            W, z0, eb = met["W"], met["zeta0"], met["eta_bar"]
+            got.append(((met["A"] + x2 * met["dzeta0"] / z0 ** 2 * eb) / W,
+                        (met["J"] - 1.0 - eb / z0) / W))
+            want.append(((metric(x1 + h, x2)["eta_bar"][0, 0]
+                          - metric(x1 - h, x2)["eta_bar"][0, 0]) / (2 * h),
+                         (metric(x1, x2 + h)["eta_bar"][0, 0]
+                          - metric(x1, x2 - h)["eta_bar"][0, 0]) / (2 * h)))
+    got, want = np.array(got), np.array(want)
+    for c in range(2):
+        err = np.max(np.abs(got[:, c] - want[:, c]))
+        assert err < 1e-7 * np.max(np.abs(got[:, c]))
 
 
 # ------------------------------------------------------------

@@ -85,6 +85,14 @@ def test_sparse_and_dense_eigenpaths_agree(flat_surface, params):
     assert np.max(np.abs(dense[:4] - sparse)) < 1e-9
 
 
+def test_lowest_eigenvalues_are_reproducible(flat_surface, params):
+    # the heat report's eigenvalue must not change between reruns
+    fields = _flat_fields(flat_surface, params, 24, 18)
+    lams = [ht.lowest_eigenvalues(fields, params.k, m=6) for _ in range(3)]
+    assert np.array_equal(lams[0], lams[1])
+    assert np.array_equal(lams[0], lams[2])
+
+
 # ------------------------------------------------------------
 # manufactured-solution convergence
 # ------------------------------------------------------------
