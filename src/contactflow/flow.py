@@ -26,9 +26,14 @@ faces, p in cells. The pieces:
     surface pieces (curvature remainder, cubic contact response, thermal
     tension correction) load the right-hand side explicitly.
 
-The metric-free stencils (differences, averages, traces, slip friction and
-the dof embedding) are Kronecker products of 1-D stencils, built once per
-problem in MacStencils; FlowOperators only scales them by each step's metric.
+Every implicit operator is a fixed stencil weighted by the metric: the
+velocity block is the Gram matrix R^T diag(w) R of a row operator R whose
+values are linear in the cell coefficients c12 and c22, and the divergence
+and its top row are linear in the face weights (Jvol, Jvol b - A). Their
+stencils are Kronecker products of 1-D stencils, and MacStencils builds the
+sparsity patterns of R, Div and Ztop on the free dofs once per problem;
+FlowOperators fills them with each step's metric and forms the one Gram
+product.
 
 Advection, buoyancy and the mesh-motion term are explicit, so the overall
 splitting is first order in dt and each step is one linear saddle solve.
@@ -61,6 +66,7 @@ at the moving contact points, with W(z) = w3 z^3.
 """
 
 import functools
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -389,44 +395,150 @@ def _ends(n):
     return E
 
 
+class _Slots(typing.NamedTuple):
+    """A 1-D stencil held row by row: row r has value vals[r, k] in column
+    cols[r, k]; rows shorter than the widest are padded with column -1."""
+    cols: np.ndarray
+    vals: np.ndarray
+    ncols: int
+
+
+def _slots(M, cols=None):
+    """Slot table of the stencil M, on its own entries or, given cols, on
+    those slot columns (M must have no entry outside them)."""
+    M = sp.csr_matrix(M)
+    if cols is None:
+        counts = np.diff(M.indptr)
+        rows = np.repeat(np.arange(M.shape[0]), counts)
+        cols = np.full((M.shape[0], max(counts.max(), 1)), -1)
+        cols[rows, np.arange(M.nnz) - M.indptr[rows]] = M.indices
+    vals = M.toarray()[np.arange(M.shape[0])[:, None], cols]
+    return _Slots(cols, np.where(cols >= 0, vals, 0.0), M.shape[1])
+
+
+class _SlotColumns:
+    """Reads a slot description as its pattern: the column of every slot,
+    -1 where a stencil has no entry. Scales do not move the pattern."""
+
+    @staticmethod
+    def kron(X, Y, offset, scale):
+        cols = (offset + X.cols[:, None, :, None] * Y.ncols
+                + Y.cols[None, :, None, :])
+        empty = (X.cols < 0)[:, None, :, None] | (Y.cols < 0)[None, :, None, :]
+        return np.where(empty, -1, cols).reshape(cols.shape[0] * cols.shape[1],
+                                                 -1)
+
+    @staticmethod
+    def add(first, *rest):
+        """Terms laid out on the same slots share their columns."""
+        return first
+
+
+class _SlotValues:
+    """Reads a slot description as its values."""
+
+    @staticmethod
+    def kron(X, Y, offset, scale):
+        """diag(scale) kron(X, Y); scale is a scalar or one value per row,
+        shaped (rows of X, rows of Y)."""
+        vals = np.asarray(scale)[..., None, None] * (
+            X.vals[:, None, :, None] * Y.vals[None, :, None, :])
+        return vals.reshape(vals.shape[0] * vals.shape[1], -1)
+
+    @staticmethod
+    def add(*terms):
+        return sum(terms)
+
+
+class _SlotPattern:
+    """Fixed CSR pattern of a matrix on the free dofs whose rows are blocks
+    of Kronecker slot tables.
+
+    A block lists segments that share its rows and sit side by side; a row
+    keeps every slot of every segment, so columns may repeat within a row
+    (sparse products and matvecs sum them). The slots with no entry or on
+    an eliminated dof are dropped once, here; fill() then only gathers the
+    kept slot values of the same description.
+    """
+
+    def __init__(self, blocks, dof_of, ndof):
+        dof = [np.where(c >= 0, dof_of[c], -1)
+               for c in (np.hstack(b) for b in blocks)]
+        self.keep = np.concatenate([d.ravel() >= 0 for d in dof])
+        self.indices = np.concatenate([d[d >= 0] for d in dof]).astype(np.int32)
+        counts = np.concatenate([np.sum(d >= 0, axis=1) for d in dof])
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.shape = (counts.size, ndof)
+
+    def fill(self, blocks):
+        vals = np.concatenate([np.hstack(b).ravel() for b in blocks])
+        return sp.csr_matrix((vals[self.keep], self.indices, self.indptr),
+                             shape=self.shape)
+
+
 class MacStencils:
-    """The metric-free matrices of the MAC saddle system on one grid.
+    """The metric-free structure of the MAC saddle system on one grid.
 
     A full velocity vector is u1 (x faces, (nx+1, ny)) then u2 (y faces,
     (nx, ny+1)), each flattened x-major, so every 2-D stencil is a Kronecker
-    product of an x stencil with an s stencil. Built once per problem; each
-    step only scales these by the metric (FlowOperators).
+    product of an x stencil with an s stencil. The dofs are the free faces
+    (wall u1 and bottom u2 are eliminated, u.nu = 0): P embeds them.
+
+    Each metric-weighted matrix is a stack of such stencils whose rows are
+    scaled by one metric coefficient, so its values are linear in the
+    metric and its pattern is fixed. Built once per problem:
+
+      * the row operator R on the dofs: the viscous rows T11 = 2(G11 +
+        c12 G21), T12 = c22 G21 + G12 + c12 G22 and T22 = 2 c22 G22 of each
+        cell, with G_ab the gradient of u_b along a reference axis a, the
+        slip rows on the bottom and walls and an identity row per dof for
+        the mass. A_visc + A_slip + M/dt = R^T diag(w) R;
+      * the flux divergence Div and its top row Ztop, linear in
+        zw = (Jvol, Jvol b - A) of the faces.
+
+    rows() and flux() fill these patterns from each step's metric.
     """
 
     def __init__(self, grid, beta):
         nx, ny, hx, hs = grid.nx, grid.ny, grid.hx, grid.hs
         self.nx, self.ny = nx, ny
-        self.n1 = n1 = (nx + 1) * ny
-        n2 = nx * (ny + 1)
+        self.n1 = (nx + 1) * ny
         self.ncell = nx * ny
-        Ix, Iy = sp.eye(nx), sp.eye(ny)
 
-        def on_u1(M):
-            return sp.hstack([M, sp.csr_matrix((M.shape[0], n2))], "csr")
+        # 1-D stencils: x stencils over faces (nx+1) or cells (nx), s
+        # stencils over faces (ny+1) or cells (ny)
+        self._dx, self._ds = _slots(_diff(nx, hx)), _slots(_diff(ny, hs))
+        self._mx, self._ms = _slots(_mean(nx)), _slots(_mean(ny))
+        self._cx, self._cs = _slots(_cdiff(nx, hx)), _slots(_cdiff(ny, hs))
+        self._ix, self._iy = _slots(sp.eye(nx)), _slots(sp.eye(ny))
+        # the free x faces, the free s faces and the top s face
+        self._fx = _slots(sp.eye(nx - 1, nx + 1, 1))
+        self._fs = _slots(sp.eye(ny, ny + 1, 1))
+        self._top = _slots(sp.eye(1, ny + 1, ny))
+        # extrapolation to the walls, the bottom and the top
+        self._walls = _slots(_ends(nx)[0]), _slots(_ends(nx)[1])
+        self._bottom, self._top_avg = _slots(_ends(ny)[0]), _slots(_ends(ny)[1])
+        # the u1 columns of a cell's flux divergence: faces i, i+1 (the
+        # slots of dx and mx) by cells j-1, j, j+1. On them sit u1 itself
+        # (mid), u1 averaged to the y face below the cell (lo) and above it
+        # (hi): zero at the bottom, extrapolated to the top
+        j = np.arange(ny)[:, None] + np.arange(-1, 2)
+        j[(j < 0) | (j >= ny)] = -1
+        avg = sp.vstack([sp.csr_matrix((1, ny)), _mean(ny - 1), _ends(ny)[1]],
+                        "csr")
+        self._mid = _slots(sp.eye(ny), j)
+        self._lo, self._hi = _slots(avg[:-1], j), _slots(avg[1:], j)
 
-        def on_u2(M):
-            return sp.hstack([sp.csr_matrix((M.shape[0], n1)), M], "csr")
-
-        # velocity gradients at cell centers; G11 and G22 are also the flux
-        # differences of the divergence
-        self.G11 = on_u1(sp.kron(_diff(nx, hx), Iy))
-        self.G21 = on_u1(sp.kron(_mean(nx), _cdiff(ny, hs)))
-        self.G12 = on_u2(sp.kron(_cdiff(nx, hx), _mean(ny)))
-        self.G22 = on_u2(sp.kron(Ix, _diff(ny, hs)))
-
-        # Y1 u = (u1, ubar1): u1 averaged to the y faces, zero at the bottom
-        # and extrapolated to the top; Y2 u = (0, u2). The flux is then
-        # Z = diag(Jvol, Jvol b - A) Y1 u + Y2 u.
-        avg_s = sp.vstack([sp.csr_matrix((1, ny)), _mean(ny - 1),
-                           _ends(ny)[1]])
-        self.Y1 = on_u1(sp.vstack([sp.eye(n1), sp.kron(_mean(nx), avg_s)]))
-        self.Y2 = on_u2(sp.vstack([sp.csr_matrix((n1, n2)), sp.eye(n2)]))
-        self.top = n1 + np.arange(nx) * (ny + 1) + ny
+        # slip friction on the bottom and walls, traces extrapolated from
+        # the first two interior layers; the wall measure carries the rest
+        # column height (the J-correction of the moving wall is higher
+        # order and left to the explicit terms)
+        wwall = np.full(ny, hs)
+        wwall[-1] *= 0.5
+        self.slip_weights = beta * np.concatenate(
+            [np.full(nx - 1, hx)]
+            + [wwall * (grid.depth + float(grid.zeta0_fn(x)))
+               for x in (-grid.ell, grid.ell)])
 
         # surface stations: slopes between top centers, rest slope and the
         # curvature weight at the interior x faces, wall extrapolation
@@ -435,24 +547,67 @@ class MacStencils:
         self.inv32_in = (1.0 + self.s0_in ** 2) ** -1.5
         self.ends = _ends(nx).tocsr()
 
-        # slip friction on the bottom and walls, traces extrapolated from
-        # the first two interior layers
-        Tb = on_u1(sp.kron(sp.eye(nx - 1, nx + 1, 1), _ends(ny)[0]))
-        self.A_slip = beta * (Tb.T @ sp.diags(np.full(nx - 1, hx)) @ Tb)
-        wwall = np.full(ny, hs)
-        wwall[-1] *= 0.5
-        # wall measure carries the rest column height; the J-correction of
-        # the moving wall is higher order and left to the explicit terms
-        for side, x in ((0, -grid.ell), (1, grid.ell)):
-            Hw = grid.depth + float(grid.zeta0_fn(x))
-            Tw = on_u2(sp.kron(_ends(nx)[side], sp.eye(ny, ny + 1, 1)))
-            self.A_slip = self.A_slip \
-                + beta * (Tw.T @ sp.diags(wwall * Hw) @ Tw)
-
         # dof embedding: wall u1 and bottom u2 are eliminated (u.nu = 0)
-        self.P = sp.block_diag([sp.kron(sp.eye(nx + 1, nx - 1, -1), Iy),
-                                sp.kron(Ix, sp.eye(ny + 1, ny, -1))], "csr")
+        self.P = sp.block_diag([sp.kron(sp.eye(nx + 1, nx - 1, -1), sp.eye(ny)),
+                                sp.kron(sp.eye(nx), sp.eye(ny + 1, ny, -1))],
+                               "csr")
         self.free = self.P.tocsc().indices
+        dof_of = np.full(self.P.shape[0], -1)
+        dof_of[self.free] = np.arange(self.free.size)
+
+        zero1, zero2 = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))
+        self._rows = _SlotPattern(self._row_blocks(_SlotColumns, 0.0, 0.0),
+                                  dof_of, self.free.size)
+        div, ztop = self._flux_blocks(_SlotColumns, zero1, zero2)
+        self._div = _SlotPattern(div, dof_of, self.free.size)
+        self._ztop = _SlotPattern(ztop, dof_of, self.free.size)
+
+    def _row_blocks(self, t, c12, c22):
+        """Row blocks of R, read by t: T11, T12, T22 per cell, bottom and
+        wall slip, then the identity on the u1 and u2 dofs."""
+        n1 = self.n1
+        return [
+            [t.kron(self._dx, self._iy, 0, 2.0),
+             t.kron(self._mx, self._cs, 0, 2.0 * c12)],
+            [t.kron(self._mx, self._cs, 0, c22),
+             t.kron(self._cx, self._ms, n1, 1.0),
+             t.kron(self._ix, self._ds, n1, c12)],
+            [t.kron(self._ix, self._ds, n1, 2.0 * c22)],
+            [t.kron(self._fx, self._bottom, 0, 1.0)],
+            [t.kron(self._walls[0], self._fs, n1, 1.0)],
+            [t.kron(self._walls[1], self._fs, n1, 1.0)],
+            [t.kron(self._fx, self._iy, 0, 1.0)],
+            [t.kron(self._ix, self._fs, n1, 1.0)],
+        ]
+
+    def _flux_blocks(self, t, zw1, zw2):
+        """Row blocks of Div and of Ztop, read by t.
+
+        The flux is Z1 = zw1 u1 on the x faces and Z2 = zw2 ubar1 + u2 on
+        the y faces; (Div u)_cell is its difference across the cell and
+        Ztop u is Z2 on the top faces, exactly u.N.
+        """
+        dx, ds = self._dx, self._ds.vals
+        left = _Slots(dx.cols, dx.vals * [1.0, 0.0], dx.ncols)
+        right = _Slots(dx.cols, dx.vals * [0.0, 1.0], dx.ncols)
+        div = [t.add(t.kron(left, self._mid, 0, zw1[:-1]),
+                     t.kron(right, self._mid, 0, zw1[1:]),
+                     t.kron(self._mx, self._lo, 0, ds[:, 0] * zw2[:, :-1]),
+                     t.kron(self._mx, self._hi, 0, ds[:, 1] * zw2[:, 1:])),
+               t.kron(self._ix, self._ds, self.n1, 1.0)]
+        ztop = [t.kron(self._mx, self._top_avg, 0, zw2[:, -1:]),
+                t.kron(self._ix, self._top, self.n1, 1.0)]
+        return [div], [ztop]
+
+    def rows(self, c12, c22):
+        """R on the dofs for cell-center coefficients c12, c22 (nx, ny)."""
+        return self._rows.fill(self._row_blocks(_SlotValues, c12, c22))
+
+    def flux(self, zw1, zw2):
+        """(Div, Ztop) on the dofs for the face weights zw1 = Jvol on the x
+        faces and zw2 = Jvol b - A on the y faces."""
+        div, ztop = self._flux_blocks(_SlotValues, zw1, zw2)
+        return self._div.fill(div), self._ztop.fill(ztop)
 
     def full_vector(self, u1, u2):
         return np.concatenate([u1.ravel(), u2.ravel()])
@@ -467,30 +622,26 @@ class MacStencils:
 # ============================================================
 
 class FlowOperators:
-    """The metric-dependent pieces of one momentum solve: the stencils of
-    problem.stencils scaled by c12, c22, Jvol and Jvol b - A of fields."""
+    """The metric-dependent pieces of one momentum solve, all on the dofs:
+    the patterns of problem.stencils filled with c12, c22, Jvol and
+    Jvol b - A of fields.
+
+    The velocity block is one Gram product A_dof = R^T diag(w) R. Below the
+    bulk rows of R (viscous, slip, mass) sit the O(nx) surface rows DxZ,
+    Ztop and the two contact rows, whose Gram blocks are the implicit
+    curvature, gravity and contact-law blocks K_srf.
+    """
 
     def __init__(self, problem, fields, dt):
         mac = problem.stencils
         params = problem.params
         hx, hs = problem.grid.hx, problem.grid.hs
-
-        # -------- viscous form --------
         met_c = fields.at("centers")
-        c12 = sp.diags(met_c["c12"].ravel())
-        c22 = sp.diags(met_c["c22"].ravel())
-        T11 = 2.0 * (mac.G11 + c12 @ mac.G21)
-        T22 = 2.0 * (c22 @ mac.G22)
-        T12 = c22 @ mac.G21 + mac.G12 + c12 @ mac.G22
-        self.cell_measure = met_c["Jvol"].ravel() * hx * hs
-        Wc = sp.diags(self.cell_measure)
-        A_visc = 0.5 * params.mu * (T11.T @ Wc @ T11
-                                    + 2.0 * (T12.T @ Wc @ T12)
-                                    + T22.T @ Wc @ T22)
-
-        # -------- mass --------
         met_xf = fields.at("xfaces")
         met_yf = fields.at("yfaces")
+
+        # -------- volume weights --------
+        self.cell_measure = met_c["Jvol"].ravel() * hx * hs
         w2 = met_yf["Jvol"] * hx * hs
         w2[:, -1] *= 0.5                       # top faces own half cells
         self.mass_diag = np.concatenate([(met_xf["Jvol"] * hx * hs).ravel(),
@@ -503,30 +654,29 @@ class FlowOperators:
                                  "measure %.3g, smallest velocity mass %.3g"
                                  % (low_cell, low_mass))
 
-        # -------- flux divergence --------
-        zw = np.concatenate([met_xf["Jvol"].ravel(),
-                             (met_yf["Jvol"] * met_yf["b"]
-                              - met_yf["A"]).ravel()])
-        Z = sp.diags(zw) @ mac.Y1 + mac.Y2
-        self.Div = mac.G11 @ Z + mac.G22 @ Z
-        self.Ztop = Z[mac.top]
-
-        # -------- surface blocks --------
+        # -------- flux divergence and surface rows --------
+        self.Div, self.Ztop = mac.flux(
+            met_xf["Jvol"], met_yf["Jvol"] * met_yf["b"] - met_yf["A"])
+        self.B_dof = sp.csr_matrix((self.Div.data * (-hx * hs),
+                                    self.Div.indices, self.Div.indptr),
+                                   shape=self.Div.shape)
         self.DxZ = mac.Dx @ self.Ztop
-        Wk = sp.diags(hx * mac.inv32_in)
-        K_curv = params.sigma1 * (dt + problem.eps) * (self.DxZ.T @ Wk
-                                                       @ self.DxZ)
-        K_grav = params.g * dt * (self.Ztop.T @ sp.diags(np.full(mac.nx, hx))
-                                  @ self.Ztop)
-        ends = (mac.ends @ self.Ztop).tocsr()
+        ends = mac.ends @ self.Ztop
         self.EL, self.ER = ends[0], ends[1]
-        K_contact = params.kappa * (self.EL.T @ self.EL
-                                    + self.ER.T @ self.ER)
 
-        A_full = (sp.diags(self.mass_diag) / dt + A_visc + mac.A_slip
-                  + K_curv + K_grav + K_contact)
-        self.A_dof = (mac.P.T @ A_full @ mac.P).tocsr()
-        self.B_dof = (-hx * hs) * (self.Div @ mac.P)
+        # -------- velocity block --------
+        R = sp.vstack([mac.rows(met_c["c12"], met_c["c22"]), self.DxZ,
+                       self.Ztop, ends], format="csr")
+        visc = params.mu * self.cell_measure
+        w = np.concatenate([
+            0.5 * visc, visc, 0.5 * visc, mac.slip_weights,
+            self.mass_diag[mac.free] / dt,
+            params.sigma1 * (dt + problem.eps) * hx * mac.inv32_in,
+            np.full(mac.nx, params.g * dt * hx),
+            np.full(2, params.kappa)])
+        wR = sp.csr_matrix((R.data * np.repeat(w, np.diff(R.indptr)),
+                            R.indices, R.indptr), shape=R.shape)
+        self.A_dof = R.T.tocsr() @ wR
 
 
 # ============================================================
@@ -629,6 +779,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     # explicit advection + mesh motion
     adv1, adv2 = _advection(fields, state.u1, state.u2)
     rhs += ops.mass_diag * np.concatenate([adv1.ravel(), adv2.ravel()])
+    rhs = rhs[mac.free]
 
     # explicit surface loads: linear curvature of eta^n, remainder, gravity
     inv32 = mac.inv32_in
@@ -659,15 +810,14 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
 
     saddle = SaddleSystem(ops.A_dof, ops.B_dof, ops.mass_diag[mac.free],
                           ops.cell_measure, params.mu)
-    rhs_dof = np.concatenate([mac.P.T @ rhs, np.zeros(mac.ncell)])
+    rhs_dof = np.concatenate([rhs, np.zeros(mac.ncell)])
     sol = problem.saddle_solver.solve(spla, saddle, rhs_dof, dt)
-    ndof = mac.free.size
-    ufull_new = mac.P @ sol[:ndof]
-    p_new = sol[ndof:].reshape(nx, grid.ny)
+    u_new = sol[:mac.free.size]
+    p_new = sol[mac.free.size:].reshape(nx, grid.ny)
 
-    u1_new, u2_new = mac.split_full(ufull_new)
-    zdot = np.asarray(ops.Ztop @ ufull_new).ravel()
-    div_res = float(np.max(np.abs(ops.Div @ ufull_new)))
+    u1_new, u2_new = mac.split_full(mac.P @ u_new)
+    zdot = ops.Ztop @ u_new
+    div_res = float(np.max(np.abs(ops.Div @ u_new)))
 
     eta_new = state.eta + dt * zdot
     drift = float(np.sum(eta_new) * grid.hx / (2.0 * grid.ell))
@@ -742,11 +892,10 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         u = mac.full_vector(u1, u2)[mac.free]
         mass = ops.mass_diag[mac.free]
         p = PressureLaplacian(ops.B_dof, mass).solve(ops.B_dof @ u)
-        unew = mac.P @ (u - (ops.B_dof.T @ p) / mass)
-        u1n, u2n = mac.split_full(unew)
+        u = u - (ops.B_dof.T @ p) / mass
+        u1n, u2n = mac.split_full(mac.P @ u)
         state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),
-                          eta=eta0,
-                          zdot=np.asarray(ops.Ztop @ unew).ravel())
+                          eta=eta0, zdot=ops.Ztop @ u)
     else:
         state.eta = eta0
     return state
@@ -754,15 +903,16 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
 
 def check_compatibility(problem, fields, state):
     """Discrete residuals of the constraints the stepper enforces
-    structurally: divergence, wall flux, kinematic trace and zero mean."""
+    structurally: divergence and kinematic trace of the free faces, wall
+    flux and zero mean."""
     grid = problem.grid
+    mac = problem.stencils
     ops = FlowOperators(problem, fields, 1.0)
-    ufull = problem.stencils.full_vector(state.u1, state.u2)
+    u = mac.full_vector(state.u1, state.u2)[mac.free]
     return {
-        "div": float(np.max(np.abs(ops.Div @ ufull))),
+        "div": float(np.max(np.abs(ops.Div @ u))),
         "wall_flux": float(max(np.max(np.abs(state.u1[0])),
                                np.max(np.abs(state.u1[-1])))),
-        "kinematic": float(np.max(np.abs(
-            np.asarray(ops.Ztop @ ufull).ravel() - state.zdot))),
+        "kinematic": float(np.max(np.abs(ops.Ztop @ u - state.zdot))),
         "mean_eta": abs(float(np.sum(state.eta) * grid.hx)),
     }

@@ -145,6 +145,9 @@ class Grid:
     depth: float
     zeta0_fn: object = field(repr=False)
     dzeta0_fn: object = field(repr=False)
+    # structures built once per grid, such as the heat assembly pattern
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.hx = 2.0 * self.ell / self.nx

@@ -15,6 +15,11 @@ k Jvol c^T c with c the effective cofactor matrix, so the stiffness is
 symmetric positive definite by construction and Crank-Nicolson stepping
 satisfies a discrete energy identity on static geometry.
 
+Between steps only the quadrature weights change. HeatPattern holds, once
+per grid, where each element and Robin edge entry lands in the matrices of
+the free rows; HeatOperators maps each step's weights to element entries
+and sums them into that pattern.
+
 Transport (u . grad_calA theta and the mesh-motion term
 dt(etabar) W K d2 theta) is explicit with two-level extrapolation, keeping
 the implicit part linear and symmetric.
@@ -37,15 +42,125 @@ from . import geometry
 _GP = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
+def _element_maps(hx, hs):
+    """Local bilinear-element maps from Gauss-point weights to the 16
+    entries (a, b) of the element matrices, a the row corner.
+
+    K: (16, 12) from (d11, d12, d22) at the four Gauss points (gx, gz),
+    gx major; M: (16, 4) from Jvol at the same points; S: (4, 2) from the
+    Robin weight |N| at the two Gauss points of a top edge.
+    """
+    w = hx * hs / 4.0
+    kmap = np.zeros((4, 4, 3, 4))
+    mmap = np.zeros((4, 4, 4))
+    for gx in range(2):
+        for gz in range(2):
+            xi, ze = _GP[gx], _GP[gz]
+            Na = np.array([(1 - xi) * (1 - ze), xi * (1 - ze),
+                           (1 - xi) * ze, xi * ze])
+            dNx = np.array([-(1 - ze), (1 - ze), -ze, ze]) / hx
+            dNs = np.array([-(1 - xi), -xi, (1 - xi), xi]) / hs
+            g = 2 * gx + gz
+            kmap[:, :, 0, g] = w * np.outer(dNx, dNx)
+            kmap[:, :, 1, g] = w * (np.outer(dNx, dNs) + np.outer(dNs, dNx))
+            kmap[:, :, 2, g] = w * np.outer(dNs, dNs)
+            mmap[:, :, g] = w * np.outer(Na, Na)
+    smap = np.zeros((2, 2, 2))
+    for g in range(2):
+        N1 = np.array([1 - _GP[g], _GP[g]])
+        smap[:, :, g] = 0.5 * hx * np.outer(N1, N1)
+    return kmap.reshape(16, 12), mmap.reshape(16, 4), smap.reshape(4, 2)
+
+
+class HeatPattern:
+    """The fixed structure of the heat matrices on one grid.
+
+    The matrices are held on the free nodes' rows (walls and bottom carry
+    theta = 0), in CSC form over the columns `order`: the free nodes, then
+    the fixed ones. Their leading columns are then the free-free blocks the
+    Crank-Nicolson solve and the eigensolver take, as views of the same
+    data. `slot` places every element entry (a, b) of every cell, then
+    every Robin entry of every top edge, in that data; entries on a fixed
+    row go to the extra slot nnz, which is dropped. S_flat, the flat Robin
+    load from top-node data, is metric-free and built here.
+    """
+
+    def __init__(self, grid):
+        nx, ny = grid.nx, grid.ny
+        self.kmap, self.mmap, self.smap = _element_maps(grid.hx, grid.hs)
+        free = np.zeros((nx + 1, ny + 1), bool)
+        free[1:nx, 1:] = True
+        self.free = np.flatnonzero(free.ravel())
+        self.order = np.concatenate([self.free,
+                                     np.flatnonzero(~free.ravel())])
+        rank = np.empty(self.order.size, np.int64)
+        rank[self.order] = np.arange(self.order.size)
+        nf = self.free.size
+
+        ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        corners = np.array([ci * (ny + 1) + cj, (ci + 1) * (ny + 1) + cj,
+                            ci * (ny + 1) + cj + 1,
+                            (ci + 1) * (ny + 1) + cj + 1]).reshape(4, -1)
+        top = np.arange(nx + 1) * (ny + 1) + ny
+        edges = np.array([top[:-1], top[1:]])
+        row = rank[np.concatenate([np.repeat(corners, 4, axis=0).ravel(),
+                                   np.repeat(edges, 2, axis=0).ravel()])]
+        col = rank[np.concatenate([np.tile(corners, (4, 1)).ravel(),
+                                   np.tile(edges, (2, 1)).ravel()])]
+        kept = row < nf
+        key = col * nf + row
+        entries = np.unique(key[kept])
+        self.nnz = entries.size
+        self.slot = np.full(key.size, self.nnz, np.int32)
+        self.slot[kept] = np.searchsorted(entries, key[kept])
+        self.indices = (entries % nf).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(entries // nf,
+                                        minlength=self.order.size))]
+        ).astype(np.int32)
+        self.shape = (nf, self.order.size)
+
+        i = np.arange(nx)
+        srow = rank[np.repeat(edges, 2, axis=0).ravel()]
+        scol = np.concatenate([i, i + 1, i, i + 1])
+        fv = np.repeat(self.smap.sum(axis=1), nx)
+        on = srow < nf
+        self.S_flat = sp.csr_matrix((fv[on], (srow[on], scol[on])),
+                                    shape=(nf, nx + 1))
+
+    def matrices(self, data):
+        """The matrix with this pattern and data, and its free-free block,
+        which shares the data."""
+        nf = self.shape[0]
+        nff = self.indptr[nf]
+        return (sp.csc_matrix((data, self.indices, self.indptr),
+                              shape=self.shape),
+                sp.csc_matrix((data[:nff], self.indices[:nff],
+                               self.indptr[:nf + 1]), shape=(nf, nf)))
+
+
+def heat_pattern(grid):
+    if "heat_pattern" not in grid._cache:
+        grid._cache["heat_pattern"] = HeatPattern(grid)
+    return grid._cache["heat_pattern"]
+
+
 class HeatOperators:
-    """Mass, conduction + Robin stiffness and surface load matrices."""
+    """Mass M and conduction + Robin stiffness B on the free rows, over the
+    node columns pat.order, with their free-free blocks M_ff and B_ff
+    sharing their data, and the flat Robin load S_flat.
+
+    Each step samples the metric at the 2x2 Gauss points of every cell and
+    maps the weights k Jvol, k Jvol c12, k Jvol (c12^2 + c22^2) and Jvol to
+    the element entries with one matmul each; np.bincount sums them, with
+    the Robin edge entries, into the held pattern of HeatPattern.
+    """
 
     def __init__(self, fields, k_cond):
         grid = fields.grid
-        nx, ny = grid.nx, grid.ny
-        hx, hs = grid.hx, grid.hs
-        self.grid = grid
-        nn = (nx + 1) * (ny + 1)
+        nx, ny, hx, hs = grid.nx, grid.ny, grid.hx, grid.hs
+        pat = heat_pattern(grid)
+        self.free, self.order, self.S_flat = pat.free, pat.order, pat.S_flat
 
         # tensor grid of 2x2 Gauss stations, cell (i, j) owns [2i+gx, 2j+gz]
         dx = hx * (np.array(_GP) - 0.5)
@@ -55,84 +170,26 @@ class HeatOperators:
         met = fields.sample_metric(xg, sg)
         srf = fields.surface_metric(xg)
 
-        ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        corners = [ci * (ny + 1) + cj, (ci + 1) * (ny + 1) + cj,
-                   ci * (ny + 1) + cj + 1, (ci + 1) * (ny + 1) + cj + 1]
+        def at_gauss(f):
+            """(4, ncell) Gauss-point samples of f, point 2 gx + gz."""
+            return f.reshape(nx, 2, ny, 2).transpose(1, 3, 0, 2).reshape(4, -1)
 
-        Kloc = np.zeros((4, 4, nx, ny))
-        Mloc = np.zeros((4, 4, nx, ny))
-        w = hx * hs / 4.0
-        for gx in range(2):
-            for gz in range(2):
-                xi, ze = _GP[gx], _GP[gz]
-                Na = np.array([(1 - xi) * (1 - ze), xi * (1 - ze),
-                               (1 - xi) * ze, xi * ze])
-                dNx = np.array([-(1 - ze), (1 - ze), -ze, ze]) / hx
-                dNs = np.array([-(1 - xi), -xi, (1 - xi), xi]) / hs
-                jv = met["Jvol"][gx::2, gz::2]
-                c12 = met["c12"][gx::2, gz::2]
-                c22 = met["c22"][gx::2, gz::2]
-                d11 = k_cond * jv
-                d12 = k_cond * jv * c12
-                d22 = k_cond * jv * (c12 ** 2 + c22 ** 2)
-                for a in range(4):
-                    for b in range(4):
-                        Kloc[a, b] += w * (dNx[a] * dNx[b] * d11
-                                           + (dNx[a] * dNs[b]
-                                              + dNs[a] * dNx[b]) * d12
-                                           + dNs[a] * dNs[b] * d22)
-                        Mloc[a, b] += w * Na[a] * Na[b] * jv
-
-        rows, cols, kv, mv = [], [], [], []
-        for a in range(4):
-            for b in range(4):
-                rows.append(corners[a].ravel())
-                cols.append(corners[b].ravel())
-                kv.append(Kloc[a, b].ravel())
-                mv.append(Mloc[a, b].ravel())
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        self.M = sp.csr_matrix((np.concatenate(mv), (rows, cols)), (nn, nn))
-        K = sp.csr_matrix((np.concatenate(kv), (rows, cols)), (nn, nn))
-
-        # top edge: 1D linear elements, Robin weight |N|, flat-load variant
-        seg_l = np.arange(nx) * (ny + 1) + ny
-        seg_r = (np.arange(nx) + 1) * (ny + 1) + ny
-        segs = [seg_l, seg_r]
-        Sloc = np.zeros((2, 2, nx))
-        Floc = np.zeros((2, 2, nx))
-        for g in range(2):
-            xi = _GP[g]
-            N1 = np.array([1 - xi, xi])
-            absn = srf["abs_n"][g::2]
-            for a in range(2):
-                for b in range(2):
-                    Sloc[a, b] += 0.5 * hx * N1[a] * N1[b] * absn
-                    Floc[a, b] += 0.5 * hx * N1[a] * N1[b]
-        rows, cols, sv, fv = [], [], [], []
-        for a in range(2):
-            for b in range(2):
-                rows.append(segs[a])
-                cols.append(segs[b])
-                sv.append(Sloc[a, b])
-                fv.append(Floc[a, b])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        self.S_robin = sp.csr_matrix((np.concatenate(sv), (rows, cols)),
-                                     (nn, nn))
-        self.S_flat = sp.csr_matrix((np.concatenate(fv), (rows, cols)),
-                                    (nn, nn))
-        self.B = (K + self.S_robin).tocsr()
-
-        free = np.zeros((nx + 1, ny + 1), bool)
-        free[1:nx, 1:] = True
-        self.free = np.flatnonzero(free.ravel())
-        self.M_ff = self.M[self.free][:, self.free].tocsc()
-        self.B_ff = self.B[self.free][:, self.free].tocsc()
+        jv = at_gauss(met["Jvol"])
+        c12 = at_gauss(met["c12"])
+        c22 = at_gauss(met["c22"])
+        d11 = k_cond * jv
+        weights = np.concatenate([d11, d11 * c12,
+                                  d11 * (c12 ** 2 + c22 ** 2)])
+        robin = pat.smap @ srf["abs_n"].reshape(nx, 2).T
+        stiff = np.concatenate([(pat.kmap @ weights).ravel(), robin.ravel()])
+        nk = 16 * nx * ny
+        self.M, self.M_ff = pat.matrices(np.bincount(
+            pat.slot[:nk], (pat.mmap @ jv).ravel(), minlength=pat.nnz + 1)[:-1])
+        self.B, self.B_ff = pat.matrices(np.bincount(
+            pat.slot, stiff, minlength=pat.nnz + 1)[:-1])
 
     def embed(self, vec_free):
-        nn = self.M.shape[0]
-        out = np.zeros(nn)
+        out = np.zeros(self.order.size)
         out[self.free] = vec_free
         return out
 
@@ -186,15 +243,12 @@ def _transport_nodes(fields, theta, u_nodes):
 
 
 def _load_vector(ops, f8, f9):
-    nn = ops.M.shape[0]
-    load = np.zeros(nn)
+    """Forcing load on the free rows: f8 on the nodes, f9 on the top."""
+    load = np.zeros(ops.free.size)
     if f8 is not None:
-        load += ops.M @ np.asarray(f8, float).ravel()
+        load += ops.M @ np.asarray(f8, float).ravel()[ops.order]
     if f9 is not None:
-        grid = ops.grid
-        full = np.zeros((grid.nx + 1, grid.ny + 1))
-        full[:, -1] = np.asarray(f9, float)
-        load += ops.S_flat @ full.ravel()
+        load += ops.S_flat @ np.asarray(f9, float)
     return load
 
 
@@ -214,7 +268,7 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
     1.5 theta^n - 0.5 theta^{n-1} so the implicit matrix stays symmetric.
     """
     ops = heat_operators(fields, k_cond)
-    th = state.theta.ravel()
+    th = state.theta.ravel()[ops.order]
     that = state.theta
     if state.levels:
         that = 1.5 * state.theta - 0.5 * state.levels[0]
@@ -223,10 +277,12 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
     rhs += _load_vector(ops, f8, f9)
     adv = _transport_nodes(fields, that, transport)
     if np.any(adv):
-        rhs += ops.M @ adv.ravel()
+        rhs += ops.M @ adv.ravel()[ops.order]
 
-    mat = ops.M_ff / dt + ops.B_ff * 0.5
-    sol = solver.solve(spla, mat.tocsc(), rhs[ops.free], dt)
+    mat = sp.csc_matrix((ops.M_ff.data / dt + ops.B_ff.data * 0.5,
+                         ops.M_ff.indices, ops.M_ff.indptr),
+                        shape=ops.M_ff.shape)
+    sol = solver.solve(spla, mat, rhs, dt)
     theta_new = ops.embed(sol).reshape(state.theta.shape)
     return state.advanced(theta_new, dt)
 

@@ -189,14 +189,20 @@ def test_coupled_step_advances_both_clocks(problem, grid):
 
 @pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
 def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
-    built = []
+    built, heat_built = [], []
 
     class CountedStencils(fl.MacStencils):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
 
+    class CountedHeatPattern(ht.HeatPattern):
+        def __init__(self, *args):
+            heat_built.append(1)
+            super().__init__(*args)
+
     monkeypatch.setattr(fl, "MacStencils", CountedStencils)
+    monkeypatch.setattr(ht, "HeatPattern", CountedHeatPattern)
     problem = _curved_problem(params, jump)
     grid = problem.grid
     eta = _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)
@@ -207,9 +213,8 @@ def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     # discrete divergence theorem: the cell divergences of any admissible
     # velocity sum to its surface flux
-    P = problem.stencils.P
-    cells = grid.hs * np.asarray((ops.Div @ P).sum(axis=0)).ravel()
-    surface = np.asarray((ops.Ztop @ P).sum(axis=0)).ravel()
+    cells = grid.hs * np.asarray(ops.Div.sum(axis=0)).ravel()
+    surface = np.asarray(ops.Ztop.sum(axis=0)).ravel()
     assert np.max(np.abs(cells - surface)) <= 1e-14 * np.max(np.abs(surface))
 
     flow, heat_state = _perturbed_start(problem)
@@ -218,6 +223,12 @@ def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
         flow, heat_state, fields = fl.coupled_step(problem, fields, flow,
                                                    heat_state, 0.02)
     assert len(built) == 1
+    assert len(heat_built) == 1
+    # a replaced problem builds its own stencils and saddle factors, while
+    # the heat pattern stays with the shared grid
+    _run_steps(problem, flow, heat_state, [0.02], fresh=True)
+    assert len(built) == 2
+    assert len(heat_built) == 1
 
 
 # ------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_elliptic_solve_second_order(flat_surface, params):
         f9 = rob * np.cos(MU * fields.grid.xf)
         ops = ht.heat_operators(fields, k)
         load = ht._load_vector(ops, f8, f9)
-        got = ops.embed(spla.splu(ops.B_ff).solve(load[ops.free]))
+        got = ops.embed(spla.splu(ops.B_ff).solve(load))
         errs.append(np.max(np.abs(got.reshape(want.shape) - want)))
     assert errs[0] < 5e-3
     assert errs[0] / errs[1] > 3.4
