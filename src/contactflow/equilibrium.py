@@ -18,7 +18,10 @@ dynamical scheme rather than one up to discretization error.
 Solved by shooting: integrate the curvature ODE left to right with RK4,
 augmenting the state with the running integral of zeta0 so the mean-height
 constraint is part of the shooting residual, and Newton-iterate on the two
-unknowns (P0, zeta0(-ell)).
+unknowns (P0, zeta0(-ell)). Between the nodes the surface is sampled from
+the piecewise quintic Hermite interpolant of zeta0, zeta0' and zeta0'', the
+last read from the ODE itself, so the sampled slope is the exact derivative
+of the sampled height.
 """
 
 import math
@@ -36,6 +39,7 @@ class EquilibriumSurface:
     x: np.ndarray        # nodes from -ell to ell
     zeta0: np.ndarray    # surface height at nodes
     dzeta0: np.ndarray   # surface slope at nodes
+    d2zeta0: np.ndarray  # surface second derivative at nodes, from the ODE
     p0: float            # rest modified pressure
     omega: float         # corner angle at the right wall
     mean_height: float
@@ -44,17 +48,56 @@ class EquilibriumSurface:
     newton_iters: int
 
     def interpolators(self):
-        """Cubic-spline callables (zeta0, dzeta0) for off-node sampling."""
-        # flat surface: cheap exact constants, and no scipy.interpolate import
+        """Callables (zeta0, dzeta0) for off-node sampling: the piecewise
+        quintic Hermite interpolant of (zeta0, zeta0', zeta0'') on the
+        shooting nodes and its exact derivative."""
+        # flat surface: cheap exact constants
         if float(np.ptp(self.zeta0)) < 1e-13 * max(1.0, abs(self.p0)):
             z = float(self.zeta0[0])
             return (lambda x: np.full_like(np.asarray(x, float), z),
                     lambda x: np.zeros_like(np.asarray(x, float)))
-        from scipy.interpolate import CubicSpline
-        zs = CubicSpline(self.x, self.zeta0)
-        ds = CubicSpline(self.x, self.dzeta0)
-        return (lambda x: zs(np.asarray(x, float)),
-                lambda x: ds(np.asarray(x, float)))
+        return _quintic_hermite(self.x, self.zeta0, self.dzeta0, self.d2zeta0)
+
+
+def _quintic_hermite(x, z, dz, d2z):
+    """(value, derivative) callables of the C2 piecewise quintic through
+    (z, z', z'') at the uniform nodes x.
+
+    On [x_i, x_i+1] the quintic is sum_k a_k t^k in t = (x - x_i)/h; a0..a2
+    are the Taylor data at x_i and a3..a5 match the data at x_i+1. Each row
+    of the coefficient tables belongs to one interval and is evaluated by
+    Horner in t. A last row holds the data of the right end node, so every
+    node, x = ell included, reads back its own value and slope exactly.
+    """
+    h = x[1] - x[0]
+    a0, a1, a2 = z[:-1], h * dz[:-1], 0.5 * h * h * d2z[:-1]
+    d = z[1:] - a0 - a1 - a2
+    e = h * dz[1:] - a1 - 2.0 * a2
+    f = h * h * d2z[1:] - 2.0 * a2
+    a3 = 10.0 * d - 4.0 * e + 0.5 * f
+    a4 = -15.0 * d + 7.0 * e - f
+    a5 = 6.0 * d - 3.0 * e + 0.5 * f
+    end = [[z[-1], h * dz[-1], 0.5 * h * h * d2z[-1], 0.0, 0.0, 0.0]]
+    value = np.vstack([np.column_stack([a0, a1, a2, a3, a4, a5]), end])
+    # derivative in x, led by the node slope itself rather than (h z')/h
+    slope = np.column_stack([dz, value[:, 2:] * (np.arange(2.0, 6.0) / h)])
+    value, slope = value.T.copy(), slope.T.copy()   # (degree + 1, rows)
+    inner = x[1:]
+
+    def evaluate(coef, q):
+        q = np.asarray(q, float)
+        # row i for x_i <= q < x_i+1; q below -ell reads row 0, q = ell
+        # the end row
+        i = np.searchsorted(inner, q, side="right")
+        t = (q - x[i]) / h
+        c = coef.take(i, axis=1)
+        out = c[-1].copy()
+        for k in range(coef.shape[0] - 2, -1, -1):
+            out *= t
+            out += c[k]
+        return out
+
+    return (lambda q: evaluate(value, q), lambda q: evaluate(slope, q))
 
 
 def _wall_slope(params):
@@ -162,7 +205,10 @@ def solve_equilibrium(params, mean_height, n=400, tol=1e-12, max_iter=60):
                                "range [%g, %g]" % (np.min(z), np.max(z)))
     x = np.linspace(-params.ell, params.ell, n + 1)
     omega = math.pi / 2.0 + math.atan(s[-1])
-    return EquilibriumSurface(x=x, zeta0=z, dzeta0=s, p0=float(p0),
+    # the curvature ODE gives zeta0'' at the nodes without differencing
+    d2z = (1.0 + s * s) ** 1.5 * (params.g * z - p0) / params.sigma1
+    return EquilibriumSurface(x=x, zeta0=z, dzeta0=s, d2zeta0=d2z,
+                              p0=float(p0),
                               omega=float(omega), mean_height=float(mean_height),
                               ell=params.ell,
                               newton_residual=float(np.max(np.abs(r))),

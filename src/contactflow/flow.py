@@ -54,7 +54,11 @@ problem). Near rest the blocks move by O(|eta|) from one step to the next,
 so a run builds the factors once and reuses them for later steps,
 refactoring only when a solve misses a 1e-13 relative residual; the heat
 solve reuses one LU the same way (LaggedLU). See Benzi, Golub & Liesen, Acta
-Numerica 14 (2005) on block and lagged-factorization preconditioners.
+Numerica 14 (2005) on block and lagged-factorization preconditioners. The
+Krylov cycle is written here (`_gmres_cycle`): it keeps the preconditioned
+directions, so its update needs no preconditioner solve of its own. The
+saddle solution also moves by O(dt) per step near rest, so each cycle starts
+from the linear extrapolation of the last two solutions.
 
 The curvature remainder
 
@@ -66,6 +70,7 @@ at the moving contact points, with W(z) = w3 z^3.
 """
 
 import functools
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -121,10 +126,12 @@ class _LaggedSolver:
 
     The first system, and any whose shape or dt differ from the held
     factors', has its factors built (`_factor`, one count in
-    `factorizations`); every solve is then one GMRES cycle right-
-    preconditioned by the held factors, started from the preconditioned
-    right-hand side. A result is kept only when it is finite and its
-    explicitly computed residual is at most LAG_RTOL ||b||. A miss with
+    `factorizations`); every solve is then one GMRES cycle
+    (`_gmres_cycle`) right-preconditioned by the held factors, started
+    from the first iterate that `_start` gives: by default the
+    preconditioned right-hand side, which is exact when the held factors
+    are those of the system. A result is kept only when it is finite and
+    its explicitly computed residual is at most LAG_RTOL ||b||. A miss with
     factors held from an earlier step drops them before refactoring, so two
     factor sets never coexist; a miss with fresh factors raises
     StabilityError. A zero right-hand side returns zeros without factoring.
@@ -139,12 +146,14 @@ class _LaggedSolver:
         self.factor_nnz = 0           # entries held in the factors
         self.factorizations = 0
         self.reused_solves = 0        # solves with factors of an earlier step
+        self.gmres_iterations = 0     # summed over all solves
         self.max_gmres_iterations = 0
         self.fallbacks = 0
 
     def counts(self):
         return {"factorizations": self.factorizations,
                 "reused_solves": self.reused_solves,
+                "gmres_iterations": self.gmres_iterations,
                 "max_gmres_iterations": self.max_gmres_iterations,
                 "fallbacks": self.fallbacks}
 
@@ -156,7 +165,7 @@ class _LaggedSolver:
             return np.zeros_like(b)   # keeps the rest state an exact fixed point
         key = (system.shape, dt)
         if self._precondition is not None and self._key == key:
-            x = self._cycle(linalg, system, b)
+            x = self._cycle(system, b)
             if x is not None:
                 self.reused_solves += 1
                 return x
@@ -165,7 +174,7 @@ class _LaggedSolver:
         self._precondition, self.factor_nnz = self._factor(linalg, system, dt)
         self._key = key
         self.factorizations += 1
-        x = self._cycle(linalg, system, b)
+        x = self._cycle(system, b)
         if x is None:
             raise StabilityError("solve with fresh factors returned non-finite"
                                  " values or missed its residual bound")
@@ -175,29 +184,77 @@ class _LaggedSolver:
         """(preconditioner y -> P^-1 y, entries held) built from system."""
         raise NotImplementedError
 
-    def _cycle(self, linalg, system, b):
+    def _start(self, system, b):
+        """First iterate x and its residual b - system @ x."""
+        x = self._precondition(b)
+        return x, b - system @ x
+
+    def _cycle(self, system, b):
         """One preconditioned GMRES cycle; None unless it meets LAG_RTOL."""
-        precondition = self._precondition
         bnorm = np.linalg.norm(b)
-        x = precondition(b)
-        r = b - system @ x
+        x, r = self._start(system, b)
         res = np.linalg.norm(r)
         if np.isfinite(res) and res > GMRES_AIM * bnorm:
-            iterations = []       # one entry per inner GMRES iteration
-            preconditioned = linalg.LinearOperator(
-                system.shape, dtype=float,
-                matvec=lambda y: system @ precondition(y))
-            y, _ = linalg.gmres(preconditioned, r, atol=GMRES_AIM * bnorm,
-                                rtol=0.0, restart=LAG_RESTART, maxiter=1,
-                                callback=iterations.append,
-                                callback_type="pr_norm")
+            dx, iterations = _gmres_cycle(system, self._precondition, r,
+                                          GMRES_AIM * bnorm)
+            self.gmres_iterations += iterations
             self.max_gmres_iterations = max(self.max_gmres_iterations,
-                                            len(iterations))
-            x = x + precondition(y)
+                                            iterations)
+            x = x + dx
             res = np.linalg.norm(b - system @ x)
         if res <= LAG_RTOL * bnorm and np.all(np.isfinite(x)):
             return x
         return None
+
+
+def _gmres_cycle(system, precondition, r, atol):
+    """(dx, iterations): one GMRES(LAG_RESTART) cycle for system @ dx = r
+    from dx = 0, right-preconditioned, stopped once the Arnoldi residual is
+    at most atol (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)).
+
+    The basis is orthogonalized by classical Gram-Schmidt applied twice,
+    each pass two matrix-vector products with the basis, and the
+    Hessenberg columns are reduced by Givens rotations as they come. The
+    preconditioned directions Z are kept, as in flexible GMRES (Saad, SIAM
+    J. Sci. Comput. 14 (1993)), so dx = Z y costs no further preconditioner
+    application. The basis arrays are allocated empty and only the rows a
+    cycle reaches are written.
+    """
+    m = min(LAG_RESTART, r.size)
+    V = np.empty((m + 1, r.size))
+    Z = np.empty((m, r.size))
+    R = np.zeros((m, m))                # the rotated Hessenberg matrix
+    rotations = []                      # (cos, sin) of each Givens rotation
+    g = [float(np.linalg.norm(r))]      # rotated residual coordinates
+    V[0] = r / g[0]
+    for j in range(m):
+        Z[j] = precondition(V[j])
+        w = system @ Z[j]
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        col = (h + h2).tolist()
+        below = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                  c * col[i + 1] - s * col[i])
+        # an exactly singular column gives NaN, which the caller's finite
+        # check rejects
+        rho = math.hypot(col[j], below) or math.nan
+        c, s = col[j] / rho, below / rho
+        rotations.append((c, s))
+        col[j] = rho
+        R[:j + 1, j] = col
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[j + 1]) <= atol or j + 1 == m:
+            break
+        V[j + 1] = w / below
+    k = j + 1
+    y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], check_finite=False)
+    return y @ Z[:k], k
 
 
 class LaggedLU(_LaggedSolver):
@@ -268,7 +325,18 @@ class LaggedBlockSaddle(_LaggedSolver):
     equivalent to the Schur complement of the viscous block. One count in
     `factorizations` is one build of the pair, and `factor_nnz` counts the
     LU's L+U entries plus the Cholesky band.
+
+    Near rest the solution moves by O(dt) from step to step, so a cycle
+    starts from the linear extrapolation 2 x_n - x_n-1 of the last two
+    accepted solutions, kept while the key (shape, dt) is unchanged. A
+    start whose residual is not below ||b|| is replaced by the
+    preconditioned right-hand side.
     """
+
+    def __init__(self):
+        super().__init__()
+        self._accepted = []           # the last two accepted solutions
+        self._accepted_key = None     # the key they were solved under
 
     def _factor(self, linalg, saddle, dt):
         # A is SPD: a symmetric fill-reducing ordering and diagonal pivots
@@ -285,6 +353,22 @@ class LaggedBlockSaddle(_LaggedSolver):
             return np.concatenate([lu.solve(r[:nu] - BT @ p), p])
 
         return precondition, lu.nnz + lap.nnz
+
+    def _start(self, saddle, b):
+        if self._accepted_key == self._key and len(self._accepted) == 2:
+            x = 2.0 * self._accepted[1] - self._accepted[0]
+            r = b - saddle @ x
+            if np.linalg.norm(r) < np.linalg.norm(b):
+                return x, r
+        return super()._start(saddle, b)
+
+    def _cycle(self, saddle, b):
+        x = super()._cycle(saddle, b)
+        if x is not None:
+            if self._accepted_key != self._key:
+                self._accepted, self._accepted_key = [], self._key
+            self._accepted = self._accepted[-1:] + [x]
+        return x
 
 
 # ============================================================

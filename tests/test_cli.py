@@ -10,6 +10,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -415,6 +417,25 @@ def test_decay_report_counts_lagged_solves(tmp_path):
         assert rep[key]["reused_solves"] == 19
         assert rep[key]["fallbacks"] == 0
         assert 1 <= rep[key]["max_gmres_iterations"] <= 20
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_decay_run_does_not_import_scipy_interpolate(tmp_path, jump):
+    cfg = dict(TINY, mode="decay", params={"gamma_jump": jump},
+               out=str(tmp_path / "out"),
+               time=dict(TINY["time"], t_end=0.04))
+    path = _write_config(tmp_path, cfg)
+    code = ("import sys\n"
+            "from contactflow import cli\n"
+            "rc = cli.main(['--config', %r])\n"
+            "print(rc, 'scipy.interpolate' in sys.modules)\n" % path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(cli.ENV_PREFIX)}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_decay_report_holds_factor_sizes(tmp_path):

@@ -31,6 +31,34 @@ def test_flat_interpolators_constant(flat_surface):
     assert np.all(dzfn(x) == 0.0)
 
 
+@pytest.mark.parametrize("jump", [0.3, -0.5])
+def test_quintic_interpolators_reproduce_nodes_and_derivatives(params, jump):
+    s = eq.solve_equilibrium(_with_jump(params, jump), 1.0)
+    zfn, dzfn = s.interpolators()
+    assert np.array_equal(zfn(s.x), s.zeta0)
+    assert np.array_equal(dzfn(s.x), s.dzeta0)
+    # off the nodes dzeta0 is the derivative of zeta0, and at the nodes the
+    # slope changes at the rate zeta0'' that the ODE gives
+    h = 1e-5
+    x = np.linspace(-s.ell + 2 * h, s.ell - 2 * h, 1001)
+    fd = (zfn(x + h) - zfn(x - h)) / (2.0 * h)
+    assert np.max(np.abs(fd - dzfn(x))) <= 1e-7 * np.max(np.abs(dzfn(x)))
+    nodes = s.x[1:-1]
+    fd2 = (dzfn(nodes + h) - dzfn(nodes - h)) / (2.0 * h)
+    assert np.max(np.abs(fd2 - s.d2zeta0[1:-1])) \
+        <= 1e-6 * np.max(np.abs(s.d2zeta0))
+
+
+@pytest.mark.parametrize("jump", [0.3, -0.5])
+def test_quintic_interpolators_match_cubic_splines(params, jump):
+    from scipy.interpolate import CubicSpline
+    s = eq.solve_equilibrium(_with_jump(params, jump), 1.0)
+    zfn, dzfn = s.interpolators()
+    x = np.linspace(-s.ell, s.ell, 4001)
+    assert np.max(np.abs(zfn(x) - CubicSpline(s.x, s.zeta0)(x))) <= 1e-8
+    assert np.max(np.abs(dzfn(x) - CubicSpline(s.x, s.dzeta0)(x))) <= 1e-8
+
+
 @pytest.mark.parametrize("jump", [1e-3, 1e-2, 0.3, -0.25])
 def test_pressure_identity(params, jump):
     s = eq.solve_equilibrium(_with_jump(params, jump), 1.0)

@@ -329,11 +329,46 @@ def test_lagged_lu_falls_back_on_a_distant_system():
     for A in (base, near, far):
         x = solver.solve(spla, A, b, 0.1)
         assert np.linalg.norm(b - A @ x) <= fl.LAG_RTOL * np.linalg.norm(b)
+    # the near system takes 4 iterations, the far one a full missed cycle
+    # with the held factors and none with its own
     assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
+                               "gmres_iterations": 4 + fl.LAG_RESTART,
                                "max_gmres_iterations": fl.LAG_RESTART,
                                "fallbacks": 1}
     with pytest.raises(fl.StabilityError):
         solver.solve(spla, far, np.full(n, np.nan), 0.1)
+
+
+def _scipy_gmres_cycle(A, precondition, r, atol):
+    """The same cycle through scipy's gmres on A P^-1: (dx, iterations)."""
+    iterations = []
+    op = spla.LinearOperator(A.shape, dtype=float,
+                             matvec=lambda y: A @ precondition(y))
+    y, _ = spla.gmres(op, r, atol=atol, rtol=0.0, restart=fl.LAG_RESTART,
+                      maxiter=1, callback=iterations.append,
+                      callback_type="pr_norm")
+    return precondition(y), len(iterations)
+
+
+@pytest.mark.parametrize("shift,converges", [(0.5, True), (5.0, False)])
+def test_gmres_cycle_matches_scipy_gmres(shift, converges):
+    # the preconditioner is the LU of A plus a random perturbation: a small
+    # one converges within the cycle, a large one uses all LAG_RESTART
+    # iterations and misses
+    n = 80
+    rng = np.random.default_rng(11)
+    A = (sp.random(n, n, density=0.1, random_state=rng)
+         + 4.0 * sp.eye(n)).tocsc()
+    near = A + shift * sp.random(n, n, density=0.05, random_state=rng)
+    precondition = spla.splu(near.tocsc()).solve
+    r = rng.standard_normal(n)
+    atol = fl.GMRES_AIM * np.linalg.norm(r)
+    dx, iterations = fl._gmres_cycle(A, precondition, r, atol)
+    ref, ref_iterations = _scipy_gmres_cycle(A, precondition, r, atol)
+    assert iterations == ref_iterations
+    assert (iterations < fl.LAG_RESTART) == converges
+    assert (np.linalg.norm(r - A @ dx) <= atol) == converges
+    assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ------------------------------------------------------------
@@ -399,12 +434,64 @@ def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
         x = solver.solve(spla, saddle, b, 0.02)
         assert np.linalg.norm(b - saddle @ x) \
             <= fl.LAG_RTOL * np.linalg.norm(b)
+    # 17 iterations for each base solve, a full missed cycle on the far
+    # system with the held factors, then 16 with its own
     assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
+                               "gmres_iterations": 2 * 17 + fl.LAG_RESTART
+                               + 16,
                                "max_gmres_iterations": fl.LAG_RESTART,
                                "fallbacks": 1}
     assert solver.factor_nnz > 0
     with pytest.raises(fl.StabilityError):
         solver.solve(spla, far, np.full_like(b, np.nan), 0.02)
+
+
+class _ColdStartSaddle(fl.LaggedBlockSaddle):
+    """Block saddle solver that starts every cycle from P^-1 b."""
+
+    def _start(self, saddle, b):
+        return fl._LaggedSolver._start(self, saddle, b)
+
+
+def test_extrapolated_start_saves_iterations(params):
+    problem = _curved_problem(params, 0.3)
+    cold = dataclasses.replace(problem)
+    cold.saddle_solver = _ColdStartSaddle()
+    flow, heat_state = _perturbed_start(problem)
+    dts = [0.02] * 20
+    warm_steps = _run_steps(problem, flow, heat_state, dts, fresh=False)
+    cold_steps = _run_steps(cold, flow, heat_state, dts, fresh=False)
+    _assert_trajectories_match(warm_steps, cold_steps)
+    warm, cold = problem.saddle_solver.counts(), cold.saddle_solver.counts()
+    assert warm["gmres_iterations"] < cold["gmres_iterations"]
+    assert warm["factorizations"] == cold["factorizations"] == 1
+    assert warm["fallbacks"] == cold["fallbacks"] == 0
+
+
+def test_extrapolated_start_falls_back_when_worse_than_zero(problem,
+                                                            zero_fields):
+    saddle = _saddle(problem, zero_fields, 0.02)
+    b = _momentum_load(saddle)
+    solver = fl.LaggedBlockSaddle()
+    x = solver.solve(spla, saddle, b, 0.02)
+    first = solver.gmres_iterations
+    solver.solve(spla, saddle, -b, 0.02)
+    # the accepted solutions x and -x extrapolate to -3x, whose residual
+    # 4b is larger than that of the zero start
+    start, r = solver._start(saddle, b)
+    assert np.array_equal(start, solver._precondition(b))
+    assert np.array_equal(r, b - saddle @ start)
+    again = solver.solve(spla, saddle, b, 0.02)
+    assert solver.gmres_iterations == 3 * first
+    assert np.array_equal(again, x)
+    # solutions held for another dt are dropped, not extrapolated: the
+    # start is that of a new solver
+    solver.solve(spla, saddle, b, 0.02)
+    fresh = fl.LaggedBlockSaddle()
+    assert np.array_equal(solver.solve(spla, saddle, b, 0.01),
+                          fresh.solve(spla, saddle, b, 0.01))
+    assert solver.counts()["factorizations"] == 2
+    assert len(solver._accepted) == 1
 
 
 def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields):
