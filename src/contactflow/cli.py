@@ -472,13 +472,11 @@ def run_corner_probe(cfg, params, outdir):
                                                boundary="mixed")
         diri = corner_mod.angular_eigenvalues(om, count=ccfg["count"],
                                               boundary="dirichlet")
-        probes = []
-        for q in ccfg["qs"]:
-            rep = corner_mod.wedge_poisson_probe(
-                om, q, ccfg["n"], refine=tuple(ccfg["refine"]))
-            probes.append({"q": q, "growth_rate": rep.growth_rate,
-                           "verdict": rep.verdict,
-                           "norms": list(rep.norms)})
+        probes = [{"q": rep.q, "growth_rate": rep.growth_rate,
+                   "verdict": rep.verdict, "norms": rep.norms}
+                  for rep in corner_mod.wedge_poisson_probe(
+                      om, ccfg["qs"], ccfg["n"],
+                      refine=tuple(ccfg["refine"]))]
         gamma = mixed.eigenvalues[0]
         entries.append({
             "omega": om,

@@ -202,8 +202,9 @@ def _wedge_solve(omega, n):
     return r, drho, theta.reshape(nr - 1, na)
 
 
-def _hessian_lq(r, drho, th, q):
-    """Discrete L^q norm of the Cartesian Hessian from polar derivatives."""
+def _hessian_lq(r, drho, th, qs):
+    """Discrete L^q norms of the Cartesian Hessian from polar derivatives,
+    one per q in qs."""
     nr = r.size - 1
     na = th.shape[1]
     # pad with boundary values: rho=0 Dirichlet zero, Neumann mirror at top,
@@ -243,28 +244,35 @@ def _hessian_lq(r, drho, th, q):
 
     dri = 0.5 * (r[2:] - r[:-2])[:, None]
     w = rcol * dri * drho
-    return float(np.sum(mag2 ** (q / 2.0) * w) ** (1.0 / q))
+    return [float(np.sum(mag2 ** (q / 2.0) * w) ** (1.0 / q)) for q in qs]
 
 
-def wedge_poisson_probe(omega, q, n, refine=(1.0, 1.5, 2.0, 3.0)):
-    """Refinement study of ||Hessian||_{L^q} for the mixed wedge problem.
+def wedge_poisson_probe(omega, qs, n, refine=(1.0, 1.5, 2.0, 3.0)):
+    """Refinement study of ||Hessian||_{L^q} for the mixed wedge problem,
+    one WedgeProbeReport per q in qs.
 
-    Returns the sequence of discrete norms on geometrically refined graded
-    grids, the log-log growth rate against n and a bounded/divergent verdict
-    (thresholds 0.05 and 0.1 on the rate).
+    The wedge solution does not depend on q, so each geometrically refined
+    graded grid is solved once and its Hessian measured in every L^q norm.
+    A report holds the sequence of discrete norms, the log-log growth rate
+    against n and a bounded/divergent verdict (thresholds 0.05 and 0.1 on
+    the rate).
     """
     ns, norms = [], []
     for fac in refine:
         ni = int(round(n * fac))
         r, drho, th = _wedge_solve(omega, ni)
         ns.append(ni)
-        norms.append(_hessian_lq(r, drho, th, q))
-    slope = float(np.polyfit(np.log(ns), np.log(norms), 1)[0])
-    if slope < 0.05:
-        verdict = "bounded"
-    elif slope > 0.1:
-        verdict = "divergent"
-    else:
-        verdict = "inconclusive"
-    return WedgeProbeReport(omega=omega, q=q, n_list=ns, norms=norms,
-                            growth_rate=slope, verdict=verdict)
+        norms.append(_hessian_lq(r, drho, th, qs))
+    reports = []
+    for q, qnorms in zip(qs, map(list, zip(*norms))):
+        slope = float(np.polyfit(np.log(ns), np.log(qnorms), 1)[0])
+        if slope < 0.05:
+            verdict = "bounded"
+        elif slope > 0.1:
+            verdict = "divergent"
+        else:
+            verdict = "inconclusive"
+        reports.append(WedgeProbeReport(omega=omega, q=q, n_list=list(ns),
+                                        norms=qnorms, growth_rate=slope,
+                                        verdict=verdict))
+    return reports

@@ -12,13 +12,16 @@ import os
 import platform
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 import scipy
+import scipy.sparse.linalg as spla
 
 from contactflow import cli
 from contactflow import diagnostics as diag
+from contactflow import flow as flow_mod
 from contactflow.params import ConstraintError, PhysicalParams
 
 TINY = {
@@ -514,3 +517,22 @@ def test_serial_rerun_is_byte_identical(tmp_path):
     rc_c, out_c = _run(tmp_path, echoed, out="c")
     assert rc_c == 0
     assert series_a == (out_c / "series.csv").read_bytes()
+
+
+def test_curved_decay_rerun_is_byte_identical(tmp_path, monkeypatch):
+    # the single-precision velocity factor keeps a curved decay rerun exact
+    dtypes = []
+
+    def splu(A, **kw):
+        dtypes.append(A.dtype)
+        return spla.splu(A, **kw)
+
+    monkeypatch.setattr(flow_mod, "spla", types.SimpleNamespace(splu=splu))
+    cfg = dict(TINY, mode="decay", params={"gamma_jump": 0.3})
+    cfg["initial"] = dict(TINY["initial"], theta_amp=0.01)
+    rc_a, out_a = _run(tmp_path, cfg, out="a")
+    rc_b, out_b = _run(tmp_path, cfg, out="b")
+    assert rc_a == rc_b == 0
+    assert dtypes == [np.float32, np.float32]
+    assert (out_a / "series.csv").read_bytes() \
+        == (out_b / "series.csv").read_bytes()

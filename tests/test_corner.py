@@ -81,8 +81,7 @@ def test_threshold_uncapped_branch():
 
 def test_wedge_probe_splits_at_obtuse_angle():
     om = 3 * math.pi / 4  # mixed threshold q* = 1.5
-    low = co.wedge_poisson_probe(om, 1.2, 16)
-    high = co.wedge_poisson_probe(om, 1.8, 16)
+    low, high = co.wedge_poisson_probe(om, [1.2, 1.8], 16)
     assert low.verdict == "bounded"
     assert high.verdict == "divergent"
     assert low.growth_rate < 0.05 < 0.1 < high.growth_rate
@@ -93,5 +92,24 @@ def test_wedge_probe_splits_at_obtuse_angle():
 
 def test_wedge_probe_right_angle_subcritical():
     # q* = 2 at omega = pi/2: anything strictly below 2 stays bounded
-    rep = co.wedge_poisson_probe(math.pi / 2, 1.2, 16)
+    rep, = co.wedge_poisson_probe(math.pi / 2, [1.2], 16)
     assert rep.verdict == "bounded"
+
+
+def test_wedge_probe_solves_each_grid_once(monkeypatch):
+    # the wedge solution does not depend on q: one solve per refined grid
+    # serves every q, and each q gets the norms of a call of its own
+    om, qs, refine = 3 * math.pi / 4, [1.2, 1.5, 1.8], (1.0, 1.5, 2.0)
+    single = [co.wedge_poisson_probe(om, [q], 12, refine)[0] for q in qs]
+    solves = []
+    solve = co._wedge_solve
+    monkeypatch.setattr(co, "_wedge_solve",
+                        lambda *args: solves.append(args) or solve(*args))
+    joint = co.wedge_poisson_probe(om, qs, 12, refine)
+    assert len(solves) == len(refine)
+    assert [rep.q for rep in joint] == qs
+    for rep, ref in zip(joint, single):
+        assert rep.norms == ref.norms
+        assert rep.n_list == ref.n_list == [12, 18, 24]
+        assert rep.growth_rate == ref.growth_rate
+        assert rep.verdict == ref.verdict

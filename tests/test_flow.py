@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -545,3 +546,79 @@ def test_block_solves_keep_divergence_at_direct_level(params):
                               fresh=False):
         assert flow.div_residual <= 1e-12
     assert problem.saddle_solver.counts()["fallbacks"] == 0
+
+
+# ------------------------------------------------------------
+# single-precision velocity factor
+# ------------------------------------------------------------
+
+class _DoubleSaddle(fl.LaggedBlockSaddle):
+    """Block saddle solver holding its velocity-block LU in float64."""
+    factor_dtype = np.float64
+
+
+def _record_splu(monkeypatch, module):
+    """dtypes of the matrices that module's spla handle factors from now on."""
+    dtypes = []
+
+    def splu(A, **kw):
+        dtypes.append(A.dtype)
+        return spla.splu(A, **kw)
+
+    monkeypatch.setattr(module, "spla", types.SimpleNamespace(splu=splu))
+    return dtypes
+
+
+def _run_counted(problem, flow, heat_state, dts):
+    """(flow, heat) after each step and each step's saddle GMRES count."""
+    out, counts = [], []
+    fields = geo.build_geometry(problem.grid, flow.eta, flow.zdot)
+    solver = problem.saddle_solver
+    for dt in dts:
+        before = solver.gmres_iterations
+        flow, heat_state, fields = fl.coupled_step(problem, fields, flow,
+                                                   heat_state, dt)
+        out.append((flow, heat_state))
+        counts.append(solver.gmres_iterations - before)
+    return out, counts
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_single_precision_factor_keeps_iterations(params, jump,
+                                                  monkeypatch):
+    problem = _curved_problem(params, jump)
+    double = dataclasses.replace(problem)
+    double.saddle_solver = _DoubleSaddle()
+    flow, heat_state = _perturbed_start(problem)
+    dts = [0.02] * 20
+    dtypes = _record_splu(monkeypatch, fl)
+    single_steps, single_counts = _run_counted(problem, flow, heat_state, dts)
+    double_steps, double_counts = _run_counted(double, flow, heat_state, dts)
+    assert dtypes == [np.float32, np.float64]
+    assert single_counts == double_counts
+    assert min(single_counts) > 0
+    _assert_trajectories_match(single_steps, double_steps)
+    for state, _ in single_steps:
+        assert state.div_residual <= 1e-12
+    for solver in (problem.saddle_solver, double.saddle_solver):
+        assert solver.counts()["factorizations"] == 1
+        assert solver.counts()["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_single_precision_factor_solves_a_stiff_system(params, jump):
+    # at dt = 1 the viscous blocks outweigh the mass M/dt; fresh float32
+    # factors still meet LAG_RTOL within the one cycle, in as many
+    # iterations as float64 ones
+    problem = _curved_problem(params, jump)
+    fields = geo.build_geometry(problem.grid, np.zeros(problem.grid.nx))
+    saddle = _saddle(problem, fields, 1.0)
+    b = _momentum_load(saddle)
+    solver, double = fl.LaggedBlockSaddle(), _DoubleSaddle()
+    x = solver.solve(spla, saddle, b, 1.0)
+    double.solve(spla, saddle, b, 1.0)
+    assert np.linalg.norm(b - saddle @ x) <= fl.LAG_RTOL * np.linalg.norm(b)
+    assert solver.counts() == double.counts()
+    assert solver.counts()["factorizations"] == 1
+    assert solver.counts()["fallbacks"] == 0
+    assert solver.counts()["max_gmres_iterations"] < fl.LAG_RESTART
