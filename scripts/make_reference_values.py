@@ -171,7 +171,8 @@ def linearized_profiles():
     return out
 
 
-def main():
+def render():
+    """The text of tests/_reference.py."""
     lines = [
         '"""Frozen oracle values. Generated by scripts/make_reference_values.py."""',
         "",
@@ -202,10 +203,13 @@ def main():
     for jump, at0, atl in linearized_profiles():
         lines.append(f"    ({jump!r}, {at0!r}, {atl!r}),")
     lines += ["]", ""]
+    return "\n".join(lines)
 
+
+def main():
     target = pathlib.Path(__file__).resolve().parents[1] / "tests" / "_reference.py"
     target.parent.mkdir(exist_ok=True)
-    target.write_text("\n".join(lines))
+    target.write_text(render())
     print(f"wrote {target}")
 
 

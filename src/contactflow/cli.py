@@ -191,7 +191,9 @@ def validate_config(cfg):
              "epsilon-sweep")
     if cfg["mode"] not in modes:
         raise ConstraintError("mode must be one of %s" % (modes,))
-    params = PhysicalParams(**cfg["params"])
+    # sigma(theta) > 0 must hold over the configured temperatures
+    amp = max(1.0, abs(cfg["initial"]["theta_amp"]))
+    params = PhysicalParams(**cfg["params"], theta_range=(-amp, amp))
     params.require_valid()
     if not 0.0 < cfg["mean_height"] <= params.big_l:
         raise ConstraintError("mean_height must lie in (0, big_l]")

@@ -107,16 +107,18 @@ def surface_norm(values, orders, ell):
 # bulk norms
 # ============================================================
 
+def _trapezoid(n, h):
+    """Trapezoid weights of n + 1 equispaced nodes h apart."""
+    w = np.full(n + 1, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def _node_weights(fields):
     grid = fields.grid
-    met = fields.at("nodes")
-    w = met["Jvol"] * (grid.hx * grid.hs)
-    w = w.copy()
-    w[0, :] *= 0.5
-    w[-1, :] *= 0.5
-    w[:, 0] *= 0.5
-    w[:, -1] *= 0.5
-    return w
+    return fields.at("nodes")["Jvol"] * np.outer(_trapezoid(grid.nx, grid.hx),
+                                                 _trapezoid(grid.ny, grid.hs))
 
 
 def bulk_norm(fields, f, orders):
@@ -150,42 +152,28 @@ def bulk_norm(fields, f, orders):
     return out
 
 
-def trace_norm_slip(fields, comps):
-    """L^2 norm of node data on bottom and walls (physical arc measure)."""
+def trace_norm_slip(fields, u):
+    """L^2 norm of stacked node components u (2, nx+1, ny+1) on bottom and
+    walls (physical arc measure: the walls carry their rest column
+    heights)."""
     grid = fields.grid
-    comps = comps if isinstance(comps, (list, tuple)) else (
-        list(comps) if np.asarray(comps).ndim == 3 else [comps])
-    acc = 0.0
-    Hl = grid.depth + float(grid.zeta0_fn(-grid.ell))
-    Hr = grid.depth + float(grid.zeta0_fn(grid.ell))
-    for g in comps:
-        wb = np.full(grid.nx + 1, grid.hx)
-        wb[0] *= 0.5
-        wb[-1] *= 0.5
-        acc += np.sum(g[:, 0] ** 2 * wb)
-        ww = np.full(grid.ny + 1, grid.hs)
-        ww[0] *= 0.5
-        ww[-1] *= 0.5
-        acc += np.sum(g[0, :] ** 2 * ww) * Hl
-        acc += np.sum(g[-1, :] ** 2 * ww) * Hr
-    return math.sqrt(acc)
+    wb, ww = _trapezoid(grid.nx, grid.hx), _trapezoid(grid.ny, grid.hs)
+    hl, hr = grid.depth + grid.zeta0_f[0], grid.depth + grid.zeta0_f[-1]
+    sq = np.asarray(u, float) ** 2
+    return math.sqrt(np.sum(sq[:, :, 0] * wb) + hl * np.sum(sq[:, 0] * ww)
+                     + hr * np.sum(sq[:, -1] * ww))
 
 
 def trace_norm_surface(fields, g):
     """L^2 norm of node data on the top boundary, weighted by |N|."""
-    grid = fields.grid
-    srf = fields.surface()
-    w = np.full(grid.nx + 1, grid.hx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return math.sqrt(np.sum(np.asarray(g, float) ** 2 * srf["abs_n"] * w))
+    w = _trapezoid(fields.grid.nx, fields.grid.hx)
+    return math.sqrt(np.sum(np.asarray(g, float) ** 2
+                            * fields.surface()["abs_n"] * w))
 
 
 def bracket_term(kappa, values):
     """kappa-weighted squared endpoint bracket of top cell-center data."""
-    v = np.asarray(values, float)
-    left = 1.5 * v[0] - 0.5 * v[1]
-    right = 1.5 * v[-1] - 0.5 * v[-2]
+    left, right = geometry.to_nodes(values, 0)[[0, -1]]
     return kappa * (left * left + right * right)
 
 
@@ -284,8 +272,8 @@ def energy_report(problem, fields, flow, heat_state=None):
     th = dth = d2th = None
     if heat_state is not None:
         th = heat_state.theta
-        dth = heat_state.dtheta_dt()
-        d2th = heat_state.d2theta_dt2()
+        dth = heat_state.dt_field("theta")
+        d2th = heat_state.d2t_field("theta")
 
     # (norms, field, {key: (s, q)}): each key gets the squared norm of one
     # order; the Eeps/Deps keys get raw squares, scaled by eps below
@@ -354,13 +342,7 @@ def energy_report(problem, fields, flow, heat_state=None):
 
 def _cells_to_nodes(c):
     """Bilinear cell-to-node interpolation with linear boundary extension."""
-    c = np.asarray(c, float)
-    pad = np.pad(c, 1, mode="edge")
-    pad[0] = 2.0 * pad[1] - pad[2]
-    pad[-1] = 2.0 * pad[-2] - pad[-3]
-    pad[:, 0] = 2.0 * pad[:, 1] - pad[:, 2]
-    pad[:, -1] = 2.0 * pad[:, -2] - pad[:, -3]
-    return 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
+    return geometry.to_nodes(geometry.to_nodes(c, 0), 1)
 
 
 # ============================================================

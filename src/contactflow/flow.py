@@ -37,6 +37,8 @@ product.
 
 Advection, buoyancy and the mesh-motion term are explicit, so the overall
 splitting is first order in dt and each step is one linear saddle solve.
+Advection and mesh motion are geometry.transport_source on each velocity
+component's face grid, the operator that also carries the temperature.
 The kinematic update eta += dt Ztop u reuses the same Z2 top row, which
 closes the energy bookkeeping: the implicit surface blocks are exactly the
 discrete gradients of the surface energies.
@@ -82,7 +84,7 @@ at the moving contact points, with W(z) = w3 z^3.
 import functools
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -405,8 +407,35 @@ class LaggedBlockSaddle(_LaggedSolver):
 # state
 # ============================================================
 
+class StateHistory:
+    """Time levels of a state dataclass with fields `levels` and `dt`.
+
+    `levels` holds the previous two states, newest first, each a bare
+    snapshot with no levels of its own, so histories never nest. The time
+    derivatives of a field are its backward differences over them; a
+    history too short for one reads zero.
+    """
+
+    def advanced(self, **kw):
+        """This state with the fields in kw replaced, itself the newest
+        level."""
+        return replace(self, levels=[replace(self, levels=[])]
+                       + self.levels[:1], **kw)
+
+    def dt_field(self, name):
+        if not self.levels or self.dt == 0.0:
+            return np.zeros_like(getattr(self, name))
+        return (getattr(self, name) - getattr(self.levels[0], name)) / self.dt
+
+    def d2t_field(self, name):
+        if len(self.levels) < 2 or self.dt == 0.0:
+            return np.zeros_like(getattr(self, name))
+        return (getattr(self, name) - 2.0 * getattr(self.levels[0], name)
+                + getattr(self.levels[1], name)) / self.dt ** 2
+
+
 @dataclass
-class FlowState:
+class FlowState(StateHistory):
     u1: np.ndarray                 # (nx+1, ny) x-face samples
     u2: np.ndarray                 # (nx, ny+1) y-face samples
     p: np.ndarray                  # (nx, ny) cell samples
@@ -418,33 +447,6 @@ class FlowState:
     recenter_log: float = 0.0
     div_residual: float = 0.0
     contact_speeds: tuple = (0.0, 0.0)
-
-    def _lvl(self, n, name):
-        return getattr(self.levels[n], name)
-
-    def dt_field(self, name):
-        if not self.levels or self.dt == 0.0:
-            return np.zeros_like(getattr(self, name))
-        return (getattr(self, name) - self._lvl(0, name)) / self.dt
-
-    def d2t_field(self, name):
-        if len(self.levels) < 2 or self.dt == 0.0:
-            return np.zeros_like(getattr(self, name))
-        return (getattr(self, name) - 2.0 * self._lvl(0, name)
-                + self._lvl(1, name)) / self.dt ** 2
-
-    def _bare(self):
-        """Snapshot carrying the arrays only; histories never nest."""
-        return FlowState(u1=self.u1, u2=self.u2, p=self.p, eta=self.eta,
-                         zdot=self.zdot, time=self.time, dt=self.dt)
-
-    def advanced(self, **kw):
-        lev = [self._bare()] + self.levels[:2]
-        prev = {k: getattr(self, k) for k in
-                ("u1", "u2", "p", "eta", "zdot", "time", "dt")}
-        prev.update(kw)
-        prev["levels"] = lev
-        return FlowState(**prev)
 
 
 def zero_flow_state(grid):
@@ -650,9 +652,8 @@ class MacStencils:
         wwall = np.full(ny, hs)
         wwall[-1] *= 0.5
         self.slip_weights = beta * np.concatenate(
-            [np.full(nx - 1, hx)]
-            + [wwall * (grid.depth + float(grid.zeta0_fn(x)))
-               for x in (-grid.ell, grid.ell)])
+            [np.full(nx - 1, hx), wwall * (grid.depth + grid.zeta0_f[0]),
+             wwall * (grid.depth + grid.zeta0_f[-1])])
 
         # surface stations: slopes between top centers, rest slope and the
         # curvature weight at the interior x faces, wall extrapolation
@@ -797,40 +798,25 @@ class FlowOperators:
 # explicit terms
 # ============================================================
 
+def _face_means(c, axis):
+    """Cell values to the faces between and around them along axis:
+    neighbour means inside, the end cell's value copied at each end."""
+    c = np.moveaxis(c, axis, 0)
+    out = np.concatenate([c[:1], 0.5 * (c[:-1] + c[1:]), c[-1:]])
+    return np.moveaxis(out, 0, axis)
+
+
 def _advection(fields, u1, u2):
-    """Explicit transport sources at the velocity faces.
-
-    adv = dt(etabar) W K d2 u - u . grad_calA u, reconstructed per component
-    on its own face grid.
-    """
-    grid = fields.grid
-    hx, hs = grid.hx, grid.hs
-    met_xf = fields.at("xfaces")
-    met_yf = fields.at("yfaces")
-
-    # u2 interpolated to x faces (cells first, then horizontal average)
-    u2c = 0.5 * (u2[:, :-1] + u2[:, 1:])
-    u2_xf = np.empty_like(u1)
-    u2_xf[1:-1] = 0.5 * (u2c[:-1] + u2c[1:])
-    u2_xf[0] = u2c[0]
-    u2_xf[-1] = u2c[-1]
-    gx1 = np.gradient(u1, hx, axis=0, edge_order=2)
-    gs1 = np.gradient(u1, hs, axis=1, edge_order=2)
-    conv1 = u1 * (gx1 + met_xf["c12"] * gs1) + u2_xf * (met_xf["c22"] * gs1)
-    adv1 = (met_xf["dt_eta_bar"] * met_xf["W"] * met_xf["K"]
-            * met_xf["invH"][:, None] * gs1) - conv1
-
-    u1c = 0.5 * (u1[:-1] + u1[1:])
-    u1_yf = np.empty_like(u2)
-    u1_yf[:, 1:-1] = 0.5 * (u1c[:, :-1] + u1c[:, 1:])
-    u1_yf[:, 0] = u1c[:, 0]
-    u1_yf[:, -1] = u1c[:, -1]
-    gx2 = np.gradient(u2, hx, axis=0, edge_order=2)
-    gs2 = np.gradient(u2, hs, axis=1, edge_order=2)
-    conv2 = u1_yf * (gx2 + met_yf["c12"] * gs2) + u2 * (met_yf["c22"] * gs2)
-    adv2 = (met_yf["dt_eta_bar"] * met_yf["W"] * met_yf["K"]
-            * met_yf["invH"][:, None] * gs2) - conv2
-    return adv1, adv2
+    """Explicit transport sources of u1 on the x faces and u2 on the y
+    faces (geometry.transport_source), the other component averaged
+    through the cells onto each face grid."""
+    hx, hs = fields.grid.hx, fields.grid.hs
+    u2_xf = _face_means(0.5 * (u2[:, :-1] + u2[:, 1:]), 0)
+    u1_yf = _face_means(0.5 * (u1[:-1] + u1[1:]), 1)
+    return (geometry.transport_source(fields.at("xfaces"), u1, (u1, u2_xf),
+                                      hx, hs),
+            geometry.transport_source(fields.at("yfaces"), u2, (u1_yf, u2),
+                                      hx, hs))
 
 
 def _theta_at_yfaces(theta):
@@ -919,8 +905,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
         flux_nodes[0] = wL / params.sigma1
         flux_nodes[-1] = -wR / params.sigma1
         dflux_c = np.diff(flux_nodes) / grid.hx
-        th_top_c = 0.5 * (theta[:-1, -1] + theta[1:, -1])
-        rhs -= ops.Ztop.T @ (grid.hx * params.sigma2 * th_top_c * dflux_c)
+        rhs -= ops.Ztop.T @ (grid.hx * params.sigma2 * th_yf[:, -1] * dflux_c)
 
     saddle = SaddleSystem(ops.A_dof, ops.B_dof, ops.mass_diag[mac.free],
                           ops.cell_measure, params.mu)
@@ -947,17 +932,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
 
 def velocity_at_nodes(u1, u2):
     """Interpolate MAC face velocities to the node grid."""
-    nxp, ny = u1.shape
-    u1n = np.empty((nxp, ny + 1))
-    u1n[:, 1:-1] = 0.5 * (u1[:, :-1] + u1[:, 1:])
-    u1n[:, 0] = 1.5 * u1[:, 0] - 0.5 * u1[:, 1]
-    u1n[:, -1] = 1.5 * u1[:, -1] - 0.5 * u1[:, -2]
-    nx = u2.shape[0]
-    u2n = np.empty((nx + 1, ny + 1))
-    u2n[1:-1] = 0.5 * (u2[:-1] + u2[1:])
-    u2n[0] = 1.5 * u2[0] - 0.5 * u2[1]
-    u2n[-1] = 1.5 * u2[-1] - 0.5 * u2[-2]
-    return np.array([u1n, u2n])
+    return np.array([geometry.to_nodes(u1, 1), geometry.to_nodes(u2, 0)])
 
 
 def coupled_step(problem, fields, flow, heat_state, dt):

@@ -39,6 +39,10 @@ volume weight is Jvol = J H. Flux components Z = Jvol c^T X satisfy
     Z2|s=0 = X2 (bottom flux),
 
 which is what makes discrete volume bookkeeping telescope exactly.
+
+Velocity and temperature are carried by the same operator,
+dt(etabar) W K d2 f - u . grad_calA f, and transport_source is its one
+discrete form: flow and heat both take their explicit transport from it.
 """
 
 from dataclasses import dataclass, field
@@ -289,12 +293,28 @@ def omega_gradient(met, f, hx, hs):
     return np.array([gx + met["b"] * gs, met["invH"][:, None] * gs])
 
 
-def grad_a(fields, f):
-    """(grad_calA f)_i = calA_ik d_k f on node samples, with
-    calA = [[1, -A K], [0, K]]."""
-    met = fields.at("nodes")
-    g = omega_gradient(met, f, fields.grid.hx, fields.grid.hs)
-    return np.array([g[0] - met["A"] * met["K"] * g[1], met["K"] * g[1]])
+def transport_source(met, f, u, hx, hs):
+    """Explicit transport of f on one staggering: the mesh motion
+    dt(etabar) W K d2 f minus the advection u . grad_calA f.
+
+    met is the metric on f's own samples and u = (u1, u2) the velocity
+    there. In the reference frame d2 = (1/H) d/ds and grad_calA f =
+    (d/dx1 f + c12 d/ds f, c22 d/ds f), so the cofactors c12 and c22 of met
+    serve as they are.
+    """
+    gx, gs = ref_gradient(f, hx, hs)
+    return (met["dt_eta_bar"] * met["W"] * met["K"] * met["invH"][:, None] * gs
+            - (u[0] * (gx + met["c12"] * gs) + u[1] * (met["c22"] * gs)))
+
+
+def to_nodes(a, axis):
+    """Samples between nodes (cells or faces) along axis to the nodes:
+    neighbour means inside, the linear extrapolation 1.5 a0 - 0.5 a1 at
+    each end."""
+    a = np.moveaxis(np.asarray(a, float), axis, 0)
+    out = np.concatenate([1.5 * a[:1] - 0.5 * a[1:2], 0.5 * (a[:-1] + a[1:]),
+                          1.5 * a[-1:] - 0.5 * a[-2:-1]])
+    return np.moveaxis(out, 0, axis)
 
 
 def piola_residual(fields):

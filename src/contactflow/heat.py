@@ -22,7 +22,8 @@ and sums them into that pattern.
 
 Transport (u . grad_calA theta and the mesh-motion term
 dt(etabar) W K d2 theta) is explicit with two-level extrapolation, keeping
-the implicit part linear and symmetric.
+the implicit part linear and symmetric. It is geometry.transport_source on
+the nodes, the operator that also carries the velocity.
 """
 
 import math
@@ -33,6 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import geometry
+from .flow import StateHistory
 
 
 # ============================================================
@@ -206,40 +208,23 @@ def heat_operators(fields, k_cond):
 # ============================================================
 
 @dataclass
-class HeatState:
+class HeatState(StateHistory):
     theta: np.ndarray               # (nx+1, ny+1) node samples
     time: float = 0.0
     dt: float = 0.0
-    levels: list = field(default_factory=list)  # previous thetas, newest first
-
-    def dtheta_dt(self):
-        if not self.levels or self.dt == 0.0:
-            return np.zeros_like(self.theta)
-        return (self.theta - self.levels[0]) / self.dt
-
-    def d2theta_dt2(self):
-        if len(self.levels) < 2 or self.dt == 0.0:
-            return np.zeros_like(self.theta)
-        return (self.theta - 2.0 * self.levels[0] + self.levels[1]) / self.dt ** 2
+    levels: list = field(default_factory=list)  # previous states, newest first
 
     def advanced(self, theta_new, dt):
-        levels = [self.theta] + self.levels[:2]
-        return HeatState(theta=theta_new, time=self.time + dt, dt=dt,
-                         levels=levels)
+        return super().advanced(theta=theta_new, time=self.time + dt, dt=dt)
 
 
 def _transport_nodes(fields, theta, u_nodes):
-    """Explicit transport sources: mesh motion plus advection by u."""
-    met = fields.at("nodes")
+    """Explicit transport sources on the nodes (geometry.transport_source):
+    mesh motion plus advection by u_nodes, which None leaves out."""
     grid = fields.grid
-    out = np.zeros_like(theta)
-    if np.any(fields.deta_dt):
-        ds = np.gradient(theta, grid.hs, axis=1, edge_order=2)
-        out += met["dt_eta_bar"] * met["W"] * met["K"] * met["invH"][:, None] * ds
-    if u_nodes is not None:
-        g = geometry.grad_a(fields, theta)
-        out -= u_nodes[0] * g[0] + u_nodes[1] * g[1]
-    return out
+    return geometry.transport_source(
+        fields.at("nodes"), theta, (0.0, 0.0) if u_nodes is None else u_nodes,
+        grid.hx, grid.hs)
 
 
 def _load_vector(ops, f8, f9):
@@ -269,15 +254,15 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
     """
     ops = heat_operators(fields, k_cond)
     th = state.theta.ravel()[ops.order]
-    that = state.theta
-    if state.levels:
-        that = 1.5 * state.theta - 0.5 * state.levels[0]
-
     rhs = ops.M @ th / dt - 0.5 * (ops.B @ th)
     rhs += _load_vector(ops, f8, f9)
-    adv = _transport_nodes(fields, that, transport)
-    if np.any(adv):
-        rhs += ops.M @ adv.ravel()[ops.order]
+    if transport is not None or np.any(fields.deta_dt):
+        that = state.theta
+        if state.levels:
+            that = 1.5 * state.theta - 0.5 * state.levels[0].theta
+        adv = _transport_nodes(fields, that, transport)
+        if np.any(adv):
+            rhs += ops.M @ adv.ravel()[ops.order]
 
     mat = sp.csc_matrix((ops.M_ff.data / dt + ops.B_ff.data * 0.5,
                          ops.M_ff.indices, ops.M_ff.indptr),

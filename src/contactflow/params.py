@@ -35,8 +35,10 @@ class PhysicalParams:
     gamma_jump is the solid-vapor minus solid-fluid interfacial energy
     difference at the contact point; the Young relation |gamma_jump| < sigma1
     keeps the equilibrium contact angle inside (0, pi). sigma(theta) =
-    sigma1 - sigma2*theta must stay positive over the temperature range the
-    run is configured for.
+    sigma1 - sigma2*theta must stay positive over theta_range, the
+    temperature range the run is configured for: validate_config in the CLI
+    sets it to (-T, T) with T = max(1, |initial.theta_amp|), which bounds
+    the initial temperature.
     """
 
     mu: float = 0.35          # viscosity

@@ -1,10 +1,12 @@
-"""Fixed-pattern assembly against the product formulas it replaced.
+"""Fixed-pattern assembly and explicit transport against the formulas they
+replaced.
 
 The reference builders below assemble every flow and heat matrix the way
 the solver did before its patterns were held: metric-free stencils scaled
 by sparse diagonal products, and a per-cell loop over the 4x4 element
 entries. The held patterns sum in another order, so entries agree to
-rounding, not bitwise.
+rounding, not bitwise. The transport references write the source once per
+staggering, the temperature's through grad_calA built from b, A, K and 1/H.
 """
 
 import dataclasses
@@ -227,3 +229,70 @@ def test_heat_matrices_match_element_loop(params, jump):
         _assert_entries_match(got, ref[free][:, order])
     for got, ref in ((ops.M_ff, M), (ops.B_ff, B)):
         _assert_entries_match(got, ref[free][:, free])
+
+
+# ------------------------------------------------------------
+# explicit transport: one formula per staggering
+# ------------------------------------------------------------
+
+def _reference_advection(fields, u1, u2):
+    grid = fields.grid
+    hx, hs = grid.hx, grid.hs
+    met_xf = fields.at("xfaces")
+    met_yf = fields.at("yfaces")
+    u2c = 0.5 * (u2[:, :-1] + u2[:, 1:])
+    u2_xf = np.empty_like(u1)
+    u2_xf[1:-1] = 0.5 * (u2c[:-1] + u2c[1:])
+    u2_xf[0] = u2c[0]
+    u2_xf[-1] = u2c[-1]
+    gx1 = np.gradient(u1, hx, axis=0, edge_order=2)
+    gs1 = np.gradient(u1, hs, axis=1, edge_order=2)
+    conv1 = u1 * (gx1 + met_xf["c12"] * gs1) + u2_xf * (met_xf["c22"] * gs1)
+    adv1 = (met_xf["dt_eta_bar"] * met_xf["W"] * met_xf["K"]
+            * met_xf["invH"][:, None] * gs1) - conv1
+    u1c = 0.5 * (u1[:-1] + u1[1:])
+    u1_yf = np.empty_like(u2)
+    u1_yf[:, 1:-1] = 0.5 * (u1c[:, :-1] + u1c[:, 1:])
+    u1_yf[:, 0] = u1c[:, 0]
+    u1_yf[:, -1] = u1c[:, -1]
+    gx2 = np.gradient(u2, hx, axis=0, edge_order=2)
+    gs2 = np.gradient(u2, hs, axis=1, edge_order=2)
+    conv2 = u1_yf * (gx2 + met_yf["c12"] * gs2) + u2 * (met_yf["c22"] * gs2)
+    adv2 = (met_yf["dt_eta_bar"] * met_yf["W"] * met_yf["K"]
+            * met_yf["invH"][:, None] * gs2) - conv2
+    return adv1, adv2
+
+
+def _reference_transport_nodes(fields, theta, u_nodes):
+    met = fields.at("nodes")
+    grid = fields.grid
+    ds = np.gradient(theta, grid.hs, axis=1, edge_order=2)
+    out = met["dt_eta_bar"] * met["W"] * met["K"] * met["invH"][:, None] * ds
+    g = geo.omega_gradient(met, theta, grid.hx, grid.hs)
+    grad = np.array([g[0] - met["A"] * met["K"] * g[1], met["K"] * g[1]])
+    return out - (u_nodes[0] * grad[0] + u_nodes[1] * grad[1])
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= REL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("jump", [0.3, -0.5])
+def test_transport_source_matches_per_staggering_formulas(params, jump):
+    grid = _problem(params, jump, 24, 16).grid
+    fields = _displaced_fields(grid)
+    assert np.any(fields.at("nodes")["dt_eta_bar"])
+    X1, S1 = np.meshgrid(grid.xf, grid.sc, indexing="ij")
+    X2, S2 = np.meshgrid(grid.xc, grid.sf, indexing="ij")
+    u1 = 1e-2 * np.sin(2.0 * X1) * np.cos(S1)
+    u2 = 1e-2 * np.cos(1.3 * X2) * S2 ** 2
+    for got, want in zip(fl._advection(fields, u1, u2),
+                         _reference_advection(fields, u1, u2)):
+        _assert_close(got, want)
+    Xn, Sn = np.meshgrid(grid.xf, grid.sf, indexing="ij")
+    theta = np.sin(1.7 * Xn + 0.4) * Sn
+    u_nodes = fl.velocity_at_nodes(u1, u2)
+    _assert_close(ht._transport_nodes(fields, theta, u_nodes),
+                  _reference_transport_nodes(fields, theta, u_nodes))

@@ -173,6 +173,8 @@ BAD_CONFIGS = [
     (("corner", "qs"), []),              # entries with no wedge probe
     (("time", "save_every"), 0),
     (("time", "save_every"), -3),
+    # sigma(theta) = sigma1 - sigma2 theta is -1 at theta = 20
+    (("initial", "theta_amp"), 20.0),
 ]
 
 

@@ -133,6 +133,23 @@ def test_bulk_norm_constant_is_weighted_volume(zero_fields):
     assert abs(val - math.sqrt(3.0)) < 1e-12
 
 
+def test_slip_trace_norm_matches_per_component_sums(zero_fields, grid):
+    u = np.random.default_rng(5).standard_normal((2, grid.nx + 1,
+                                                  grid.ny + 1))
+    wb = np.full(grid.nx + 1, grid.hx)
+    wb[[0, -1]] *= 0.5
+    ww = np.full(grid.ny + 1, grid.hs)
+    ww[[0, -1]] *= 0.5
+    acc = 0.0
+    for g in u:
+        acc += np.sum(g[:, 0] ** 2 * wb)
+        for x, wall in ((-grid.ell, g[0]), (grid.ell, g[-1])):
+            acc += (np.sum(wall ** 2 * ww)
+                    * (grid.depth + float(grid.zeta0_fn(x))))
+    assert dg.trace_norm_slip(zero_fields, u) == pytest.approx(
+        math.sqrt(acc), rel=1e-14)
+
+
 def test_multi_order_norms_equal_single_order_calls(grid, cos_eta):
     fields = geo.build_geometry(grid, 30.0 * cos_eta)
     met = fields.at("nodes")

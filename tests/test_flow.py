@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from contactflow import diagnostics as dg
 from contactflow import equilibrium as eq
 from contactflow import flow as fl
 from contactflow import geometry as geo
@@ -146,7 +147,7 @@ def test_histories_never_nest(grid):
     state = fl.zero_flow_state(grid)
     for n in range(6):
         state = state.advanced(time=state.time + 0.1, dt=0.1)
-    assert len(state.levels) == 3
+    assert len(state.levels) == 2
     for lev in state.levels:
         assert lev.levels == []
 
@@ -167,6 +168,21 @@ def test_velocity_interpolation_shapes(grid):
     state = fl.zero_flow_state(grid)
     u = fl.velocity_at_nodes(state.u1, state.u2)
     assert u.shape == (2, grid.nx + 1, grid.ny + 1)
+
+
+def test_node_interpolation_exact_on_affine_data(grid):
+    def affine(x, s):
+        X, S = np.meshgrid(x, s, indexing="ij")
+        return 0.3 - 1.7 * X + 2.9 * S
+    Xn, Sn = np.meshgrid(grid.xf, grid.sf, indexing="ij")
+    want = 0.3 - 1.7 * Xn + 2.9 * Sn
+    u = fl.velocity_at_nodes(affine(grid.xf, grid.sc),
+                             affine(grid.xc, grid.sf))
+    assert np.max(np.abs(u - want)) < 1e-13
+    assert np.max(np.abs(geo.to_nodes(affine(grid.xc, grid.sf), 0)
+                         - want)) < 1e-13
+    assert np.max(np.abs(dg._cells_to_nodes(affine(grid.xc, grid.sc))
+                         - want)) < 1e-13
 
 
 def test_coupled_step_advances_both_clocks(problem, grid):

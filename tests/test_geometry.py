@@ -186,7 +186,10 @@ def test_phi_cutoff_derivative_consistent(z):
 def test_gradient_exact_on_linear_function(zero_fields):
     met = zero_fields.at("nodes")
     f = 2.0 * met["x1"][:, None] + 3.0 * met["x2"]
-    g = geo.grad_a(zero_fields, f)
+    hx, hs = zero_fields.grid.hx, zero_fields.grid.hs
+    # at rest the source is -u . grad_calA f: u = -e_i reads component i
+    g = [geo.transport_source(met, f, u, hx, hs)
+         for u in ((-1.0, 0.0), (0.0, -1.0))]
     # centered/one-sided differences are exact on affine data
     assert np.max(np.abs(g[0] - 2.0)) < 1e-12
     assert np.max(np.abs(g[1] - 3.0)) < 1e-12

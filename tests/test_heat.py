@@ -239,6 +239,6 @@ def test_state_history_and_derivatives():
     c = np.full((3, 3), 4.0)
     s = ht.HeatState(theta=a).advanced(b, 0.5).advanced(c, 0.5)
     assert s.time == 1.0
-    assert len(s.levels) <= 3
-    assert np.allclose(s.dtheta_dt(), (c - b) / 0.5)
-    assert np.allclose(s.d2theta_dt2(), (c - 2 * b + a) / 0.25)
+    assert len(s.levels) <= 2
+    assert np.allclose(s.dt_field("theta"), (c - b) / 0.5)
+    assert np.allclose(s.d2t_field("theta"), (c - 2 * b + a) / 0.25)
