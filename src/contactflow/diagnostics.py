@@ -249,7 +249,8 @@ def energy_report(problem, fields, flow, heat_state=None):
     entries whose history is too short report zero. eta lives at top cell
     centers, everything else at nodes. Each field's norms come from one
     call; a field that is absent (no heat state) or all zero has zero norms
-    of every order and is not measured.
+    of every order and is neither interpolated to the nodes nor measured:
+    a conduction-only run's resting flow costs no work.
     """
     params = problem.params
     ell = problem.grid.ell
@@ -261,11 +262,17 @@ def energy_report(problem, fields, flow, heat_state=None):
     def top_trace(f, _):
         return [trace_norm_surface(fields, f[:, -1])]
 
-    un = velocity_at_nodes(flow.u1, flow.u2)
-    dun = velocity_at_nodes(flow.dt_field("u1"), flow.dt_field("u2"))
-    d2un = velocity_at_nodes(flow.d2t_field("u1"), flow.d2t_field("u2"))
-    pn = _cells_to_nodes(flow.p)
-    dpn = _cells_to_nodes(flow.dt_field("p"))
+    def at_nodes(interpolate, *data):
+        """interpolate(*data), or None (a zero field) for all-zero data."""
+        return interpolate(*data) if any(map(np.any, data)) else None
+
+    un = at_nodes(velocity_at_nodes, flow.u1, flow.u2)
+    dun = at_nodes(velocity_at_nodes, flow.dt_field("u1"),
+                   flow.dt_field("u2"))
+    d2un = at_nodes(velocity_at_nodes, flow.d2t_field("u1"),
+                    flow.d2t_field("u2"))
+    pn = at_nodes(_cells_to_nodes, flow.p)
+    dpn = at_nodes(_cells_to_nodes, flow.dt_field("p"))
     eta, deta = flow.eta, flow.zdot
     d2eta = flow.dt_field("zdot")
     d3eta = flow.d2t_field("zdot")   # backward difference of speeds: O(dt)
@@ -317,9 +324,9 @@ def energy_report(problem, fields, flow, heat_state=None):
     t["D_p_W1qp"] = t["E_p_W1qp"]
     t["D_eta_W3qp"] = t["E_eta_W3qp"]
     t["D_th_W2qp"] = t["E_th_W2qp"]
-    t["D_u_L2slip"] = trace_norm_slip(fields, un) ** 2
-    t["D_dtu_L2slip"] = trace_norm_slip(fields, dun) ** 2
-    t["D_d2u_L2slip"] = trace_norm_slip(fields, d2un) ** 2
+    for key, f in (("D_u_L2slip", un), ("D_dtu_L2slip", dun),
+                   ("D_d2u_L2slip", d2un)):
+        t[key] = 0.0 if f is None else trace_norm_slip(fields, f) ** 2
     t["D_br_dteta"] = bracket_term(params.kappa, deta)
     t["D_br_d2eta"] = bracket_term(params.kappa, d2eta)
     t["D_br_d3eta"] = bracket_term(params.kappa, d3eta)

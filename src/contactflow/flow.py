@@ -45,9 +45,10 @@ discrete gradients of the surface energies.
 
 The saddle matrix is never assembled or factored whole: its zero pressure
 block forces off-diagonal pivots and a large fill. LaggedBlockSaddle holds two
-SPD factorizations instead, the sparse LU of the velocity block A and the
-banded Cholesky factor of the pressure Laplacian L_p = B M^-1 B^T, and solves
-by GMRES right-preconditioned with the block-triangular [[A, B^T], [0, -S]].
+SPD factorizations instead, the sparse LU of the velocity block A and a
+BandedCholesky of the pressure Laplacian L_p = B M^-1 B^T (the in-place
+LAPACK band factor that also serves the heat spectrum), and solves by GMRES
+right-preconditioned with the block-triangular [[A, B^T], [0, -S]].
 S^-1 = L_p^-1 / dt + mu M_p^-1, with M_p = diag(Jvol hx hs), is the
 Cahouet-Chabard approximation of the Schur complement of unsteady Stokes
 (Cahouet & Chabard, Int. J. Numer. Meth. Fluids 8 (1988); Elman, Silvester &
@@ -286,32 +287,42 @@ class LaggedLU(_LaggedSolver):
         return lu.solve, lu.nnz
 
 
-class PressureLaplacian:
-    """Cholesky factor of L_p = B diag(mass)^-1 B^T.
+class BandedCholesky:
+    """Cholesky factor of a sparse symmetric positive definite band matrix S.
 
-    In the x-major cell order a cell couples only to cells at most ny + 2
-    places away, so L_p is a band matrix and LAPACK's banded Cholesky
-    factors it with no fill outside the band. L_p is positive definite
-    without a shift: B^T has no constant null vector because the top flux
-    is free.
+    Only the upper triangle of S is read. It fills a Fortran-ordered LAPACK
+    upper band, which cholesky_banded factors in place, so the band is held
+    once; a matrix whose entries lie at most bw places from the diagonal
+    factors with no fill outside the band. Raises StabilityError when S is
+    not positive definite. `nnz` counts the band's upper-triangle entries.
     """
 
-    def __init__(self, B, mass):
-        L = sp.triu(B @ sp.diags(1.0 / mass) @ B.T).tocoo()
-        bw = int(np.max(L.col - L.row))
-        band = np.zeros((bw + 1, L.shape[0]))
-        band[bw + L.row - L.col, L.col] = L.data
+    def __init__(self, S):
+        U = sp.triu(S).tocoo()
+        bw = int(np.max(U.col - U.row))
+        band = np.zeros((bw + 1, U.shape[0]), order="F")
+        band[bw + U.row - U.col, U.col] = U.data
         try:
-            self._chol = scipy.linalg.cholesky_banded(band,
-                                                      check_finite=False)
+            self._chol = scipy.linalg.cholesky_banded(
+                band, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            raise StabilityError("pressure Laplacian is not positive "
+            raise StabilityError("banded Cholesky: matrix is not positive "
                                  "definite") from exc
         self.nnz = band.size - bw * (bw + 1) // 2
 
     def solve(self, g):
         return scipy.linalg.cho_solve_banded((self._chol, False), g,
                                              check_finite=False)
+
+
+def pressure_laplacian(B, mass):
+    """BandedCholesky of L_p = B diag(mass)^-1 B^T.
+
+    In the x-major cell order a cell couples only to cells at most ny + 2
+    places away, so L_p is a band matrix. It is positive definite without a
+    shift: B^T has no constant null vector because the top flux is free.
+    """
+    return BandedCholesky(B @ sp.diags(1.0 / mass) @ B.T)
 
 
 class SaddleSystem:
@@ -337,7 +348,7 @@ class SaddleSystem:
 
 class LaggedBlockSaddle(_LaggedSolver):
     """Lagged saddle solver holding the velocity-block LU and the pressure
-    Laplacian Cholesky factor; `system` is a SaddleSystem.
+    Laplacian L_p as a BandedCholesky; `system` is a SaddleSystem.
 
     The right preconditioner is the block-triangular [[A, B^T], [0, -S]]
     with the Cahouet-Chabard Schur inverse S^-1 = L_p^-1 / dt + mu M_p^-1:
@@ -373,7 +384,7 @@ class LaggedBlockSaddle(_LaggedSolver):
         lu = linalg.splu(saddle.A.tocsc().astype(self.factor_dtype),
                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
-        lap = PressureLaplacian(saddle.B, saddle.mass)
+        lap = pressure_laplacian(saddle.B, saddle.mass)
         BT, nu = saddle.BT, saddle.A.shape[0]
         viscous = saddle.mu / saddle.cell_measure
 
@@ -980,7 +991,7 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         mac = problem.stencils
         u = mac.full_vector(u1, u2)[mac.free]
         mass = ops.mass_diag[mac.free]
-        p = PressureLaplacian(ops.B_dof, mass).solve(ops.B_dof @ u)
+        p = pressure_laplacian(ops.B_dof, mass).solve(ops.B_dof @ u)
         u = u - (ops.B_dof.T @ p) / mass
         u1n, u2n = mac.split_full(mac.P @ u)
         state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),

@@ -18,7 +18,10 @@ satisfies a discrete energy identity on static geometry.
 Between steps only the quadrature weights change. HeatPattern holds, once
 per grid, where each element and Robin edge entry lands in the matrices of
 the free rows; HeatOperators maps each step's weights to element entries
-and sums them into that pattern.
+and sums them into that pattern. HeatOperators also holds the
+Crank-Nicolson matrix M_ff/dt + B_ff/2 of its last dt, so on frozen
+geometry (conduction-only runs) it is built once per run, and on moving
+geometry once per step.
 
 Transport (u . grad_calA theta and the mesh-motion term
 dt(etabar) W K d2 theta) is explicit with two-level extrapolation, keeping
@@ -34,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import geometry
-from .flow import StateHistory
+from .flow import BandedCholesky, StateHistory
 
 
 # ============================================================
@@ -156,6 +159,10 @@ class HeatOperators:
     maps the weights k Jvol, k Jvol c12, k Jvol (c12^2 + c22^2) and Jvol to
     the element entries with one matmul each; np.bincount sums them, with
     the Robin edge entries, into the held pattern of HeatPattern.
+
+    cn_system(dt) builds the Crank-Nicolson matrix M_ff/dt + B_ff/2 and
+    holds it for that dt, so every step on these operators hands the solver
+    the same matrix object.
     """
 
     def __init__(self, fields, k_cond):
@@ -189,6 +196,16 @@ class HeatOperators:
             pat.slot[:nk], (pat.mmap @ jv).ravel(), minlength=pat.nnz + 1)[:-1])
         self.B, self.B_ff = pat.matrices(np.bincount(
             pat.slot, stiff, minlength=pat.nnz + 1)[:-1])
+        self._cn = (None, None)       # (dt, M_ff/dt + B_ff/2)
+
+    def cn_system(self, dt):
+        """The Crank-Nicolson matrix M_ff/dt + B_ff/2, held per dt."""
+        if self._cn[0] != dt:
+            M = self.M_ff
+            self._cn = (dt, sp.csc_matrix(
+                (M.data / dt + self.B_ff.data * 0.5, M.indices, M.indptr),
+                shape=M.shape))
+        return self._cn[1]
 
     def embed(self, vec_free):
         out = np.zeros(self.order.size)
@@ -247,7 +264,8 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
 
     solver: the flow.LaggedLU of the run. It factors the first step's
     matrix and reuses that factor for later steps, exactly on frozen
-    geometry and as a GMRES preconditioner on moving geometry.
+    geometry and as a GMRES preconditioner on moving geometry. The matrix
+    is the operators' held cn_system(dt).
     transport: node-sampled velocity (2, nx+1, ny+1) or None. Advection and
     mesh motion are treated explicitly with the two-level extrapolant
     1.5 theta^n - 0.5 theta^{n-1} so the implicit matrix stays symmetric.
@@ -264,10 +282,7 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
         if np.any(adv):
             rhs += ops.M @ adv.ravel()[ops.order]
 
-    mat = sp.csc_matrix((ops.M_ff.data / dt + ops.B_ff.data * 0.5,
-                         ops.M_ff.indices, ops.M_ff.indptr),
-                        shape=ops.M_ff.shape)
-    sol = solver.solve(spla, mat, rhs, dt)
+    sol = solver.solve(spla, ops.cn_system(dt), rhs, dt)
     theta_new = ops.embed(sol).reshape(state.theta.shape)
     return state.advanced(theta_new, dt)
 
@@ -280,10 +295,18 @@ def build_basis(fields, k_cond, m):
     """Lowest m eigenpairs of (B, M) on the free nodes, frozen at the given
     fields, by shift-invert Lanczos. Returns (eigenvalues, M-orthonormal
     eigenvectors as columns), ascending. The fixed start vector makes
-    repeated calls bitwise equal."""
+    repeated calls bitwise equal.
+
+    The shift is 0, so each Lanczos step solves with B_ff itself. B_ff is
+    symmetric positive definite (conduction plus Robin) and, in the x-major
+    order of the free nodes, a band matrix of half-width ny + 1, so the
+    solves use its BandedCholesky, factored in place, and no sparse LU of
+    B_ff is built."""
     ops = heat_operators(fields, k_cond)
+    B_inv = spla.LinearOperator(ops.B_ff.shape, dtype=float,
+                                matvec=BandedCholesky(ops.B_ff).solve)
     lam, vecs = spla.eigsh(ops.B_ff, k=m, M=ops.M_ff, sigma=0.0,
-                           v0=np.ones(ops.free.size))
+                           OPinv=B_inv, v0=np.ones(ops.free.size))
     order = np.argsort(lam)
     return lam[order], vecs[:, order]
 

@@ -311,6 +311,39 @@ def test_energy_report_measures_each_nonzero_field_once(problem, zero_fields,
     assert rep.terms["E_u_W2qp"] == rep.terms["E_dtth_L2"] == 0.0
 
 
+def test_energy_report_builds_no_zero_flow(problem, zero_fields, grid,
+                                           cos_eta, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("velocity_at_nodes", "_cells_to_nodes", "trace_norm_slip"):
+        monkeypatch.setattr(dg, name, counted(getattr(dg, name)))
+    X, S = np.meshgrid(grid.xf, grid.sf, indexing="ij")
+    heat_state = ht.HeatState(theta=np.cos(X) * S)
+    # conduction only: the resting flow is neither interpolated nor measured
+    rep = dg.energy_report(problem, zero_fields, fl.zero_flow_state(grid),
+                           heat_state)
+    assert calls == []
+    assert rep.terms["D_u_L2slip"] == rep.terms["D_d2u_L2slip"] == 0.0
+    assert rep.terms["E_th_L2"] > 0.0
+
+    # a moving flow keeps the slip terms it had when every field was built
+    rep = dg.energy_report(problem, zero_fields, _moving_flow(grid, cos_eta))
+    assert calls.count("velocity_at_nodes") == 3
+    assert calls.count("_cells_to_nodes") == 2
+    assert calls.count("trace_norm_slip") == 3
+    want = {"D_u_L2slip": 4.500000000000001e-05,
+            "D_dtu_L2slip": 0.0019999999999999996,
+            "D_d2u_L2slip": 0.049999999999999975}
+    for key, value in want.items():
+        assert rep.terms[key] == pytest.approx(value, rel=1e-14)
+
+
 def test_energy_eps_collapses_at_zero_eps(problem, zero_fields, grid, cos_eta):
     flow = fl.zero_flow_state(grid)
     flow.eta = cos_eta

@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
@@ -354,6 +355,24 @@ def test_lagged_lu_falls_back_on_a_distant_system():
                                "fallbacks": 1}
     with pytest.raises(fl.StabilityError):
         solver.solve(spla, far, np.full(n, np.nan), 0.1)
+
+
+def test_banded_cholesky_matches_dense_solve():
+    # a random SPD band matrix of half-width 3, given in full: the factor
+    # reads its upper triangle
+    n, bw = 30, 3
+    rng = np.random.default_rng(5)
+    offsets = range(1, bw + 1)
+    upper = sp.diags([rng.standard_normal(n - k) for k in offsets],
+                     list(offsets), shape=(n, n))
+    S = (upper + upper.T + 8.0 * sp.eye(n)).tocsc()
+    b = rng.standard_normal(n)
+    chol = fl.BandedCholesky(S)
+    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S.toarray()), b)
+    assert np.allclose(chol.solve(b), want, rtol=1e-13, atol=1e-13)
+    assert chol.nnz == (bw + 1) * n - bw * (bw + 1) // 2
+    with pytest.raises(fl.StabilityError):
+        fl.BandedCholesky(-sp.eye(n, format="csc"))
 
 
 def _scipy_gmres_cycle(A, precondition, r, atol):

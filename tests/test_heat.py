@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from contactflow import equilibrium as eq
@@ -79,13 +80,19 @@ def test_eigenvalues_converge_to_continuum(flat_surface, params):
     assert rels[0] / rels[1] > 3.4
 
 
-def test_sparse_and_dense_eigenpaths_agree(flat_surface, params):
-    fields = _flat_fields(flat_surface, params, 24, 18)
-    ops = ht.heat_operators(fields, params.k)
-    dense = scipy.linalg.eigh(ops.B_ff.toarray(), ops.M_ff.toarray(),
-                              eigvals_only=True)      # full spectrum
-    sparse = ht.lowest_eigenvalues(fields, params.k, m=4)
-    assert np.max(np.abs(dense[:4] - sparse)) < 1e-9
+def test_sparse_and_dense_eigenpaths_agree(params):
+    # shift-invert on the banded Cholesky factor of B_ff, on the flat and
+    # on two curved rest states
+    for jump in (0.0, 0.3, -0.5):
+        jumped = dataclasses.replace(params, gamma_jump=jump)
+        surface = eq.solve_equilibrium(jumped, 1.0)
+        grid = geo.make_grid(surface, 24, 18, jumped.depth)
+        fields = geo.build_geometry(grid, np.zeros(grid.nx))
+        ops = ht.heat_operators(fields, jumped.k)
+        dense = scipy.linalg.eigh(ops.B_ff.toarray(), ops.M_ff.toarray(),
+                                  eigvals_only=True)      # full spectrum
+        sparse = ht.lowest_eigenvalues(fields, jumped.k, m=4)
+        assert np.max(np.abs(dense[:4] - sparse)) < 1e-9
 
 
 def test_lowest_eigenvalues_are_reproducible(flat_surface, params):
@@ -197,6 +204,53 @@ def test_transport_moves_profile_downstream(flat_surface, params):
     w0 = np.sum(theta0 * met["x1"][:, None]) / np.sum(theta0)
     w1 = np.sum(state.theta * met["x1"][:, None]) / np.sum(state.theta)
     assert w1 > w0 + 0.02
+
+
+def _rebuilt_step(fields, k, state, dt):
+    """A frozen-geometry Crank-Nicolson step that builds its CSC matrix
+    afresh and solves it with a fresh LaggedLU."""
+    ops = ht.heat_operators(fields, k)
+    th = state.theta.ravel()[ops.order]
+    rhs = ops.M @ th / dt - 0.5 * (ops.B @ th)
+    rhs += ht._load_vector(ops, None, None)
+    mat = sp.csc_matrix((ops.M_ff.data / dt + ops.B_ff.data * 0.5,
+                         ops.M_ff.indices, ops.M_ff.indptr),
+                        shape=ops.M_ff.shape)
+    sol = fl.LaggedLU().solve(spla, mat, rhs, dt)
+    return state.advanced(ops.embed(sol).reshape(state.theta.shape), dt)
+
+
+def test_crank_nicolson_system_is_held_per_dt(flat_surface, params):
+    # on frozen geometry every step hands the solver one matrix object,
+    # and the result is bitwise that of rebuilding the matrix each step
+    fields = _flat_fields(flat_surface, params, 24, 16)
+    met = fields.at("nodes")
+    theta0 = (np.cos(MU * met["x1"])[:, None]
+              * np.sin(met["x2"] + params.depth))
+    solver = fl.LaggedLU()
+    solve = solver.solve
+    systems = []
+
+    def recording(linalg, system, b, dt):
+        systems.append(system)
+        return solve(linalg, system, b, dt)
+
+    solver.solve = recording
+    state = rebuilt = ht.HeatState(theta=theta0)
+    for _ in range(20):
+        state = ht.step_fd(fields, params.k, state, 0.02, solver)
+        rebuilt = _rebuilt_step(fields, params.k, rebuilt, 0.02)
+    assert len(systems) == 20
+    assert all(system is systems[0] for system in systems)
+    assert np.array_equal(state.theta, rebuilt.theta)
+
+    ops = ht.heat_operators(fields, params.k)
+    other = ops.cn_system(0.01)
+    assert other is not systems[0]
+    assert np.array_equal(other.data,
+                          ops.M_ff.data / 0.01 + ops.B_ff.data * 0.5)
+    assert ht.HeatOperators(fields, params.k).cn_system(0.02) \
+        is not systems[0]
 
 
 def test_heat_lu_ordering_cuts_fill_and_stays_exact(params, monkeypatch):
