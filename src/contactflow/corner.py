@@ -154,52 +154,36 @@ def _wedge_solve(omega, n):
     r_i = WEDGE_RADIUS (i/n)^2 concentrates nodes at the vertex where the
     singular mode lives. Dirichlet on rho = 0, the outer arc and the vertex;
     Neumann (mirror ghost) on rho = omega.
+
+    The unknowns are radial-major over the interior radii i = 1..n-1 and
+    the angles j = 1..n (n is the Neumann edge), so the operator is
+    kron(radial, I) + kron(diag(1/(r_i drho)^2), angular) with the
+    conservative radial stencil (-cm, cp + cm, -cp) and the angular
+    (-1, 2, -1), whose last row couples twice to j = n-1 through the mirror
+    ghost theta_{n+1} = theta_{n-1}.
     """
-    nr = na = n
-    r = WEDGE_RADIUS * (np.arange(nr + 1) / nr) ** 2
-    drho = omega / na
-    # interior radial index 1..nr-1, angular 1..na (na is the Neumann edge)
-    ii, jj = np.meshgrid(np.arange(1, nr), np.arange(1, na + 1), indexing="ij")
-    idx = (ii - 1) * na + (jj - 1)
-    nunk = (nr - 1) * na
+    r = WEDGE_RADIUS * (np.arange(n + 1) / n) ** 2
+    drho = omega / n
+    ri = r[1:n]
+    dri = 0.5 * (r[2:] - r[:-2])
+    cp = 0.5 * (ri + r[2:]) / ((r[2:] - ri) * dri * ri)     # to (i+1, j)
+    cm = 0.5 * (ri + r[:-2]) / ((ri - r[:-2]) * dri * ri)   # to (i-1, j)
+    radial = sp.diags([-cm[1:], cp + cm, -cp[:-1]], [-1, 0, 1])
+    lower = np.full(n - 1, -1.0)
+    lower[-1] = -2.0
+    angular = sp.diags([lower, np.full(n, 2.0), np.full(n - 1, -1.0)],
+                       [-1, 0, 1])
+    lap = (sp.kron(radial, sp.identity(n))
+           + sp.kron(sp.diags(1.0 / (ri * drho) ** 2), angular)).tocsr()
+    rhs = np.repeat(_bump_source(ri), n)
+    theta = spla.spsolve(lap, rhs)
+    return r, drho, theta.reshape(n - 1, n)
 
-    rp = 0.5 * (r[ii] + r[ii + 1])
-    rm = 0.5 * (r[ii] + r[ii - 1])
-    drp = r[ii + 1] - r[ii]
-    drm = r[ii] - r[ii - 1]
-    dri = 0.5 * (r[ii + 1] - r[ii - 1])
 
-    cp = rp / (drp * dri * r[ii])          # couples to (i+1, j)
-    cm = rm / (drm * dri * r[ii])          # couples to (i-1, j)
-    ca = 1.0 / (r[ii] * drho) ** 2         # couples to (i, j +- 1)
-
-    rows, cols, vals = [], [], []
-
-    def add(rw, cl, vl):
-        rows.append(rw.ravel())
-        cols.append(cl.ravel())
-        vals.append(vl.ravel())
-
-    # diagonal: angular part doubles nothing at the Neumann edge; the mirror
-    # ghost theta_{na+1} = theta_{na-1} doubles the lower coupling instead
-    add(idx, idx, cp + cm + 2.0 * ca)
-    m = ii < nr - 1
-    add(idx[m], idx[m] + na, -cp[m])
-    m = ii > 1
-    add(idx[m], idx[m] - na, -cm[m])
-    m = jj < na
-    add(idx[m], idx[m] + 1, -ca[m])
-    m = jj > 1
-    add(idx[m], idx[m] - 1, -ca[m])
-    m = jj == na                            # mirror ghost doubles (i, na-1)
-    add(idx[m], idx[m] - 1, -ca[m])
-
-    lap = sp.csr_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(nunk, nunk))
-    rhs = np.broadcast_to(_bump_source(r[1:nr])[:, None], (nr - 1, na)).ravel()
-    theta = spla.spsolve(lap, rhs.copy())
-    return r, drho, theta.reshape(nr - 1, na)
+def _radial(w, f):
+    """Three-point radial stencil w = (plus, centre, minus) applied at the
+    interior radii to f, whose rows run over every radius."""
+    return w[0] * f[2:] + w[1] * f[1:-1] + w[2] * f[:-2]
 
 
 def _hessian_lq(r, drho, th, qs):
@@ -213,37 +197,30 @@ def _hessian_lq(r, drho, th, qs):
     full[1:nr, 1:na + 1] = th
     full[:, na + 1] = full[:, na - 1]      # Neumann mirror ghost
 
-    ri = r[1:nr]
+    # graded-radius weights of d/dr and d^2/dr^2 at the interior radii
     drp = (r[2:] - r[1:-1])[:, None]
     drm = (r[1:-1] - r[:-2])[:, None]
-    up = full[2:, 1:na + 1]
-    u0 = full[1:nr, 1:na + 1]
-    um = full[0:nr - 1, 1:na + 1]
-    th_r = (drm / (drp * (drm + drp))) * up \
-        + ((drp - drm) / (drp * drm)) * u0 \
-        - (drp / (drm * (drm + drp))) * um
-    th_rr = 2.0 * (drm * up - (drp + drm) * u0 + drp * um) \
-        / (drp * drm * (drp + drm))
-    th_a = (full[1:nr, 2:] - full[1:nr, :na]) / (2.0 * drho)
-    th_aa = (full[1:nr, 2:] - 2.0 * u0 + full[1:nr, :na]) / drho ** 2
+    span = drp + drm
+    d_r = (drm / (drp * span), (drp - drm) / (drp * drm), -drp / (drm * span))
+    d_rr = (2.0 / (drp * span), -2.0 / (drp * drm), 2.0 / (drm * span))
 
-    # mixed derivative of the angular slope needs th_a at radial neighbors
+    u = full[:, 1:na + 1]
+    u0 = u[1:nr]
+    th_r = _radial(d_r, u)
+    th_rr = _radial(d_rr, u)
+    # the angular slope at every radius, for its radial derivative
     th_a_full = (full[:, 2:] - full[:, :na]) / (2.0 * drho)
-    ta_p = th_a_full[2:, :]
-    ta_0 = th_a_full[1:nr, :]
-    ta_m = th_a_full[0:nr - 1, :]
-    ta_r = (drm / (drp * (drm + drp))) * ta_p \
-        + ((drp - drm) / (drp * drm)) * ta_0 \
-        - (drp / (drm * (drm + drp))) * ta_m
+    th_a = th_a_full[1:nr]
+    th_aa = (full[1:nr, 2:] - 2.0 * u0 + full[1:nr, :na]) / drho ** 2
+    ta_r = _radial(d_r, th_a_full)
 
-    rcol = ri[:, None]
+    rcol = r[1:nr, None]
     H_rr = th_rr
     H_ra = ta_r / rcol - th_a / rcol ** 2
     H_aa = th_aa / rcol ** 2 + th_r / rcol
     mag2 = H_rr ** 2 + 2.0 * H_ra ** 2 + H_aa ** 2
 
-    dri = 0.5 * (r[2:] - r[:-2])[:, None]
-    w = rcol * dri * drho
+    w = rcol * (0.5 * span) * drho
     return [float(np.sum(mag2 ** (q / 2.0) * w) ** (1.0 / q)) for q in qs]
 
 

@@ -50,12 +50,8 @@ class EquilibriumSurface:
     def interpolators(self):
         """Callables (zeta0, dzeta0) for off-node sampling: the piecewise
         quintic Hermite interpolant of (zeta0, zeta0', zeta0'') on the
-        shooting nodes and its exact derivative."""
-        # flat surface: cheap exact constants
-        if float(np.ptp(self.zeta0)) < 1e-13 * max(1.0, abs(self.p0)):
-            z = float(self.zeta0[0])
-            return (lambda x: np.full_like(np.asarray(x, float), z),
-                    lambda x: np.zeros_like(np.asarray(x, float)))
+        shooting nodes and its exact derivative. Constant node data give
+        constant callables exactly, since every higher coefficient is 0."""
         return _quintic_hermite(self.x, self.zeta0, self.dzeta0, self.d2zeta0)
 
 

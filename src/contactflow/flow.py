@@ -787,12 +787,11 @@ class FlowOperators:
                                     self.Div.indices, self.Div.indptr),
                                    shape=self.Div.shape)
         self.DxZ = mac.Dx @ self.Ztop
-        ends = mac.ends @ self.Ztop
-        self.EL, self.ER = ends[0], ends[1]
+        self.ends = mac.ends @ self.Ztop
 
         # -------- velocity block --------
         R = sp.vstack([mac.rows(met_c["c12"], met_c["c22"]), self.DxZ,
-                       self.Ztop, ends], format="csr")
+                       self.Ztop, self.ends], format="csr")
         visc = params.mu * self.cell_measure
         w = np.concatenate([
             0.5 * visc, visc, 0.5 * visc, mac.slip_weights,
@@ -903,8 +902,7 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     # explicit contact response W(z) = w3 z^3 at the two contact points
     z = mac.ends @ state.zdot
     cubic = problem.w3 * z ** 3
-    rhs -= np.asarray(ops.EL.T @ [params.kappa * cubic[0]]).ravel()
-    rhs -= np.asarray(ops.ER.T @ [params.kappa * cubic[1]]).ravel()
+    rhs -= ops.ends.T @ (params.kappa * cubic)
 
     # thermal tension correction, fully lagged
     if theta is not None and params.sigma2 != 0.0:

@@ -10,12 +10,14 @@ smoothstep cutoff: phi = 0 below (1/4) min zeta0, phi(z) = z above
 (1/2) min zeta0, so the map is the identity near the bottom and walls below
 the cutoff band and matches the full surface displacement at x2 = zeta0.
 
-The extension is built in two steps. eta on (-ell, ell) is reflected evenly
-about the walls into a period-4ell function (cell-center samples make the
-reflection seamless), and then each DFT mode xi is extended downward with
-the decay factor exp(2 pi |xi| Hbar (s - 1)), s the reference height below
-and Hbar = depth + zeta0(0) one column height. This separable extension is
-exact at the surface and bounded; on a flat rest state it is harmonic.
+The extension is one real cosine series. eta on (-ell, ell) reflected
+evenly about both walls is a period-4ell function of x1 + ell (cell-center
+samples make the reflection seamless), so its nx cell samples carry nx
+cosine modes w_k = k pi/(2 ell), with the DCT-II of the samples as
+coefficients. Each mode is extended downward with the decay factor
+exp(w_k Hbar (s - 1)), s the reference height and Hbar = depth + zeta0(0)
+one column height. This separable extension is exact at the surface and
+bounded; where zeta0 is constant it is harmonic.
 
 With W = phi/zeta0,
 
@@ -90,44 +92,41 @@ def extend_surface(eta, ell):
 # ============================================================
 
 class _ModeSampler:
-    """Evaluates the mode extension and its derivatives anywhere.
+    """Evaluates the cosine-series extension of stacked surface rows.
 
-    Holds the rfft coefficients c_k of the extension with their weights
-    m_k; the extension is Re sum_k m_k c_k exp(i ang_k x1 + ang_k d) at
-    depth offset d <= 0 below the surface.
+    rows (r, n) holds r surface fields at the n cell centers. Row i extends
+    to sum_k a_ik cos(w_k (x1 + ell)) exp(w_k d) at depth offset d <= 0
+    below the surface, with w_k = k pi/(2 ell), k < n, and the DCT-II
+    coefficients a_ik = (2/n) sum_j rows_ij cos(w_k (x_j + ell)), a_i0
+    halved. The even reflection's Nyquist mode vanishes at the cell
+    centers, so these n modes are the whole extension.
     """
 
-    def __init__(self, f_ext, ell):
-        f_ext = np.asarray(f_ext, float)
-        n = f_ext.size
-        fhat = np.fft.rfft(f_ext)
-        mult = np.full(fhat.size, 2.0 / n)
-        mult[0] = 1.0 / n
-        if n % 2 == 0:
-            mult[-1] = 1.0 / n
-        self.ang = 2.0 * np.pi * np.arange(fhat.size) / (4.0 * ell)
-        # f_ext[0] sits at x = -ell + h/2, not x = 0; fold that phase into
-        # the coefficients so e^{i ang x} is taken in absolute coordinates.
-        self.coef = mult * fhat * np.exp(1j * self.ang * (ell - 2.0 * ell / n))
+    def __init__(self, rows, ell):
+        rows = np.atleast_2d(np.asarray(rows, float))
+        n = rows.shape[1]
+        k = np.arange(n)
+        self.ell = ell
+        self.w = k * (np.pi / (2.0 * ell))
+        # w_k (x_j + ell) = (2j + 1) k pi/(2n), reduced mod 2 pi exactly
+        dct = np.cos(np.outer(2 * k + 1, k) % (4 * n) * (np.pi / (2 * n)))
+        self.coef = rows @ (dct * (2.0 / n))
+        self.coef[:, 0] *= 0.5
 
     def sample_triple(self, x1, depth):
-        """(value, d/dx1, d/d depth) on the tensor grid x1 (n1,) x depth (ns,).
+        """(value, d/dx1, d/d depth) of every row on the tensor grid
+        x1 (n1,) x depth (ns,), each (r, n1, ns).
 
         One (modes, ns) decay table serves all three, so each is a single
-        (n1, modes) @ (modes, ns) matmul.
+        (n1, modes) @ (modes, ns) product per row.
         """
-        base = self.coef * np.exp(
-            1j * np.multiply.outer(np.asarray(x1, float), self.ang))
-        ed = np.exp(np.multiply.outer(np.asarray(depth, float), self.ang)).T
-        return ((base @ ed).real,
-                ((base * (1j * self.ang)) @ ed).real,
-                ((base * self.ang) @ ed).real)
-
-    def sample_line(self, x1):
-        """Surface trace (depth 0) of d/dx1 at stations x1: returns (n1,)."""
-        w = self.coef * (1j * self.ang)
-        e1 = np.exp(1j * np.multiply.outer(np.asarray(x1, float), self.ang))
-        return (e1 @ w).real
+        arg = np.multiply.outer(np.asarray(x1, float) + self.ell, self.w)
+        cos, sin = np.cos(arg), np.sin(arg)
+        ed = np.exp(np.multiply.outer(self.w, np.asarray(depth, float)))
+        c = self.coef[:, None, :]
+        return ((c * cos) @ ed,
+                (c * (sin * -self.w)) @ ed,
+                (c * (cos * self.w)) @ ed)
 
 
 # ============================================================
@@ -162,7 +161,6 @@ class Grid:
         self.sc = 0.5 * (self.sf[1:] + self.sf[:-1])
         self.zeta0_c = np.asarray(self.zeta0_fn(self.xc), float)
         self.zeta0_f = np.asarray(self.zeta0_fn(self.xf), float)
-        self.dzeta0_c = np.asarray(self.dzeta0_fn(self.xc), float)
         self.dzeta0_f = np.asarray(self.dzeta0_fn(self.xf), float)
         self.zmin = float(min(self.zeta0_c.min(), self.zeta0_f.min()))
         self.hbar = self.depth + float(self.zeta0_fn(0.0))  # H when flat
@@ -191,9 +189,11 @@ _STAGGER = {
 class GeometryFields:
     """All metric fields of the flattening map for one (eta, d/dt eta) pair.
 
-    Fields on each staggering come from at(where) and nodal surface traces
-    from surface(); both are sampled on first use and cached. Arrays are
-    laid out (n_x1, n_s).
+    One _ModeSampler holds both as stacked rows: row 0 gives etabar and its
+    derivatives, row 1 the mesh velocity d/dt etabar. Fields on each
+    staggering come from at(where) and nodal surface traces from surface();
+    both are sampled on first use and cached. Arrays are laid out
+    (n_x1, n_s).
     """
 
     def __init__(self, grid, eta, deta_dt=None):
@@ -203,10 +203,7 @@ class GeometryFields:
             raise ValueError("eta must hold nx cell-center samples")
         self.deta_dt = (np.zeros(grid.nx) if deta_dt is None
                         else np.asarray(deta_dt, float))
-        _, f_ext = extend_surface(self.eta, grid.ell)
-        _, g_ext = extend_surface(self.deta_dt, grid.ell)
-        self._samp = _ModeSampler(f_ext, grid.ell)
-        self._samp_t = _ModeSampler(g_ext, grid.ell)
+        self._samp = _ModeSampler([self.eta, self.deta_dt], grid.ell)
         self._cache = {}
 
     # -------------------- sampling --------------------
@@ -230,16 +227,16 @@ class GeometryFields:
         # etabar = F(x1, Hbar (s - 1)) with s = (x2 + depth)/H(x1), so at
         # fixed x2: d2 = F_depth Hbar/H and d1 = F_x1 - s zeta0' d2
         depth_off = g.hbar * (s - 1.0)
-        eb, dx1, dd = self._samp.sample_triple(x1, depth_off)
-        d2 = dd * (g.hbar / H)[:, None]
-        d1 = dx1 - s * dz0[:, None] * d2
+        value, dx1, dd = self._samp.sample_triple(x1, depth_off)
+        eb = value[0]
+        d2 = dd[0] * (g.hbar / H)[:, None]
+        d1 = dx1[0] - s * dz0[:, None] * d2
         A = W * d1 - (phi * (dz0 / z0 ** 2)[:, None]) * eb
         J = 1.0 + ((dphi / z0[:, None]) * eb + W * d2)
         K = 1.0 / J
         out.update(eta_bar=eb, A=A, J=J, K=K)
         # d/dt etabar carries the mesh motion of the transport terms
-        out["dt_eta_bar"] = (self._samp_t.sample_triple(x1, depth_off)[0]
-                             if np.any(self.deta_dt) else np.zeros_like(x2))
+        out["dt_eta_bar"] = value[1]
         out["c12"] = out["b"] - A * K / H[:, None]
         out["c22"] = K / H[:, None]
         out["Jvol"] = J * H[:, None]
@@ -259,7 +256,7 @@ class GeometryFields:
         N = (-d1 zeta, 1)."""
         x1 = np.asarray(x1, float)
         dz0 = np.asarray(self.grid.dzeta0_fn(x1), float)
-        d1_eta = self._samp.sample_line(x1)
+        d1_eta = self._samp.sample_triple(x1, [0.0])[1][0, :, 0]
         slope = dz0 + d1_eta
         return {"x1": x1, "dzeta0": dz0, "d1_eta": d1_eta, "slope": slope,
                 "abs_n": np.sqrt(1.0 + slope ** 2)}

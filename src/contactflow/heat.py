@@ -231,9 +231,6 @@ class HeatState(StateHistory):
     dt: float = 0.0
     levels: list = field(default_factory=list)  # previous states, newest first
 
-    def advanced(self, theta_new, dt):
-        return super().advanced(theta=theta_new, time=self.time + dt, dt=dt)
-
 
 def _transport_nodes(fields, theta, u_nodes):
     """Explicit transport sources on the nodes (geometry.transport_source):
@@ -283,8 +280,8 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
             rhs += ops.M @ adv.ravel()[ops.order]
 
     sol = solver.solve(spla, ops.cn_system(dt), rhs, dt)
-    theta_new = ops.embed(sol).reshape(state.theta.shape)
-    return state.advanced(theta_new, dt)
+    return state.advanced(theta=ops.embed(sol).reshape(state.theta.shape),
+                          time=state.time + dt, dt=dt)
 
 
 # ============================================================

@@ -1,7 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from contactflow import corner as co
 
@@ -113,3 +116,44 @@ def test_wedge_probe_solves_each_grid_once(monkeypatch):
         assert rep.n_list == ref.n_list == [12, 18, 24]
         assert rep.growth_rate == ref.growth_rate
         assert rep.verdict == ref.verdict
+
+
+def _wedge_matrix_coo(omega, n):
+    """The wedge operator assembled entry by entry as COO lists: the
+    independent reference for the Kronecker form of corner._wedge_solve."""
+    nr = na = n
+    r = co.WEDGE_RADIUS * (np.arange(nr + 1) / nr) ** 2
+    drho = omega / na
+    ii, jj = np.meshgrid(np.arange(1, nr), np.arange(1, na + 1), indexing="ij")
+    idx = (ii - 1) * na + (jj - 1)
+    rp = 0.5 * (r[ii] + r[ii + 1])
+    rm = 0.5 * (r[ii] + r[ii - 1])
+    dri = 0.5 * (r[ii + 1] - r[ii - 1])
+    cp = rp / ((r[ii + 1] - r[ii]) * dri * r[ii])
+    cm = rm / ((r[ii] - r[ii - 1]) * dri * r[ii])
+    ca = 1.0 / (r[ii] * drho) ** 2
+    rows, cols, vals = [], [], []
+    for m, off, v in ((np.ones(ii.shape, bool), 0, cp + cm + 2.0 * ca),
+                      (ii < nr - 1, na, -cp), (ii > 1, -na, -cm),
+                      (jj < na, 1, -ca), (jj > 1, -1, -ca),
+                      (jj == na, -1, -ca)):       # mirror ghost at j = na
+        rows.append(idx[m])
+        cols.append(idx[m] + off)
+        vals.append(v[m])
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=((nr - 1) * na,) * 2)
+
+
+@pytest.mark.parametrize("omega, n", [(math.pi / 2, 7), (3 * math.pi / 4, 12)])
+def test_wedge_operator_matches_entrywise_assembly(monkeypatch, omega, n):
+    # capture the matrix handed to the sparse solver
+    seen = []
+    monkeypatch.setattr(co, "spla", types.SimpleNamespace(
+        spsolve=lambda a, b: seen.append(a) or spla.spsolve(a, b)))
+    co._wedge_solve(omega, n)
+    want = _wedge_matrix_coo(omega, n)
+    got = seen[0]
+    assert got.shape == want.shape
+    diff = abs(got - want).max()
+    assert diff <= 1e-15 * abs(want).max()

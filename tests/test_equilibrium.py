@@ -7,6 +7,8 @@ import pytest
 
 from contactflow.params import PhysicalParams
 from contactflow import equilibrium as eq
+from contactflow import geometry as geo
+from contactflow import heat as ht
 
 from _reference import LIN_EQ
 
@@ -24,11 +26,17 @@ def test_flat_surface_is_exact(flat_surface, params):
     assert eq.ode_residual(flat_surface, params) < 1e-12
 
 
-def test_flat_interpolators_constant(flat_surface):
+def test_flat_interpolators_constant(flat_surface, params):
+    # the quintic interpolant of flat data is exactly constant: at the
+    # 96x64 cell centres, faces and heat Gauss points as well as off-grid
     zfn, dzfn = flat_surface.interpolators()
-    x = np.linspace(-1.0, 1.0, 7)
+    grid = geo.make_grid(flat_surface, 96, 64, params.depth)
+    gauss = grid.hx * (np.array(ht._GP) - 0.5)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 7), grid.xc, grid.xf,
+                        (grid.xc[:, None] + gauss).ravel()])
     assert np.all(zfn(x) == 1.0)
     assert np.all(dzfn(x) == 0.0)
+    assert np.all(grid.zeta0_c == 1.0) and np.all(grid.dzeta0_f == 0.0)
 
 
 @pytest.mark.parametrize("jump", [0.3, -0.5])

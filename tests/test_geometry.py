@@ -100,22 +100,30 @@ def test_extension_is_even_reflection():
     assert x_ext[0] == -1.0 + 1.0 / 12
 
 
-def test_sample_triple_matches_single_samples():
-    # a cos(xi x) with xi = pi/ell is one mode of the period-4ell even
-    # extension, so its extension is a cos(xi x) e^{xi d} exactly
-    amp, xi = 1e-3, math.pi
+def test_sample_triple_matches_single_samples(grid):
+    # a cos(xi x) with xi = pi/ell and b cos(2 xi x) are single modes of the
+    # even cosine series, so their extensions are a cos(xi x) e^{xi d} and
+    # b cos(2 xi x) e^{2 xi d} exactly; stacked rows sample independently
+    amp, xi, amp2 = 1e-3, math.pi, 2e-3
     xc = -1.0 + (np.arange(20) + 0.5) * 0.1
-    _, f_ext = geo.extend_surface(amp * np.cos(xi * xc), 1.0)
-    samp = geo._ModeSampler(f_ext, 1.0)
+    samp = geo._ModeSampler([amp * np.cos(xi * xc),
+                             amp2 * np.cos(2.0 * xi * xc)], 1.0)
     x1 = np.linspace(-1.0, 1.0, 9)
     depth = np.linspace(-0.8, 0.0, 5)
-    decay = amp * np.exp(xi * depth)
     v, d1, d2 = samp.sample_triple(x1, depth)
-    assert np.allclose(v, np.cos(xi * x1)[:, None] * decay,
-                       rtol=0.0, atol=1e-17)
-    assert np.allclose(d1, -xi * np.sin(xi * x1)[:, None] * decay,
-                       rtol=0.0, atol=1e-16)
-    assert np.allclose(d2, xi * np.cos(xi * x1)[:, None] * decay,
+    for row, (a, k) in enumerate(((amp, xi), (amp2, 2.0 * xi))):
+        decay = a * np.exp(k * depth)
+        assert np.allclose(v[row], np.cos(k * x1)[:, None] * decay,
+                           rtol=0.0, atol=1e-17)
+        assert np.allclose(d1[row], -k * np.sin(k * x1)[:, None] * decay,
+                           rtol=0.0, atol=1e-16)
+        assert np.allclose(d2[row], k * np.cos(k * x1)[:, None] * decay,
+                           rtol=0.0, atol=1e-16)
+    # the surface slope is the exact derivative of the eta row alone
+    fields = geo.build_geometry(grid, amp2 * np.cos(2.0 * xi * grid.xc),
+                                amp * np.cos(xi * grid.xc))
+    srf = fields.surface_metric(x1)
+    assert np.allclose(srf["d1_eta"], -2.0 * xi * amp2 * np.sin(2.0 * xi * x1),
                        rtol=0.0, atol=1e-16)
 
 

@@ -217,7 +217,8 @@ def _rebuilt_step(fields, k, state, dt):
                          ops.M_ff.indices, ops.M_ff.indptr),
                         shape=ops.M_ff.shape)
     sol = fl.LaggedLU().solve(spla, mat, rhs, dt)
-    return state.advanced(ops.embed(sol).reshape(state.theta.shape), dt)
+    return state.advanced(theta=ops.embed(sol).reshape(state.theta.shape),
+                          time=state.time + dt, dt=dt)
 
 
 def test_crank_nicolson_system_is_held_per_dt(flat_surface, params):
@@ -291,7 +292,8 @@ def test_state_history_and_derivatives():
     a = np.full((3, 3), 1.0)
     b = np.full((3, 3), 2.0)
     c = np.full((3, 3), 4.0)
-    s = ht.HeatState(theta=a).advanced(b, 0.5).advanced(c, 0.5)
+    s = ht.HeatState(theta=a).advanced(theta=b, time=0.5, dt=0.5)
+    s = s.advanced(theta=c, time=1.0, dt=0.5)
     assert s.time == 1.0
     assert len(s.levels) <= 2
     assert np.allclose(s.dt_field("theta"), (c - b) / 0.5)
