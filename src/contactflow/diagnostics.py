@@ -85,7 +85,7 @@ def surface_norm(values, orders, ell):
     for all orders, and each distinct q sums its masses once.
     """
     values = np.asarray(values, float)
-    _, g = geometry.extend_surface(values, ell)
+    g = geometry.extend_surface(values)
     hx = 2.0 * ell / values.size
     splits = [_split_order(s) for s, _ in orders]
     chain = [g]

@@ -60,8 +60,9 @@ solve reuses one LU the same way (LaggedLU). See Benzi, Golub & Liesen, Acta
 Numerica 14 (2005) on block and lagged-factorization preconditioners. The
 Krylov cycle is written here (`_gmres_cycle`): it keeps the preconditioned
 directions, so its update needs no preconditioner solve of its own. The
-saddle solution also moves by O(dt) per step near rest, so each cycle starts
-from the linear extrapolation of the last two solutions.
+saddle solution also moves by O(dt) per step near rest, so momentum_step
+starts the cycle from the linear extrapolation of the state's last two time
+levels when both were taken at the step's dt.
 
 The velocity-block LU is held in single precision. It only preconditions:
 the lagged factor is already approximate after the first step, and because
@@ -140,14 +141,15 @@ class _LaggedSolver:
     The first system, and any whose shape or dt differ from the held
     factors', has its factors built (`_factor`, one count in
     `factorizations`); every solve is then one GMRES cycle
-    (`_gmres_cycle`) right-preconditioned by the held factors, started
-    from the first iterate that `_start` gives: by default the
-    preconditioned right-hand side, which is exact when the held factors
-    are those of the system. A result is kept only when it is finite and
-    its explicitly computed residual is at most LAG_RTOL ||b||. A miss with
-    factors held from an earlier step drops them before refactoring, so two
-    factor sets never coexist; a miss with fresh factors raises
-    StabilityError. A zero right-hand side returns zeros without factoring.
+    (`_gmres_cycle`) right-preconditioned by the held factors. The cycle
+    starts from the caller's `start` when its residual is below ||b||, and
+    otherwise from the preconditioned right-hand side, which is exact when
+    the held factors are those of the system. A result is kept only when
+    it is finite and its explicitly computed residual is at most
+    LAG_RTOL ||b||. A miss with factors held from an earlier step drops
+    them before refactoring, so two factor sets never coexist; a miss with
+    fresh factors raises StabilityError. A zero right-hand side returns
+    zeros without factoring.
 
     Each solve takes the caller's scipy.sparse.linalg handle, so every
     sparse LU is made through the calling module's own `spla`.
@@ -170,15 +172,18 @@ class _LaggedSolver:
                 "max_gmres_iterations": self.max_gmres_iterations,
                 "fallbacks": self.fallbacks}
 
-    def solve(self, linalg, system, b, dt):
-        """x with system @ x = b; raises StabilityError on NaN/inf."""
+    def solve(self, linalg, system, b, dt, start=None):
+        """x with system @ x = b; raises StabilityError on NaN/inf.
+
+        start: an optional first iterate, such as an extrapolation of
+        earlier solutions."""
         if not np.all(np.isfinite(b)):
             raise StabilityError("non-finite right-hand side")
         if not np.any(b):
             return np.zeros_like(b)   # keeps the rest state an exact fixed point
         key = (system.shape, dt)
         if self._precondition is not None and self._key == key:
-            x = self._cycle(system, b)
+            x = self._cycle(system, b, start)
             if x is not None:
                 self.reused_solves += 1
                 return x
@@ -187,7 +192,7 @@ class _LaggedSolver:
         self._precondition, self.factor_nnz = self._factor(linalg, system, dt)
         self._key = key
         self.factorizations += 1
-        x = self._cycle(system, b)
+        x = self._cycle(system, b, start)
         if x is None:
             raise StabilityError("solve with fresh factors returned non-finite"
                                  " values or missed its residual bound")
@@ -197,15 +202,15 @@ class _LaggedSolver:
         """(preconditioner y -> P^-1 y, entries held) built from system."""
         raise NotImplementedError
 
-    def _start(self, system, b):
-        """First iterate x and its residual b - system @ x."""
-        x = self._precondition(b)
-        return x, b - system @ x
-
-    def _cycle(self, system, b):
+    def _cycle(self, system, b, start):
         """One preconditioned GMRES cycle; None unless it meets LAG_RTOL."""
         bnorm = np.linalg.norm(b)
-        x, r = self._start(system, b)
+        x = start
+        if x is not None:
+            r = b - system @ x
+        if x is None or not np.linalg.norm(r) < bnorm:
+            x = self._precondition(b)
+            r = b - system @ x
         res = np.linalg.norm(r)
         if np.isfinite(res) and res > GMRES_AIM * bnorm:
             dx, iterations = _gmres_cycle(system, self._precondition, r,
@@ -365,19 +370,12 @@ class LaggedBlockSaddle(_LaggedSolver):
     of the bytes per solve. The pressure Laplacian stays double, since
     construct_flow_initial_data uses it as an exact projection.
 
-    Near rest the solution moves by O(dt) from step to step, so a cycle
-    starts from the linear extrapolation 2 x_n - x_n-1 of the last two
-    accepted solutions, kept while the key (shape, dt) is unchanged. A
-    start whose residual is not below ||b|| is replaced by the
-    preconditioned right-hand side.
+    The solver keeps no solutions of its own: a cycle starts from the
+    `start` its caller passes, which in momentum_step extrapolates the
+    state's time levels.
     """
 
     factor_dtype = np.float32         # precision of the velocity-block LU
-
-    def __init__(self):
-        super().__init__()
-        self._accepted = []           # the last two accepted solutions
-        self._accepted_key = None     # the key they were solved under
 
     def _factor(self, linalg, saddle, dt):
         # A is SPD: a symmetric fill-reducing ordering and diagonal pivots
@@ -396,22 +394,6 @@ class LaggedBlockSaddle(_LaggedSolver):
             return np.concatenate([u, p])
 
         return precondition, lu.nnz + lap.nnz
-
-    def _start(self, saddle, b):
-        if self._accepted_key == self._key and len(self._accepted) == 2:
-            x = 2.0 * self._accepted[1] - self._accepted[0]
-            r = b - saddle @ x
-            if np.linalg.norm(r) < np.linalg.norm(b):
-                return x, r
-        return super()._start(saddle, b)
-
-    def _cycle(self, saddle, b):
-        x = super()._cycle(saddle, b)
-        if x is not None:
-            if self._accepted_key != self._key:
-                self._accepted, self._accepted_key = [], self._key
-            self._accepted = self._accepted[-1:] + [x]
-        return x
 
 
 # ============================================================
@@ -669,7 +651,7 @@ class MacStencils:
         # surface stations: slopes between top centers, rest slope and the
         # curvature weight at the interior x faces, wall extrapolation
         self.Dx = _diff(nx - 1, hx).tocsr()
-        self.s0_in = np.asarray(grid.dzeta0_fn(grid.xf[1:-1]), float)
+        self.s0_in = grid.dzeta0_f[1:-1]
         self.inv32_in = (1.0 + self.s0_in ** 2) ** -1.5
         self.ends = _ends(nx).tocsr()
 
@@ -848,20 +830,20 @@ def _check_surface(problem, eta):
                          % (np.min(zeta), np.max(zeta)))
 
 
-def momentum_step(problem, fields, state, theta=None, dt=None):
-    """One implicit momentum/pressure/surface step.
+def momentum_step(problem, fields, state, theta=None, *, dt):
+    """One implicit momentum/pressure/surface step of size dt.
 
     theta: node temperatures driving buoyancy and the thermal tension
     correction (None for isothermal runs). The saddle system is solved by
     problem.saddle_solver, which reuses the block factors of an earlier
     step as a GMRES preconditioner and refactors only when that misses its
-    residual bound. Returns the advanced FlowState; raises StabilityError
-    on CFL violation (a NaN velocity counts as one), a folded flattening
-    map or a failed solve, and SpillError when the surface, given or
-    advanced, leaves the channel.
+    residual bound. When the state and its previous level were both taken
+    at this dt, the solve starts from their linear extrapolation
+    2 x_n - x_n-1, with x = (u on the free faces, p). Returns the advanced
+    FlowState; raises StabilityError on CFL violation (a NaN velocity
+    counts as one), a folded flattening map or a failed solve, and
+    SpillError when the surface, given or advanced, leaves the channel.
     """
-    if dt is None:
-        raise ValueError("dt is required")
     params = problem.params
     grid = problem.grid
     nx = grid.nx
@@ -919,7 +901,13 @@ def momentum_step(problem, fields, state, theta=None, dt=None):
     saddle = SaddleSystem(ops.A_dof, ops.B_dof, ops.mass_diag[mac.free],
                           ops.cell_measure, params.mu)
     rhs_dof = np.concatenate([rhs, np.zeros(mac.ncell)])
-    sol = problem.saddle_solver.solve(spla, saddle, rhs_dof, dt)
+    start = None
+    if state.levels and state.dt == state.levels[0].dt == dt:
+        x_n, x_prev = (np.concatenate([mac.full_vector(s.u1, s.u2)[mac.free],
+                                       s.p.ravel()])
+                       for s in (state, state.levels[0]))
+        start = 2.0 * x_n - x_prev
+    sol = problem.saddle_solver.solve(spla, saddle, rhs_dof, dt, start=start)
     u_new = sol[:mac.free.size]
     p_new = sol[mac.free.size:].reshape(nx, grid.ny)
 

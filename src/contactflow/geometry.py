@@ -69,22 +69,16 @@ def phi_cutoff(x2, zmin):
     return np.where(x2 <= a, 0.0, phi), np.where(x2 <= a, 0.0, dphi)
 
 
-def extend_surface(eta, ell):
+def extend_surface(eta):
     """Even periodic extension of cell-center surface samples.
 
     eta holds nx samples at x = -ell + (i + 1/2) hx. The even reflection
     about +ell is the reversed array, giving 2 nx samples of a period-4ell
     function; the center staggering makes the reflection about -ell implicit
     in the periodicity.
-
-    Returns (x_ext, f_ext).
     """
     eta = np.asarray(eta, float)
-    n = eta.size
-    hx = 2.0 * ell / n
-    x_ext = -ell + (np.arange(2 * n) + 0.5) * hx
-    f_ext = np.concatenate([eta, eta[::-1]])
-    return x_ext, f_ext
+    return np.concatenate([eta, eta[::-1]])
 
 
 # ============================================================

@@ -4,24 +4,23 @@ The heat problem is posed in weak form against nodal bilinear elements on
 the reference rectangle: find theta vanishing on walls and bottom with
 
     (d/dt theta, psi)_J + k (grad_calA theta, grad_calA psi)_J
-        + <theta, psi |N|>_Sigma = (F8, psi)_J + <F9, psi>_Sigma
-        + (transport terms, psi)_J
+        + <theta, psi |N|>_Sigma = (transport terms, psi)_J
 
-where (.,.)_J carries the volume weight Jvol = J H of the composed
-flattening and <.,.>_Sigma is the top-edge line integral (the Robin weight
-|N| sits in the operator; inhomogeneous Robin data F9 pairs against the
-flat measure). The conduction tensor at a quadrature point is
-k Jvol c^T c with c the effective cofactor matrix, so the stiffness is
-symmetric positive definite by construction and Crank-Nicolson stepping
-satisfies a discrete energy identity on static geometry.
+for every psi vanishing there, where (.,.)_J carries the volume weight
+Jvol = J H of the composed flattening and <.,.>_Sigma is the top-edge line
+integral with the Robin weight |N|. The conduction tensor at a quadrature
+point is k Jvol c^T c with c the effective cofactor matrix, so the
+stiffness is symmetric positive definite by construction and
+Crank-Nicolson stepping satisfies a discrete energy identity on static
+geometry. Since theta and psi vanish on the fixed nodes, the mass and
+stiffness matrices are held on the free nodes only.
 
 Between steps only the quadrature weights change. HeatPattern holds, once
-per grid, where each element and Robin edge entry lands in the matrices of
-the free rows; HeatOperators maps each step's weights to element entries
-and sums them into that pattern. HeatOperators also holds the
-Crank-Nicolson matrix M_ff/dt + B_ff/2 of its last dt, so on frozen
-geometry (conduction-only runs) it is built once per run, and on moving
-geometry once per step.
+per grid, where each element and Robin edge entry lands in the free-node
+matrices; HeatOperators maps each step's weights to element entries and
+sums them into that pattern. HeatOperators also holds the Crank-Nicolson
+matrix M/dt + B/2 of its last dt, so on frozen geometry (conduction-only
+runs) it is built once per run, and on moving geometry once per step.
 
 Transport (u . grad_calA theta and the mesh-motion term
 dt(etabar) W K d2 theta) is explicit with two-level extrapolation, keeping
@@ -80,14 +79,12 @@ def _element_maps(hx, hs):
 class HeatPattern:
     """The fixed structure of the heat matrices on one grid.
 
-    The matrices are held on the free nodes' rows (walls and bottom carry
-    theta = 0), in CSC form over the columns `order`: the free nodes, then
-    the fixed ones. Their leading columns are then the free-free blocks the
-    Crank-Nicolson solve and the eigensolver take, as views of the same
-    data. `slot` places every element entry (a, b) of every cell, then
-    every Robin entry of every top edge, in that data; entries on a fixed
-    row go to the extra slot nnz, which is dropped. S_flat, the flat Robin
-    load from top-node data, is metric-free and built here.
+    The matrices are held on the free nodes only (walls and bottom carry
+    theta = 0), in CSC form over the free nodes in x-major order, which
+    makes them band matrices of half-width ny + 1. `slot` places every
+    element entry (a, b) of every cell, then every Robin entry of every top
+    edge, in their data; entries with a fixed row or column go to the extra
+    slot nnz, which is dropped.
     """
 
     def __init__(self, grid):
@@ -96,11 +93,10 @@ class HeatPattern:
         free = np.zeros((nx + 1, ny + 1), bool)
         free[1:nx, 1:] = True
         self.free = np.flatnonzero(free.ravel())
-        self.order = np.concatenate([self.free,
-                                     np.flatnonzero(~free.ravel())])
-        rank = np.empty(self.order.size, np.int64)
-        rank[self.order] = np.arange(self.order.size)
+        self.nodes = free.size
         nf = self.free.size
+        rank = np.full(self.nodes, nf)     # fixed nodes rank past the end
+        rank[self.free] = np.arange(nf)
 
         ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         corners = np.array([ci * (ny + 1) + cj, (ci + 1) * (ny + 1) + cj,
@@ -112,7 +108,7 @@ class HeatPattern:
                                    np.repeat(edges, 2, axis=0).ravel()])]
         col = rank[np.concatenate([np.tile(corners, (4, 1)).ravel(),
                                    np.tile(edges, (2, 1)).ravel()])]
-        kept = row < nf
+        kept = (row < nf) & (col < nf)
         key = col * nf + row
         entries = np.unique(key[kept])
         self.nnz = entries.size
@@ -120,28 +116,13 @@ class HeatPattern:
         self.slot[kept] = np.searchsorted(entries, key[kept])
         self.indices = (entries % nf).astype(np.int32)
         self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(entries // nf,
-                                        minlength=self.order.size))]
+            [[0], np.cumsum(np.bincount(entries // nf, minlength=nf))]
         ).astype(np.int32)
-        self.shape = (nf, self.order.size)
 
-        i = np.arange(nx)
-        srow = rank[np.repeat(edges, 2, axis=0).ravel()]
-        scol = np.concatenate([i, i + 1, i, i + 1])
-        fv = np.repeat(self.smap.sum(axis=1), nx)
-        on = srow < nf
-        self.S_flat = sp.csr_matrix((fv[on], (srow[on], scol[on])),
-                                    shape=(nf, nx + 1))
-
-    def matrices(self, data):
-        """The matrix with this pattern and data, and its free-free block,
-        which shares the data."""
-        nf = self.shape[0]
-        nff = self.indptr[nf]
-        return (sp.csc_matrix((data, self.indices, self.indptr),
-                              shape=self.shape),
-                sp.csc_matrix((data[:nff], self.indices[:nff],
-                               self.indptr[:nf + 1]), shape=(nf, nf)))
+    def matrix(self, data):
+        """The free-node matrix with this pattern and data."""
+        nf = self.free.size
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(nf, nf))
 
 
 def heat_pattern(grid):
@@ -151,25 +132,23 @@ def heat_pattern(grid):
 
 
 class HeatOperators:
-    """Mass M and conduction + Robin stiffness B on the free rows, over the
-    node columns pat.order, with their free-free blocks M_ff and B_ff
-    sharing their data, and the flat Robin load S_flat.
+    """Mass M and conduction + Robin stiffness B on the free nodes.
 
     Each step samples the metric at the 2x2 Gauss points of every cell and
     maps the weights k Jvol, k Jvol c12, k Jvol (c12^2 + c22^2) and Jvol to
     the element entries with one matmul each; np.bincount sums them, with
     the Robin edge entries, into the held pattern of HeatPattern.
 
-    cn_system(dt) builds the Crank-Nicolson matrix M_ff/dt + B_ff/2 and
-    holds it for that dt, so every step on these operators hands the solver
-    the same matrix object.
+    cn_system(dt) builds the Crank-Nicolson matrix M/dt + B/2 and holds it
+    for that dt, so every step on these operators hands the solver the same
+    matrix object.
     """
 
     def __init__(self, fields, k_cond):
         grid = fields.grid
         nx, ny, hx, hs = grid.nx, grid.ny, grid.hx, grid.hs
         pat = heat_pattern(grid)
-        self.free, self.order, self.S_flat = pat.free, pat.order, pat.S_flat
+        self.free, self.nodes = pat.free, pat.nodes
 
         # tensor grid of 2x2 Gauss stations, cell (i, j) owns [2i+gx, 2j+gz]
         dx = hx * (np.array(_GP) - 0.5)
@@ -192,23 +171,23 @@ class HeatOperators:
         robin = pat.smap @ srf["abs_n"].reshape(nx, 2).T
         stiff = np.concatenate([(pat.kmap @ weights).ravel(), robin.ravel()])
         nk = 16 * nx * ny
-        self.M, self.M_ff = pat.matrices(np.bincount(
+        self.M = pat.matrix(np.bincount(
             pat.slot[:nk], (pat.mmap @ jv).ravel(), minlength=pat.nnz + 1)[:-1])
-        self.B, self.B_ff = pat.matrices(np.bincount(
+        self.B = pat.matrix(np.bincount(
             pat.slot, stiff, minlength=pat.nnz + 1)[:-1])
-        self._cn = (None, None)       # (dt, M_ff/dt + B_ff/2)
+        self._cn = (None, None)       # (dt, M/dt + B/2)
 
     def cn_system(self, dt):
-        """The Crank-Nicolson matrix M_ff/dt + B_ff/2, held per dt."""
+        """The Crank-Nicolson matrix M/dt + B/2, held per dt."""
         if self._cn[0] != dt:
-            M = self.M_ff
+            M = self.M
             self._cn = (dt, sp.csc_matrix(
-                (M.data / dt + self.B_ff.data * 0.5, M.indices, M.indptr),
+                (M.data / dt + self.B.data * 0.5, M.indices, M.indptr),
                 shape=M.shape))
         return self._cn[1]
 
     def embed(self, vec_free):
-        out = np.zeros(self.order.size)
+        out = np.zeros(self.nodes)
         out[self.free] = vec_free
         return out
 
@@ -241,24 +220,15 @@ def _transport_nodes(fields, theta, u_nodes):
         grid.hx, grid.hs)
 
 
-def _load_vector(ops, f8, f9):
-    """Forcing load on the free rows: f8 on the nodes, f9 on the top."""
-    load = np.zeros(ops.free.size)
-    if f8 is not None:
-        load += ops.M @ np.asarray(f8, float).ravel()[ops.order]
-    if f9 is not None:
-        load += ops.S_flat @ np.asarray(f9, float)
-    return load
-
-
 # ============================================================
 # time stepping
 # ============================================================
 
-def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
-            f9=None):
+def step_fd(fields, k_cond, state, dt, solver, transport=None):
     """One Crank-Nicolson step of the nodal scheme.
 
+    Only the free nodes' theta enters; the step returns theta = 0 on the
+    walls and bottom, whatever values the state held there.
     solver: the flow.LaggedLU of the run. It factors the first step's
     matrix and reuses that factor for later steps, exactly on frozen
     geometry and as a GMRES preconditioner on moving geometry. The matrix
@@ -268,16 +238,15 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None, f8=None,
     1.5 theta^n - 0.5 theta^{n-1} so the implicit matrix stays symmetric.
     """
     ops = heat_operators(fields, k_cond)
-    th = state.theta.ravel()[ops.order]
+    th = state.theta.ravel()[ops.free]
     rhs = ops.M @ th / dt - 0.5 * (ops.B @ th)
-    rhs += _load_vector(ops, f8, f9)
     if transport is not None or np.any(fields.deta_dt):
         that = state.theta
         if state.levels:
             that = 1.5 * state.theta - 0.5 * state.levels[0].theta
         adv = _transport_nodes(fields, that, transport)
         if np.any(adv):
-            rhs += ops.M @ adv.ravel()[ops.order]
+            rhs += ops.M @ adv.ravel()[ops.free]
 
     sol = solver.solve(spla, ops.cn_system(dt), rhs, dt)
     return state.advanced(theta=ops.embed(sol).reshape(state.theta.shape),
@@ -294,15 +263,14 @@ def build_basis(fields, k_cond, m):
     eigenvectors as columns), ascending. The fixed start vector makes
     repeated calls bitwise equal.
 
-    The shift is 0, so each Lanczos step solves with B_ff itself. B_ff is
-    symmetric positive definite (conduction plus Robin) and, in the x-major
-    order of the free nodes, a band matrix of half-width ny + 1, so the
-    solves use its BandedCholesky, factored in place, and no sparse LU of
-    B_ff is built."""
+    The shift is 0, so each Lanczos step solves with B itself. B is
+    symmetric positive definite (conduction plus Robin) and a band matrix
+    of half-width ny + 1, so the solves use its BandedCholesky, factored in
+    place, and no sparse LU of B is built."""
     ops = heat_operators(fields, k_cond)
-    B_inv = spla.LinearOperator(ops.B_ff.shape, dtype=float,
-                                matvec=BandedCholesky(ops.B_ff).solve)
-    lam, vecs = spla.eigsh(ops.B_ff, k=m, M=ops.M_ff, sigma=0.0,
+    B_inv = spla.LinearOperator(ops.B.shape, dtype=float,
+                                matvec=BandedCholesky(ops.B).solve)
+    lam, vecs = spla.eigsh(ops.B, k=m, M=ops.M, sigma=0.0,
                            OPinv=B_inv, v0=np.ones(ops.free.size))
     order = np.argsort(lam)
     return lam[order], vecs[:, order]

@@ -223,11 +223,9 @@ def test_heat_matrices_match_element_loop(params, jump):
     fields = _displaced_fields(grid)
     ops = ht.HeatOperators(fields, params.k)
     M, B = _reference_heat(fields, params.k)
-    free, order = ops.free, ops.order
-    assert np.array_equal(order[:free.size], free)
+    free = ops.free
     for got, ref in ((ops.M, M), (ops.B, B)):
-        _assert_entries_match(got, ref[free][:, order])
-    for got, ref in ((ops.M_ff, M), (ops.B_ff, B)):
+        assert got.shape == (free.size, free.size)
         _assert_entries_match(got, ref[free][:, free])
 
 

@@ -98,7 +98,7 @@ def test_perturbation_decays(problem, grid):
 
 
 def test_momentum_step_requires_dt(problem, zero_fields, grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         fl.momentum_step(problem, zero_fields, fl.zero_flow_state(grid))
 
 
@@ -415,7 +415,7 @@ class _DirectSaddle:
     """Reference saddle solver: assembles [[A, B^T], [B, 0]] and factors it
     afresh for every system."""
 
-    def solve(self, linalg, saddle, b, dt):
+    def solve(self, linalg, saddle, b, dt, start=None):
         K = sp.bmat([[saddle.A, saddle.B.T], [saddle.B, None]], format="csc")
         return spla.spsolve(K, b)
 
@@ -485,8 +485,8 @@ def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
 class _ColdStartSaddle(fl.LaggedBlockSaddle):
     """Block saddle solver that starts every cycle from P^-1 b."""
 
-    def _start(self, saddle, b):
-        return fl._LaggedSolver._start(self, saddle, b)
+    def solve(self, linalg, saddle, b, dt, start=None):
+        return super().solve(linalg, saddle, b, dt)
 
 
 def test_extrapolated_start_saves_iterations(params):
@@ -511,23 +511,40 @@ def test_extrapolated_start_falls_back_when_worse_than_zero(problem,
     solver = fl.LaggedBlockSaddle()
     x = solver.solve(spla, saddle, b, 0.02)
     first = solver.gmres_iterations
-    solver.solve(spla, saddle, -b, 0.02)
-    # the accepted solutions x and -x extrapolate to -3x, whose residual
-    # 4b is larger than that of the zero start
-    start, r = solver._start(saddle, b)
-    assert np.array_equal(start, solver._precondition(b))
-    assert np.array_equal(r, b - saddle @ start)
-    again = solver.solve(spla, saddle, b, 0.02)
-    assert solver.gmres_iterations == 3 * first
+    # solutions x and -x extrapolate to -3x, whose residual 4b is larger
+    # than that of the zero start: the cycle starts from P^-1 b instead
+    again = solver.solve(spla, saddle, b, 0.02, start=-3.0 * x)
+    assert solver.gmres_iterations == 2 * first
     assert np.array_equal(again, x)
-    # solutions held for another dt are dropped, not extrapolated: the
-    # start is that of a new solver
-    solver.solve(spla, saddle, b, 0.02)
-    fresh = fl.LaggedBlockSaddle()
-    assert np.array_equal(solver.solve(spla, saddle, b, 0.01),
-                          fresh.solve(spla, saddle, b, 0.01))
-    assert solver.counts()["factorizations"] == 2
-    assert len(solver._accepted) == 1
+
+
+def test_saddle_start_needs_two_levels_at_this_dt(problem):
+    # momentum_step extrapolates the state's two time levels only when both
+    # were taken at the step's dt; the solver holds no history of its own
+    problem = dataclasses.replace(problem)
+    solver = problem.saddle_solver
+    solve = solver.solve
+    starts = []
+
+    def recording(linalg, saddle, b, dt, start=None):
+        starts.append(start)
+        return solve(linalg, saddle, b, dt, start=start)
+
+    solver.solve = recording
+    flow, heat_state = _perturbed_start(problem)
+    steps = _run_steps(problem, flow, heat_state, [0.02] * 3 + [0.01] * 3,
+                       fresh=False)
+    assert [start is not None for start in starts] == [False, False, True,
+                                                       False, False, True]
+    mac = problem.stencils
+
+    def levels(state):
+        return np.concatenate([mac.full_vector(state.u1, state.u2)[mac.free],
+                               state.p.ravel()])
+
+    (f1, _), (f2, _), _, (f4, _), (f5, _), _ = steps
+    assert np.array_equal(starts[2], 2.0 * levels(f2) - levels(f1))
+    assert np.array_equal(starts[5], 2.0 * levels(f5) - levels(f4))
 
 
 def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields):

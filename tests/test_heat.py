@@ -22,29 +22,21 @@ def _flat_fields(flat_surface, params, nx, ny):
     return geo.build_geometry(grid, np.zeros(nx))
 
 
-def _manufactured(met, t, depth):
-    # Dirichlet-exact on walls and bottom, Robin-defective at the surface
-    return (math.exp(-t) * np.cos(MU * met["x1"])[:, None]
-            * np.sin(met["x2"] + depth))
+def _slowest_mode(met, t, depth):
+    # the exact slowest conduction mode: it vanishes on walls and bottom and
+    # meets the Robin condition at the surface, so it needs no forcing
+    return (math.exp(-HEAT_EIGS[0] * t) * np.cos(MU * met["x1"])[:, None]
+            * np.sin(HEAT_NU[0] * (met["x2"] + depth)))
 
 
-def _mms_run(flat_surface, params, nx, ny, dt, t_end):
-    k, d = params.k, params.depth
+def _mode_run(flat_surface, params, nx, ny, dt, t_end):
     fields = _flat_fields(flat_surface, params, nx, ny)
-    grid = fields.grid
     met = fields.at("nodes")
-    lam_f8 = -1.0 + k * (MU * MU + 1.0)
-    rob = k * math.cos(1.0 + d) + math.sin(1.0 + d)
-    state = ht.HeatState(theta=_manufactured(met, 0.0, d))
+    state = ht.HeatState(theta=_slowest_mode(met, 0.0, params.depth))
     solver = fl.LaggedLU()
-    for n in range(int(round(t_end / dt))):
-        # Crank-Nicolson keeps second order with midpoint forcing data
-        amp = math.exp(-(n + 0.5) * dt)
-        f8 = (lam_f8 * amp * np.cos(MU * met["x1"])[:, None]
-              * np.sin(met["x2"] + d))
-        f9 = rob * amp * np.cos(MU * grid.xf)
-        state = ht.step_fd(fields, k, state, dt, solver, f8=f8, f9=f9)
-    return state, fields, met
+    for _ in range(int(round(t_end / dt))):
+        state = ht.step_fd(fields, params.k, state, dt, solver)
+    return state, met
 
 
 # ------------------------------------------------------------
@@ -81,7 +73,7 @@ def test_eigenvalues_converge_to_continuum(flat_surface, params):
 
 
 def test_sparse_and_dense_eigenpaths_agree(params):
-    # shift-invert on the banded Cholesky factor of B_ff, on the flat and
+    # shift-invert on the banded Cholesky factor of B, on the flat and
     # on two curved rest states
     for jump in (0.0, 0.3, -0.5):
         jumped = dataclasses.replace(params, gamma_jump=jump)
@@ -89,7 +81,7 @@ def test_sparse_and_dense_eigenpaths_agree(params):
         grid = geo.make_grid(surface, 24, 18, jumped.depth)
         fields = geo.build_geometry(grid, np.zeros(grid.nx))
         ops = ht.heat_operators(fields, jumped.k)
-        dense = scipy.linalg.eigh(ops.B_ff.toarray(), ops.M_ff.toarray(),
+        dense = scipy.linalg.eigh(ops.B.toarray(), ops.M.toarray(),
                                   eigvals_only=True)      # full spectrum
         sparse = ht.lowest_eigenvalues(fields, jumped.k, m=4)
         assert np.max(np.abs(dense[:4] - sparse)) < 1e-9
@@ -104,26 +96,26 @@ def test_lowest_eigenvalues_are_reproducible(flat_surface, params):
 
 
 # ------------------------------------------------------------
-# manufactured-solution convergence
+# convergence to the exact slowest mode
 # ------------------------------------------------------------
 
 def test_mms_second_order_in_space(flat_surface, params):
     errs = []
     for nx, ny in ((12, 9), (24, 18), (48, 36)):
-        state, _, met = _mms_run(flat_surface, params, nx, ny, 2e-3, 0.1)
+        state, met = _mode_run(flat_surface, params, nx, ny, 2e-3, 0.1)
         errs.append(np.max(np.abs(state.theta
-                                  - _manufactured(met, 0.1, params.depth))))
+                                  - _slowest_mode(met, 0.1, params.depth))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.9
 
 
 def test_mms_second_order_in_time(flat_surface, params):
     t_end = 0.5
-    ref, _, _ = _mms_run(flat_surface, params, 24, 18, t_end / 640, t_end)
+    ref, _ = _mode_run(flat_surface, params, 24, 18, t_end / 640, t_end)
     errs = []
     for steps in (10, 20, 40):
-        state, _, _ = _mms_run(flat_surface, params, 24, 18, t_end / steps,
-                               t_end)
+        state, _ = _mode_run(flat_surface, params, 24, 18, t_end / steps,
+                             t_end)
         errs.append(np.max(np.abs(state.theta - ref.theta)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.9
@@ -131,20 +123,15 @@ def test_mms_second_order_in_time(flat_surface, params):
 
 def test_elliptic_solve_second_order(flat_surface, params):
     # steady Robin problem k (grad theta, grad psi)_J + <theta psi |N|>
-    # = (F8, psi)_J + <F9, psi>, solved with the stepper's own operators
-    k, d = params.k, params.depth
-    lam = k * (MU * MU + 1.0)
-    rob = k * math.cos(1.0 + d) + math.sin(1.0 + d)
+    # = lambda (theta_exact, psi)_J for the slowest mode, solved with the
+    # stepper's own operators
     errs = []
     for nx, ny in ((24, 18), (48, 36)):
         fields = _flat_fields(flat_surface, params, nx, ny)
-        met = fields.at("nodes")
-        want = _manufactured(met, 0.0, d)
-        f8 = lam * want
-        f9 = rob * np.cos(MU * fields.grid.xf)
-        ops = ht.heat_operators(fields, k)
-        load = ht._load_vector(ops, f8, f9)
-        got = ops.embed(spla.splu(ops.B_ff).solve(load))
+        want = _slowest_mode(fields.at("nodes"), 0.0, params.depth)
+        ops = ht.heat_operators(fields, params.k)
+        load = HEAT_EIGS[0] * (ops.M @ want.ravel()[ops.free])
+        got = ops.embed(spla.splu(ops.B).solve(load))
         errs.append(np.max(np.abs(got.reshape(want.shape) - want)))
     assert errs[0] < 5e-3
     assert errs[0] / errs[1] > 3.4
@@ -168,9 +155,9 @@ def test_crank_nicolson_energy_identity(flat_surface, params):
         a = state.theta.ravel()[ops.free]
         b = nxt.theta.ravel()[ops.free]
         mid = 0.5 * (a + b)
-        res = ((b @ (ops.M_ff @ b) - a @ (ops.M_ff @ a)) / (2.0 * dt)
-               + mid @ (ops.B_ff @ mid))
-        assert abs(res) < 1e-3 * dt * dt * (a @ (ops.M_ff @ a))
+        res = ((b @ (ops.M @ b) - a @ (ops.M @ a)) / (2.0 * dt)
+               + mid @ (ops.B @ mid))
+        assert abs(res) < 1e-3 * dt * dt * (a @ (ops.M @ a))
         state = nxt
 
 
@@ -210,12 +197,10 @@ def _rebuilt_step(fields, k, state, dt):
     """A frozen-geometry Crank-Nicolson step that builds its CSC matrix
     afresh and solves it with a fresh LaggedLU."""
     ops = ht.heat_operators(fields, k)
-    th = state.theta.ravel()[ops.order]
+    th = state.theta.ravel()[ops.free]
     rhs = ops.M @ th / dt - 0.5 * (ops.B @ th)
-    rhs += ht._load_vector(ops, None, None)
-    mat = sp.csc_matrix((ops.M_ff.data / dt + ops.B_ff.data * 0.5,
-                         ops.M_ff.indices, ops.M_ff.indptr),
-                        shape=ops.M_ff.shape)
+    mat = sp.csc_matrix((ops.M.data / dt + ops.B.data * 0.5,
+                         ops.M.indices, ops.M.indptr), shape=ops.M.shape)
     sol = fl.LaggedLU().solve(spla, mat, rhs, dt)
     return state.advanced(theta=ops.embed(sol).reshape(state.theta.shape),
                           time=state.time + dt, dt=dt)
@@ -249,9 +234,23 @@ def test_crank_nicolson_system_is_held_per_dt(flat_surface, params):
     other = ops.cn_system(0.01)
     assert other is not systems[0]
     assert np.array_equal(other.data,
-                          ops.M_ff.data / 0.01 + ops.B_ff.data * 0.5)
+                          ops.M.data / 0.01 + ops.B.data * 0.5)
     assert ht.HeatOperators(fields, params.k).cn_system(0.02) \
         is not systems[0]
+
+
+def test_step_ignores_theta_on_fixed_nodes(flat_surface, params):
+    # theta = 0 on walls and bottom: values a state holds there, such as
+    # rounding residue of initial data, do not enter the step
+    fields = _flat_fields(flat_surface, params, 24, 16)
+    theta0 = _slowest_mode(fields.at("nodes"), 0.0, params.depth)
+    walled = theta0.copy()
+    walled[0], walled[-1], walled[:, 0] = 0.3, -0.7, 1.1
+    clean, dirty = (ht.step_fd(fields, params.k, ht.HeatState(theta=th),
+                               0.02, fl.LaggedLU())
+                    for th in (theta0, walled))
+    assert np.array_equal(clean.theta, dirty.theta)
+    assert not np.any(clean.theta[0]) and not np.any(clean.theta[:, 0])
 
 
 def test_heat_lu_ordering_cuts_fill_and_stays_exact(params, monkeypatch):
