@@ -55,11 +55,9 @@ def default_config():
         "mean_height": 1.0,
         "eps": 0.0,
         "w3": 1.0,
-        "params": {
-            "mu": 0.35, "k": 0.35, "g": 1.0, "sigma1": 1.0, "sigma2": 0.1,
-            "beta": 1.0, "kappa": 1.0, "gamma_jump": 0.0,
-            "ell": 1.0, "big_l": 2.0, "depth": 0.5,
-        },
+        "params": {f.name: f.default
+                   for f in dataclasses.fields(PhysicalParams)
+                   if f.name != "theta_range"},
         "grid": {"nx": 48, "ny": 32},
         "time": {"dt": 0.02, "t_end": 6.0, "save_every": 5, "warmup": 0.0},
         "initial": {
@@ -340,6 +338,7 @@ def run_equilibrium(cfg, params, outdir):
     report = {
         "p0": surface.p0,
         "omega": omega,
+        # |u'(0)|, the centre slope that the half shot drives to zero
         "newton_residual": surface.newton_residual,
         "newton_iters": surface.newton_iters,
         "ode_residual": eq_mod.ode_residual(surface, params),

@@ -15,13 +15,14 @@ constant rest value of the modified pressure (gravity potential folded into
 the pressure), which is why the equilibrium is an exact steady state of the
 dynamical scheme rather than one up to discretization error.
 
-Solved by shooting: integrate the curvature ODE left to right with RK4,
-augmenting the state with the running integral of zeta0 so the mean-height
-constraint is part of the shooting residual, and Newton-iterate on the two
-unknowns (P0, zeta0(-ell)). Between the nodes the surface is sampled from
-the piecewise quintic Hermite interpolant of zeta0, zeta0' and zeta0'', the
-last read from the ODE itself, so the sampled slope is the exact derivative
-of the sampled height.
+Solved by shooting. The vessel is symmetric, so zeta0 is even, and P0
+enters only through u = zeta0 - P0/g. RK4 integrates u from the left wall
+to the centre node, and Newton on the one unknown u(-ell) drives u'(0) to
+zero. The half is mirrored to the right wall, and the running integral of
+u gives P0 = g (h_mean - mean u). Between the nodes the surface is sampled
+from the piecewise quintic Hermite interpolant of zeta0, zeta0' and
+zeta0'', the last read from the ODE itself, so the sampled slope is the
+exact derivative of the sampled height.
 """
 
 import math
@@ -102,112 +103,107 @@ def _wall_slope(params):
     return a / math.sqrt(1.0 - a * a)
 
 
-def _shoot(params, p0, z_left, n):
-    """RK4 integrate (zeta, slope, integral) across the vessel.
+def _shoot(params, u_left, n):
+    """RK4 integrate u = zeta0 - P0/g from the left wall to the centre.
 
-    Returns node arrays of zeta, slope and the final running integral.
+    u obeys u'' = (1 + u'^2)^(3/2) g u / sigma1, which holds no P0. The
+    state (u, u', w, w', m) carries w = du/du(-ell) by the variational
+    equation and the running integral m of u. Returns node arrays of u and
+    u' on [-ell, 0], the centre value of w' = d u'(0)/d u(-ell), and m.
     """
-    ell, g, sig = params.ell, params.g, params.sigma1
-    h = 2.0 * ell / n
-    z = np.empty(n + 1)
-    s = np.empty(n + 1)
-    z[0], s[0] = z_left, _wall_slope(params)
-    m = 0.0
+    c = params.g / params.sigma1
+    half = n // 2
+    h = 2.0 * params.ell / n
+    u = np.empty(half + 1)
+    s = np.empty(half + 1)
+    u[0], s[0] = u_left, _wall_slope(params)
+    y = (u[0], s[0], 1.0, 0.0, 0.0)
 
-    def rhs(zi, si):
-        return si, (1.0 + si * si) ** 1.5 * (g * zi - p0) / sig, zi
+    def rhs(y):
+        ui, si, wi, vi, _ = y
+        q = 1.0 + si * si
+        f = math.sqrt(q) * c
+        return si, q * f * ui, vi, f * (q * wi + 3.0 * si * ui * vi), ui
 
-    cap = 10.0 * (abs(z_left) + params.big_l + 1.0)
-    zi, si = z[0], s[0]
-    for i in range(n):
-        if not (abs(zi) < cap and abs(si) < 1e3):
+    cap = 10.0 * (abs(u_left) + params.big_l + 1.0)
+    for i in range(half):
+        ui, si = y[0], y[1]
+        if not (abs(ui) < cap and abs(si) < 1e3):
             # runaway trajectory: freeze the tail so the residual stays
             # finite and large, letting the damped Newton reject the step
-            z[i + 1:] = zi if math.isfinite(zi) else math.copysign(cap, zi)
+            u[i + 1:] = ui if math.isfinite(ui) else math.copysign(cap, ui)
             s[i + 1:] = si if math.isfinite(si) else math.copysign(1e3, si)
-            m += z[-1] * h * (n - i)
-            return z, s, m
-        k1 = rhs(zi, si)
-        k2 = rhs(zi + 0.5 * h * k1[0], si + 0.5 * h * k1[1])
-        k3 = rhs(zi + 0.5 * h * k2[0], si + 0.5 * h * k2[1])
-        k4 = rhs(zi + h * k3[0], si + h * k3[1])
-        zi = zi + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        si = si + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        m = m + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        z[i + 1], s[i + 1] = zi, si
-    return z, s, m
-
-
-def _residual(params, mean_height, p0, z_left, n):
-    z, s, m = _shoot(params, p0, z_left, n)
-    sr = s[-1]
-    r1 = params.sigma1 * sr / math.sqrt(1.0 + sr * sr) - params.gamma_jump
-    r2 = m / (2.0 * params.ell) - mean_height
-    return np.array([r1, r2]), z, s
+            return u, s, y[3], y[4] + u[-1] * h * (half - i)
+        k1 = rhs(y)
+        k2 = rhs([a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = rhs([a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = rhs([a + h * b for a, b in zip(y, k3)])
+        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        u[i + 1], s[i + 1] = y[0], y[1]
+    return u, s, y[3], y[4]
 
 
 def solve_equilibrium(params, mean_height, n=400, tol=1e-12, max_iter=60):
-    """Shooting + Newton solve of the equilibrium surface.
+    """Shooting + Newton solve of the equilibrium surface on n + 1 nodes.
 
-    The Jacobian of the 2-vector residual (right contact angle, mean height)
-    with respect to (P0, zeta0(-ell)) is taken by forward differences; for a
-    flat rest state (gamma_jump = 0) the initial guess is already the exact
-    root and the solver returns immediately.
+    The vessel is symmetric, so the surface is even. Newton drives the
+    centre slope u'(0) of the half shot to zero in the one unknown
+    u(-ell), with the derivative from the variational equation; the
+    reported newton_residual is the final |u'(0)|. The half is mirrored
+    to the right wall and P0 = g (hbar - mean u) sets the mean height.
+    n must be even so that the centre is a node. For a flat rest state
+    (gamma_jump = 0) the initial guess is already the exact root and the
+    solver returns immediately.
     """
     params.require_valid()
     if not 0.0 < mean_height <= params.big_l:
         raise EquilibriumError("mean height %g outside (0, big_l]" % mean_height)
-    # start from the small-slope closed form: eta = A cosh(m x) + C with
-    # A = a/(m sinh(m ell)), C = -a/(m^2 ell), a = gamma_jump/sigma1, so
-    # P0 = g*hbar - a*sigma1/ell and zeta(-ell) = hbar + A cosh(m ell) + C.
-    # Exact when gamma_jump = 0; close enough to converge undamped
-    # otherwise.
+    if n % 2:
+        raise ValueError("n = %d must be even so the centre is a node" % n)
+    # start from the small-slope closed form u = A cosh(m x1) with
+    # A = a/(m sinh(m ell)), a = gamma_jump/sigma1, so u(-ell) =
+    # a/(m tanh(m ell)). Exact when gamma_jump = 0; close enough to
+    # converge undamped otherwise.
     a = params.gamma_jump / params.sigma1
     mfreq = math.sqrt(params.g / params.sigma1)
-    ell = params.ell
-    A = a / (mfreq * math.sinh(mfreq * ell))
-    p0 = params.g * mean_height - a * params.sigma1 / ell
-    z_left = mean_height + A * math.cosh(mfreq * ell) - a / (mfreq ** 2 * ell)
-    r, z, s = _residual(params, mean_height, p0, z_left, n)
+    u_left = a / (mfreq * math.tanh(mfreq * params.ell))
+    u, s, ds, m = _shoot(params, u_left, n)
     it = 0
-    while np.max(np.abs(r)) > tol:
+    # "not <=" keeps iterating on a NaN residual until the stall error
+    while not abs(s[-1]) <= tol:
         it += 1
         if it > max_iter:
             raise EquilibriumError(
-                "shooting Newton stalled at residual %g" % np.max(np.abs(r)))
-        dp = 1e-7 * max(1.0, abs(p0))
-        dz = 1e-7 * max(1.0, abs(z_left))
-        rp = _residual(params, mean_height, p0 + dp, z_left, n)[0]
-        rz = _residual(params, mean_height, p0, z_left + dz, n)[0]
-        jac = np.column_stack([(rp - r) / dp, (rz - r) / dz])
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            raise EquilibriumError("singular shooting Jacobian")
+                "shooting Newton stalled at residual %g" % abs(s[-1]))
+        step = -s[-1] / ds
         # damped update, halve until the residual decreases
         lam = 1.0
         for _ in range(30):
-            r_new, z, s = _residual(params, mean_height,
-                                    p0 + lam * step[0], z_left + lam * step[1], n)
-            if np.max(np.abs(r_new)) < np.max(np.abs(r)):
+            shot = _shoot(params, u_left + lam * step, n)
+            if abs(shot[1][-1]) < abs(s[-1]):
                 break
             lam *= 0.5
-        p0 += lam * step[0]
-        z_left += lam * step[1]
-        r = r_new
+        u_left += lam * step
+        u, s, ds, m = shot
 
+    # mirror the left half: zeta0 and zeta0'' even, zeta0' odd
+    residual, s[-1] = abs(s[-1]), 0.0
+    u = np.concatenate([u, u[-2::-1]])
+    s = np.concatenate([s, -s[-2::-1]])
+    shift = mean_height - m / params.ell     # P0/g: mean u is m/ell
+    z = u + shift
     if np.min(z) <= 0.0 or np.max(z) > params.big_l:
         raise EquilibriumError("equilibrium surface leaves (0, big_l]: "
                                "range [%g, %g]" % (np.min(z), np.max(z)))
     x = np.linspace(-params.ell, params.ell, n + 1)
     omega = math.pi / 2.0 + math.atan(s[-1])
     # the curvature ODE gives zeta0'' at the nodes without differencing
-    d2z = (1.0 + s * s) ** 1.5 * (params.g * z - p0) / params.sigma1
+    d2z = (1.0 + s * s) ** 1.5 * params.g * u / params.sigma1
     return EquilibriumSurface(x=x, zeta0=z, dzeta0=s, d2zeta0=d2z,
-                              p0=float(p0),
+                              p0=float(params.g * shift),
                               omega=float(omega), mean_height=float(mean_height),
-                              ell=params.ell,
-                              newton_residual=float(np.max(np.abs(r))),
+                              ell=params.ell, newton_residual=float(residual),
                               newton_iters=it)
 
 

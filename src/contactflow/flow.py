@@ -811,10 +811,6 @@ def _advection(fields, u1, u2):
                                       hx, hs))
 
 
-def _theta_at_yfaces(theta):
-    return 0.5 * (theta[:-1, :] + theta[1:, :])
-
-
 # ============================================================
 # time stepping
 # ============================================================
@@ -864,7 +860,8 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
 
     # buoyancy
     if theta is not None:
-        th_yf = _theta_at_yfaces(np.asarray(theta, float))
+        theta = np.asarray(theta, float)
+        th_yf = 0.5 * (theta[:-1, :] + theta[1:, :])
         w2 = ops.mass_diag[mac.n1:]
         rhs[mac.n1:] += -params.g * th_yf.ravel() * w2
 

@@ -108,19 +108,20 @@ class _ModeSampler:
         self.coef[:, 0] *= 0.5
 
     def sample_triple(self, x1, depth):
-        """(value, d/dx1, d/d depth) of every row on the tensor grid
-        x1 (n1,) x depth (ns,), each (r, n1, ns).
+        """On the tensor grid x1 (n1,) x depth (ns,): the value of every
+        row, (r, n1, ns), and d/dx1 and d/d depth of row 0, each (n1, ns).
 
-        One (modes, ns) decay table serves all three, so each is a single
-        (n1, modes) @ (modes, ns) product per row.
+        One (modes, ns) decay table serves all three, so they take r + 2
+        (n1, modes) @ (modes, ns) products. Only row 0, etabar, needs its
+        derivatives.
         """
         arg = np.multiply.outer(np.asarray(x1, float) + self.ell, self.w)
         cos, sin = np.cos(arg), np.sin(arg)
         ed = np.exp(np.multiply.outer(self.w, np.asarray(depth, float)))
-        c = self.coef[:, None, :]
-        return ((c * cos) @ ed,
-                (c * (sin * -self.w)) @ ed,
-                (c * (cos * self.w)) @ ed)
+        c0 = self.coef[0]
+        return ((self.coef[:, None, :] * cos) @ ed,
+                (c0 * (sin * -self.w)) @ ed,
+                (c0 * (cos * self.w)) @ ed)
 
 
 # ============================================================
@@ -223,8 +224,8 @@ class GeometryFields:
         depth_off = g.hbar * (s - 1.0)
         value, dx1, dd = self._samp.sample_triple(x1, depth_off)
         eb = value[0]
-        d2 = dd[0] * (g.hbar / H)[:, None]
-        d1 = dx1[0] - s * dz0[:, None] * d2
+        d2 = dd * (g.hbar / H)[:, None]
+        d1 = dx1 - s * dz0[:, None] * d2
         A = W * d1 - (phi * (dz0 / z0 ** 2)[:, None]) * eb
         J = 1.0 + ((dphi / z0[:, None]) * eb + W * d2)
         K = 1.0 / J
@@ -250,7 +251,7 @@ class GeometryFields:
         N = (-d1 zeta, 1)."""
         x1 = np.asarray(x1, float)
         dz0 = np.asarray(self.grid.dzeta0_fn(x1), float)
-        d1_eta = self._samp.sample_triple(x1, [0.0])[1][0, :, 0]
+        d1_eta = self._samp.sample_triple(x1, [0.0])[1][:, 0]
         slope = dz0 + d1_eta
         return {"x1": x1, "dzeta0": dz0, "d1_eta": d1_eta, "slope": slope,
                 "abs_n": np.sqrt(1.0 + slope ** 2)}

@@ -211,15 +211,6 @@ class HeatState(StateHistory):
     levels: list = field(default_factory=list)  # previous states, newest first
 
 
-def _transport_nodes(fields, theta, u_nodes):
-    """Explicit transport sources on the nodes (geometry.transport_source):
-    mesh motion plus advection by u_nodes, which None leaves out."""
-    grid = fields.grid
-    return geometry.transport_source(
-        fields.at("nodes"), theta, (0.0, 0.0) if u_nodes is None else u_nodes,
-        grid.hx, grid.hs)
-
-
 # ============================================================
 # time stepping
 # ============================================================
@@ -233,9 +224,10 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None):
     matrix and reuses that factor for later steps, exactly on frozen
     geometry and as a GMRES preconditioner on moving geometry. The matrix
     is the operators' held cn_system(dt).
-    transport: node-sampled velocity (2, nx+1, ny+1) or None. Advection and
-    mesh motion are treated explicitly with the two-level extrapolant
-    1.5 theta^n - 0.5 theta^{n-1} so the implicit matrix stays symmetric.
+    transport: node-sampled velocity (2, nx+1, ny+1), or None for no
+    advection. Advection and mesh motion are treated explicitly with the
+    two-level extrapolant 1.5 theta^n - 0.5 theta^{n-1} so the implicit
+    matrix stays symmetric.
     """
     ops = heat_operators(fields, k_cond)
     th = state.theta.ravel()[ops.free]
@@ -244,7 +236,10 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None):
         that = state.theta
         if state.levels:
             that = 1.5 * state.theta - 0.5 * state.levels[0].theta
-        adv = _transport_nodes(fields, that, transport)
+        adv = geometry.transport_source(
+            fields.at("nodes"), that,
+            (0.0, 0.0) if transport is None else transport,
+            fields.grid.hx, fields.grid.hs)
         if np.any(adv):
             rhs += ops.M @ adv.ravel()[ops.free]
 

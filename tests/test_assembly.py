@@ -292,5 +292,6 @@ def test_transport_source_matches_per_staggering_formulas(params, jump):
     Xn, Sn = np.meshgrid(grid.xf, grid.sf, indexing="ij")
     theta = np.sin(1.7 * Xn + 0.4) * Sn
     u_nodes = fl.velocity_at_nodes(u1, u2)
-    _assert_close(ht._transport_nodes(fields, theta, u_nodes),
+    _assert_close(geo.transport_source(fields.at("nodes"), theta, u_nodes,
+                                       grid.hx, grid.hs),
                   _reference_transport_nodes(fields, theta, u_nodes))

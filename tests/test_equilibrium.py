@@ -80,11 +80,27 @@ def test_contact_angle_closed_form(params, jump):
     assert abs(s.omega - (math.pi / 2.0 + math.asin(jump / params.sigma1))) < 1e-12
 
 
-@pytest.mark.parametrize("jump", [1e-3, 1e-2, 0.3])
+@pytest.mark.parametrize("jump", [1e-3, 1e-2, 0.3, 0.99, -0.99])
 def test_slope_boundary_conditions(params, jump):
     s = eq.solve_equilibrium(_with_jump(params, jump), 1.0)
     for sl, sign in ((s.dzeta0[-1], 1.0), (s.dzeta0[0], -1.0)):
         assert abs(sign * params.sigma1 * sl / math.hypot(1.0, sl) - jump) < 1e-10
+
+
+@pytest.mark.parametrize("jump", [0.3, -0.5, 0.9])
+def test_rest_surface_is_even(params, jump):
+    # the half shot is mirrored, so in the symmetric vessel the rest state
+    # is even to the last bit and its slope odd
+    s = eq.solve_equilibrium(_with_jump(params, jump), 1.0)
+    assert np.array_equal(s.zeta0, s.zeta0[::-1])
+    assert np.array_equal(s.dzeta0, -s.dzeta0[::-1])
+    assert np.array_equal(s.d2zeta0, s.d2zeta0[::-1])
+
+
+def test_rejects_odd_node_count(params):
+    # the centre, where the half shot ends, must be a node
+    with pytest.raises(ValueError):
+        eq.solve_equilibrium(_with_jump(params, 0.3), 1.0, n=401)
 
 
 @pytest.mark.parametrize("jump,eta0,eta_ell", LIN_EQ)

@@ -113,10 +113,12 @@ def test_sample_triple_matches_single_samples(grid):
         decay = a * np.exp(k * depth)
         assert np.allclose(v[row], np.cos(k * x1)[:, None] * decay,
                            rtol=0.0, atol=1e-17)
-        assert np.allclose(d1[row], -k * np.sin(k * x1)[:, None] * decay,
-                           rtol=0.0, atol=1e-16)
-        assert np.allclose(d2[row], k * np.cos(k * x1)[:, None] * decay,
-                           rtol=0.0, atol=1e-16)
+    # the derivatives are row 0's only
+    decay = amp * np.exp(xi * depth)
+    assert np.allclose(d1, -xi * np.sin(xi * x1)[:, None] * decay,
+                       rtol=0.0, atol=1e-16)
+    assert np.allclose(d2, xi * np.cos(xi * x1)[:, None] * decay,
+                       rtol=0.0, atol=1e-16)
     # the surface slope is the exact derivative of the eta row alone
     fields = geo.build_geometry(grid, amp2 * np.cos(2.0 * xi * grid.xc),
                                 amp * np.cos(xi * grid.xc))
