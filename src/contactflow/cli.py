@@ -429,7 +429,7 @@ def run_heat(cfg, params, outdir):
 
 
 def _solver_report(solver):
-    """A lagged solver's counts plus the entries its held factors hold."""
+    """A lagged solver's counts plus the entries its held factor holds."""
     return {**solver.counts(), "factor_nnz": solver.factor_nnz}
 
 

@@ -126,21 +126,21 @@ def _shoot(params, u_left, n):
         return si, q * f * ui, vi, f * (q * wi + 3.0 * si * ui * vi), ui
 
     cap = 10.0 * (abs(u_left) + params.big_l + 1.0)
-    for i in range(half):
-        ui, si = y[0], y[1]
-        if not (abs(ui) < cap and abs(si) < 1e3):
-            # runaway trajectory: freeze the tail so the residual stays
-            # finite and large, letting the damped Newton reject the step
-            u[i + 1:] = ui if math.isfinite(ui) else math.copysign(cap, ui)
-            s[i + 1:] = si if math.isfinite(si) else math.copysign(1e3, si)
-            return u, s, y[3], y[4] + u[-1] * h * (half - i)
+    for i in range(1, half + 1):
         k1 = rhs(y)
         k2 = rhs([a + 0.5 * h * b for a, b in zip(y, k1)])
         k3 = rhs([a + 0.5 * h * b for a, b in zip(y, k2)])
         k4 = rhs([a + h * b for a, b in zip(y, k3)])
         y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        u[i + 1], s[i + 1] = y[0], y[1]
+        if not (abs(y[0]) < cap and abs(y[1]) < 1e3):
+            # runaway trajectory: freeze the tail inside the guard's bounds
+            # (NaN to the bound), so the residual stays finite and at most
+            # 1e3, and the damped Newton rejects the step
+            u[i:] = math.copysign(min(cap, abs(y[0])), y[0])
+            s[i:] = math.copysign(min(1e3, abs(y[1])), y[1])
+            return u, s, y[3], y[4] + u[-1] * h * (half - i)
+        u[i], s[i] = y[0], y[1]
     return u, s, y[3], y[4]
 
 

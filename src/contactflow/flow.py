@@ -44,35 +44,22 @@ closes the energy bookkeeping: the implicit surface blocks are exactly the
 discrete gradients of the surface energies.
 
 The saddle matrix is never assembled or factored whole: its zero pressure
-block forces off-diagonal pivots and a large fill. LaggedBlockSaddle holds two
-SPD factorizations instead, the sparse LU of the velocity block A and a
-BandedCholesky of the pressure Laplacian L_p = B M^-1 B^T (the in-place
-LAPACK band factor that also serves the heat spectrum), and solves by GMRES
-right-preconditioned with the block-triangular [[A, B^T], [0, -S]].
-S^-1 = L_p^-1 / dt + mu M_p^-1, with M_p = diag(Jvol hx hs), is the
-Cahouet-Chabard approximation of the Schur complement of unsteady Stokes
-(Cahouet & Chabard, Int. J. Numer. Meth. Fluids 8 (1988); Elman, Silvester &
-Wathen, Finite Elements and Fast Iterative Solvers, on the unsteady Stokes
-problem). Near rest the blocks move by O(|eta|) from one step to the next,
-so a run builds the factors once and reuses them for later steps,
-refactoring only when a solve misses a 1e-13 relative residual; the heat
-solve reuses one LU the same way (LaggedLU). See Benzi, Golub & Liesen, Acta
-Numerica 14 (2005) on block and lagged-factorization preconditioners. The
-Krylov cycle is written here (`_gmres_cycle`): it keeps the preconditioned
-directions, so its update needs no preconditioner solve of its own. The
-saddle solution also moves by O(dt) per step near rest, so momentum_step
-starts the cycle from the linear extrapolation of the state's last two time
-levels when both were taken at the step's dt.
-
-The velocity-block LU is held in single precision. It only preconditions:
-the lagged factor is already approximate after the first step, and because
-the cycle keeps the preconditioned directions it is flexible GMRES, which
-with a single-precision LU preconditioner still reaches double-precision
-backward error (Arioli & Duff, ETNA 33 (2009)). Every Krylov vector,
-residual and the LAG_RTOL acceptance stay in double precision, as do the
-pressure Laplacian factor and the heat LU. A float32 factor holds 8 bytes
-per L+U entry (value and row index) against 12, and each of a step's
-(GMRES iterations + at most 1) velocity solves reads the whole factor.
+block forces off-diagonal pivots and a large fill. The step is solved in a
+discrete stream function instead, the null-space method for saddle systems
+(Benzi, Golub & Liesen, Acta Numerica 14 (2005), section 6). psi lives on
+the nodes and vanishes on the walls and the bottom; the fluxes Z1 = d_s psi
+and Z2 = -d_x psi have zero flux divergence identically, and the stream map
+T takes psi to u1 = Z1/Jvol, u2 = Z2 - (Jvol b - A) ubar1, so B T = 0 and
+Div u stay at rounding level. The step solves the SPD system K psi = T^T f,
+K = T^T A T, on the (nx - 1) ny free nodes, and takes the pressure from this
+step's pressure Laplacian, p = L_p^-1 B M^-1 (f - A u) with L_p = B M^-1 B^T
+(a BandedCholesky, the in-place LAPACK band factor that also serves the
+heat spectrum). Near rest K moves by O(|eta|) from one step to the next, so
+a run factors the first step's K once (LaggedStreamLU) and preconditions
+conjugate gradients (`_pcg`) with that LU on later steps; the heat solve
+reuses one LU the same way (LaggedLU). Refinement sweeps K dpsi = T^T r,
+u += T dpsi bring the full saddle residual r to LAG_RTOL ||f|| (projected
+CG: Gould, Hribar & Nocedal, SIAM J. Sci. Comput. 23 (2001)).
 
 The curvature remainder
 
@@ -127,28 +114,28 @@ def remainder_r(s0, s):
 # ============================================================
 
 LAG_RTOL = 1e-13      # accepted residual ||b - A x|| / ||b|| of a lagged solve
-LAG_RESTART = 40      # Krylov dimension of the single GMRES cycle
-# GMRES stops a decade below LAG_RTOL: in a saddle solve the last digits of
-# the residual sit in the continuity rows, and this margin brings the
-# divergence residual down to the level of a direct solve
-GMRES_AIM = 1e-14
+# CG stops a decade below LAG_RTOL: its recursively updated residual keeps
+# falling below the rounding level of the true one, and this margin brings
+# the accepted residuals to the level of a direct solve
+CG_AIM = 1e-14
+CG_MAXITER = 40       # iterations of one CG solve before it counts as a miss
+REFINE_SWEEPS = 3     # refinement sweeps of one stream-function solve
 
 
 class _LaggedSolver:
-    """Solves a sequence of nearby linear systems with factors held from
-    the first of them.
+    """Solves a sequence of nearby SPD systems with a factor held from the
+    first of them.
 
     The first system, and any whose shape or dt differ from the held
-    factors', has its factors built (`_factor`, one count in
-    `factorizations`); every solve is then one GMRES cycle
-    (`_gmres_cycle`) right-preconditioned by the held factors. The cycle
-    starts from the caller's `start` when its residual is below ||b||, and
-    otherwise from the preconditioned right-hand side, which is exact when
-    the held factors are those of the system. A result is kept only when
-    it is finite and its explicitly computed residual is at most
-    LAG_RTOL ||b||. A miss with factors held from an earlier step drops
-    them before refactoring, so two factor sets never coexist; a miss with
-    fresh factors raises StabilityError. A zero right-hand side returns
+    factor's, has its factor built (`_factor`, one count in
+    `factorizations`). Each CG solve (`_cg`) starts from the held factor's
+    solution, which is exact when the factor is the system's own, and
+    corrects it by conjugate gradients preconditioned with that factor.
+    `_attempt` keeps a result only when its explicitly computed residual is
+    at most LAG_RTOL ||b||; a CG solve that takes all CG_MAXITER iterations
+    is a miss at once. A miss with a factor held from an earlier step
+    drops it before refactoring, so two factors never coexist; a miss with
+    a fresh factor raises StabilityError. A zero right-hand side returns
     zeros without factoring.
 
     Each solve takes the caller's scipy.sparse.linalg handle, so every
@@ -156,140 +143,116 @@ class _LaggedSolver:
     """
 
     def __init__(self):
-        self._precondition = None     # held right preconditioner
+        self._precondition = None     # held preconditioner y -> P^-1 y
         self._key = None
-        self.factor_nnz = 0           # entries held in the factors
+        self.factor_nnz = 0           # entries held in the factor
         self.factorizations = 0
-        self.reused_solves = 0        # solves with factors of an earlier step
-        self.gmres_iterations = 0     # summed over all solves
-        self.max_gmres_iterations = 0
+        self.reused_solves = 0        # solves with a factor of an earlier step
+        self.cg_iterations = 0        # summed over all CG solves
+        self.max_cg_iterations = 0    # the most of any one CG solve
         self.fallbacks = 0
 
     def counts(self):
         return {"factorizations": self.factorizations,
                 "reused_solves": self.reused_solves,
-                "gmres_iterations": self.gmres_iterations,
-                "max_gmres_iterations": self.max_gmres_iterations,
+                "cg_iterations": self.cg_iterations,
+                "max_cg_iterations": self.max_cg_iterations,
                 "fallbacks": self.fallbacks}
 
-    def solve(self, linalg, system, b, dt, start=None):
-        """x with system @ x = b; raises StabilityError on NaN/inf.
-
-        start: an optional first iterate, such as an extrapolation of
-        earlier solutions."""
+    def solve(self, linalg, system, b, dt):
+        """The solution for right-hand side b; raises StabilityError on
+        NaN/inf."""
         if not np.all(np.isfinite(b)):
             raise StabilityError("non-finite right-hand side")
         if not np.any(b):
-            return np.zeros_like(b)   # keeps the rest state an exact fixed point
+            # keeps the rest state an exact fixed point
+            return np.zeros(self._size(system, b))
         key = (system.shape, dt)
         if self._precondition is not None and self._key == key:
-            x = self._cycle(system, b, start)
+            x = self._attempt(system, b)
             if x is not None:
                 self.reused_solves += 1
                 return x
             self.fallbacks += 1
             self._precondition = None
-        self._precondition, self.factor_nnz = self._factor(linalg, system, dt)
+        self._precondition, self.factor_nnz = self._factor(linalg, system)
         self._key = key
         self.factorizations += 1
-        x = self._cycle(system, b, start)
+        x = self._attempt(system, b)
         if x is None:
-            raise StabilityError("solve with fresh factors returned non-finite"
+            raise StabilityError("solve with a fresh factor returned non-finite"
                                  " values or missed its residual bound")
         return x
 
-    def _factor(self, linalg, system, dt):
+    def _size(self, system, b):
+        return b.size
+
+    def _factor(self, linalg, system):
         """(preconditioner y -> P^-1 y, entries held) built from system."""
         raise NotImplementedError
 
-    def _cycle(self, system, b, start):
-        """One preconditioned GMRES cycle; None unless it meets LAG_RTOL."""
-        bnorm = np.linalg.norm(b)
-        x = start
-        if x is not None:
-            r = b - system @ x
-        if x is None or not np.linalg.norm(r) < bnorm:
-            x = self._precondition(b)
-            r = b - system @ x
-        res = np.linalg.norm(r)
-        if np.isfinite(res) and res > GMRES_AIM * bnorm:
-            dx, iterations = _gmres_cycle(system, self._precondition, r,
-                                          GMRES_AIM * bnorm)
-            self.gmres_iterations += iterations
-            self.max_gmres_iterations = max(self.max_gmres_iterations,
-                                            iterations)
-            x = x + dx
-            res = np.linalg.norm(b - system @ x)
-        if res <= LAG_RTOL * bnorm and np.all(np.isfinite(x)):
-            return x
-        return None
+    def _attempt(self, system, b):
+        """The solution, or None unless it meets LAG_RTOL."""
+        raise NotImplementedError
+
+    def _cg(self, A, b, atol):
+        """x with A x = b to atol in the recursive residual, or None when
+        CG takes all CG_MAXITER iterations."""
+        x = self._precondition(b)
+        dx, iterations = _pcg(A, self._precondition, b - A @ x, atol)
+        self.cg_iterations += iterations
+        self.max_cg_iterations = max(self.max_cg_iterations, iterations)
+        return x + dx if iterations < CG_MAXITER else None
 
 
-def _gmres_cycle(system, precondition, r, atol):
-    """(dx, iterations): one GMRES(LAG_RESTART) cycle for system @ dx = r
-    from dx = 0, right-preconditioned, stopped once the Arnoldi residual is
-    at most atol (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)).
-
-    The basis is orthogonalized by classical Gram-Schmidt applied twice,
-    each pass two matrix-vector products with the basis, and the
-    Hessenberg columns are reduced by Givens rotations as they come. The
-    preconditioned directions Z are kept, as in flexible GMRES (Saad, SIAM
-    J. Sci. Comput. 14 (1993)), so dx = Z y costs no further preconditioner
-    application. The basis arrays are allocated empty and only the rows a
-    cycle reaches are written.
+def _pcg(A, precondition, b, atol):
+    """(x, iterations): preconditioned conjugate gradients for A x = b from
+    x = 0 (Hestenes & Stiefel, J. Res. Nat. Bur. Standards 49 (1952)),
+    stopped once the recursively updated residual is at most atol or after
+    CG_MAXITER iterations, and at once on a non-finite residual. A
+    direction of non-positive curvature d^T A d, where A or the
+    preconditioner is not positive definite, raises StabilityError.
     """
-    m = min(LAG_RESTART, r.size)
-    V = np.empty((m + 1, r.size))
-    Z = np.empty((m, r.size))
-    R = np.zeros((m, m))                # the rotated Hessenberg matrix
-    rotations = []                      # (cos, sin) of each Givens rotation
-    g = [float(np.linalg.norm(r))]      # rotated residual coordinates
-    V[0] = r / g[0]
-    for j in range(m):
-        Z[j] = precondition(V[j])
-        w = system @ Z[j]
-        basis = V[:j + 1]
-        h = basis @ w
-        w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        col = (h + h2).tolist()
-        below = float(np.linalg.norm(w))
-        for i, (c, s) in enumerate(rotations):
-            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
-                                  c * col[i + 1] - s * col[i])
-        # an exactly singular column gives NaN, which the caller's finite
-        # check rejects
-        rho = math.hypot(col[j], below) or math.nan
-        c, s = col[j] / rho, below / rho
-        rotations.append((c, s))
-        col[j] = rho
-        R[:j + 1, j] = col
-        g.append(-s * g[j])
-        g[j] *= c
-        if abs(g[j + 1]) <= atol or j + 1 == m:
-            break
-        V[j + 1] = w / below
-    k = j + 1
-    y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], check_finite=False)
-    return y @ Z[:k], k
+    x = np.zeros_like(b)
+    r = b.copy()
+    d = rho = None
+    for k in range(CG_MAXITER):
+        if not np.linalg.norm(r) > atol:
+            return x, k
+        z = precondition(r)
+        rho, rho_prev = r @ z, rho
+        d = z if d is None else z + (rho / rho_prev) * d
+        q = A @ d
+        curvature = d @ q
+        if not curvature > 0.0:
+            raise StabilityError("CG direction of non-positive curvature %g"
+                                 % curvature)
+        alpha = rho / curvature
+        x += alpha * d
+        r -= alpha * q
+    return x, CG_MAXITER
 
 
 class LaggedLU(_LaggedSolver):
     """Lagged solver whose held factor is the sparse LU of the first matrix
-    (the heat Crank-Nicolson solve); `system` is a CSC matrix.
+    (the heat Crank-Nicolson solve); `system` is an SPD CSC matrix.
 
     The columns are ordered by minimum degree on A^T + A, which suits the
     symmetric pattern of the heat matrix and at 96x64 cuts the L+U entries
-    from 0.54M (COLAMD) to 0.35M; partial pivoting is kept, so a matrix
-    with no symmetric structure still factors stably. The factor stays in
-    double precision: on frozen geometry it solves every step exactly,
-    with no GMRES iteration.
+    from 0.54M (COLAMD) to 0.35M. The factor stays in double precision: on
+    frozen geometry it solves every step exactly, with no CG iteration.
     """
 
-    def _factor(self, linalg, A, dt):
+    def _factor(self, linalg, A):
         lu = linalg.splu(A, permc_spec="MMD_AT_PLUS_A")
         return lu.solve, lu.nnz
+
+    def _attempt(self, A, b):
+        x = self._cg(A, b, CG_AIM * np.linalg.norm(b))
+        if x is None or not np.all(np.isfinite(x)) or \
+                np.linalg.norm(b - A @ x) > LAG_RTOL * np.linalg.norm(b):
+            return None
+        return x
 
 
 class BandedCholesky:
@@ -330,70 +293,72 @@ def pressure_laplacian(B, mass):
     return BandedCholesky(B @ sp.diags(1.0 / mass) @ B.T)
 
 
-class SaddleSystem:
-    """The saddle matrix [[A, B^T], [B, 0]] kept as its blocks.
+class StreamSystem:
+    """The saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0] of one step on
+    the divergence-free velocities u = T psi.
 
     A: SPD velocity block on the free dofs; B: (ncell, ndof) divergence;
-    mass: the velocity mass diagonal on the free dofs; cell_measure: the
-    pressure mass diagonal Jvol hx hs; mu: the viscosity. `@` applies the
-    whole matrix, so the saddle matrix itself is never assembled.
+    mass: the velocity mass diagonal on the free dofs; T: the stream map of
+    MacStencils.stream, with B T = 0 to rounding. K = T^T A T and the
+    pressure Laplacian are built on first use, so a zero load builds
+    neither.
     """
 
-    def __init__(self, A, B, mass, cell_measure, mu):
-        self.A, self.B = A, B
-        self.BT = B.T.tocsr()
-        self.mass, self.cell_measure, self.mu = mass, cell_measure, mu
-        n = A.shape[0] + B.shape[0]
-        self.shape = (n, n)
+    def __init__(self, A, B, mass, T):
+        self.A, self.B, self.mass, self.T = A, B, mass, T
+        self.shape = (T.shape[1], T.shape[1])
 
-    def __matmul__(self, x):
-        u, p = x[:self.A.shape[0]], x[self.A.shape[0]:]
-        return np.concatenate([self.A @ u + self.BT @ p, self.B @ u])
+    @functools.cached_property
+    def K(self):
+        return (self.T.T @ (self.A @ self.T)).tocsc()
+
+    @functools.cached_property
+    def lap(self):
+        return pressure_laplacian(self.B, self.mass)
 
 
-class LaggedBlockSaddle(_LaggedSolver):
-    """Lagged saddle solver holding the velocity-block LU and the pressure
-    Laplacian L_p as a BandedCholesky; `system` is a SaddleSystem.
+class LaggedStreamLU(_LaggedSolver):
+    """Lagged solver of StreamSystems holding a single-precision LU of the
+    first K; a solve returns [u, p].
 
-    The right preconditioner is the block-triangular [[A, B^T], [0, -S]]
-    with the Cahouet-Chabard Schur inverse S^-1 = L_p^-1 / dt + mu M_p^-1:
-    the first term is exact when A = M/dt, the second is spectrally
-    equivalent to the Schur complement of the viscous block. One count in
-    `factorizations` is one build of the pair, and `factor_nnz` counts the
-    LU's L+U entries plus the Cholesky band.
-
-    The velocity block is factored in `factor_dtype`, single precision: the
-    factor only preconditions a flexible GMRES cycle whose vectors and
-    residuals are double, so its rounding costs accuracy in the
-    preconditioner, not in the accepted solution. On the benchmark systems
-    it takes as many iterations as a double factor and reads two thirds
-    of the bytes per solve. The pressure Laplacian stays double, since
-    construct_flow_initial_data uses it as an exact projection.
-
-    The solver keeps no solutions of its own: a cycle starts from the
-    `start` its caller passes, which in momentum_step extrapolates the
-    state's time levels.
+    K is SPD, so its LU takes a symmetric fill-reducing ordering and
+    diagonal pivots. The factor only preconditions CG, whose vectors and
+    residuals are double, so its rounding costs iterations, not accuracy; a
+    float32 factor holds 8 bytes per L+U entry (value and row index)
+    against 12. An attempt solves K psi = T^T f, then sweeps K dpsi = T^T r
+    with r the saddle residual, until that residual meets LAG_RTOL ||f||,
+    at most REFINE_SWEEPS times.
     """
 
-    factor_dtype = np.float32         # precision of the velocity-block LU
+    def _size(self, system, f):
+        return f.size + system.B.shape[0]
 
-    def _factor(self, linalg, saddle, dt):
-        # A is SPD: a symmetric fill-reducing ordering and diagonal pivots
-        lu = linalg.splu(saddle.A.tocsc().astype(self.factor_dtype),
+    def _factor(self, linalg, system):
+        lu = linalg.splu(system.K.astype(np.float32),
                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
-        lap = pressure_laplacian(saddle.B, saddle.mass)
-        BT, nu = saddle.BT, saddle.A.shape[0]
-        viscous = saddle.mu / saddle.cell_measure
+        # SuperLU takes a right-hand side only in the factor's dtype
+        return (lambda r: lu.solve(r.astype(np.float32)).astype(float),
+                lu.nnz)
 
-        def precondition(r):
-            g = r[nu:]
-            p = -(lap.solve(g) / dt + viscous * g)
-            # SuperLU takes a right-hand side only in the factor's dtype
-            u = lu.solve((r[:nu] - BT @ p).astype(self.factor_dtype))
-            return np.concatenate([u, p])
-
-        return precondition, lu.nnz + lap.nnz
+    def _attempt(self, s, f):
+        bound = LAG_RTOL * np.linalg.norm(f)
+        u, g = np.zeros_like(f), s.T.T @ f
+        # every sweep aims at the first solve's tolerance: a sweep corrects
+        # rounding, so a few digits of its own right-hand side suffice
+        atol = CG_AIM * np.linalg.norm(g)
+        for _ in range(REFINE_SWEEPS + 1):
+            dpsi = self._cg(s.K, g, atol)
+            if dpsi is None:
+                return None
+            u = u + s.T @ dpsi
+            r = f - s.A @ u
+            p = s.lap.solve(s.B @ (r / s.mass))
+            r = r - s.B.T @ p
+            if math.hypot(np.linalg.norm(r), np.linalg.norm(s.B @ u)) <= bound:
+                return np.concatenate([u, p])
+            g = s.T.T @ r
+        return None
 
 
 # ============================================================
@@ -458,8 +423,8 @@ class CoupledProblem:
     eps: float = 0.0
     w3: float = 1.0
     # lagged factorizations of the saddle and heat systems, one per problem
-    saddle_solver: LaggedBlockSaddle = field(
-        default_factory=LaggedBlockSaddle, init=False, repr=False,
+    saddle_solver: LaggedStreamLU = field(
+        default_factory=LaggedStreamLU, init=False, repr=False,
         compare=False)
     heat_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
                                   repr=False, compare=False)
@@ -548,10 +513,13 @@ class _SlotValues:
 
     @staticmethod
     def kron(X, Y, offset, scale):
-        """diag(scale) kron(X, Y); scale is a scalar or one value per row,
-        shaped (rows of X, rows of Y)."""
-        vals = np.asarray(scale)[..., None, None] * (
-            X.vals[:, None, :, None] * Y.vals[None, :, None, :])
+        """diag(scale) kron(X, Y); scale is a scalar, one value per row
+        shaped (rows of X, rows of Y), or one per slot shaped (rows of X,
+        rows of Y, slots of X, slots of Y)."""
+        scale = np.asarray(scale)
+        if scale.ndim < 4:
+            scale = scale[..., None, None]
+        vals = scale * (X.vals[:, None, :, None] * Y.vals[None, :, None, :])
         return vals.reshape(vals.shape[0] * vals.shape[1], -1)
 
     @staticmethod
@@ -603,16 +571,20 @@ class MacStencils:
         slip rows on the bottom and walls and an identity row per dof for
         the mass. A_visc + A_slip + M/dt = R^T diag(w) R;
       * the flux divergence Div and its top row Ztop, linear in
-        zw = (Jvol, Jvol b - A) of the faces.
+        zw = (Jvol, Jvol b - A) of the faces;
+      * the stream map T from the free nodes (psi = 0 on the walls and the
+        bottom) to the dofs, u1 = d_s psi / Jvol and u2 = -d_x psi -
+        (Jvol b - A) ubar1, whose ubar1 slots carry the 1/Jvol of the x face
+        they read.
 
-    rows() and flux() fill these patterns from each step's metric.
+    rows(), flux() and stream() fill these patterns from each step's
+    metric.
     """
 
     def __init__(self, grid, beta):
         nx, ny, hx, hs = grid.nx, grid.ny, grid.hx, grid.hs
         self.nx, self.ny = nx, ny
         self.n1 = (nx + 1) * ny
-        self.ncell = nx * ny
 
         # 1-D stencils: x stencils over faces (nx+1) or cells (nx), s
         # stencils over faces (ny+1) or cells (ny)
@@ -637,6 +609,14 @@ class MacStencils:
                         "csr")
         self._mid = _slots(sp.eye(ny), j)
         self._lo, self._hi = _slots(avg[:-1], j), _slots(avg[1:], j)
+        # ubar1 on the free y faces from d_s psi: the node columns of each
+        # cell's d_s, and the cell that each slot reads
+        faces = _slots(avg[1:])
+        self._ubar = _Slots(
+            self._ds.cols[faces.cols].reshape(ny, -1),
+            (faces.vals[:, :, None]
+             * self._ds.vals[faces.cols]).reshape(ny, -1), ny + 1)
+        self._ubar_cell = np.repeat(faces.cols, 2, axis=1)
 
         # slip friction on the bottom and walls, traces extrapolated from
         # the first two interior layers; the wall measure carries the rest
@@ -669,6 +649,12 @@ class MacStencils:
         div, ztop = self._flux_blocks(_SlotColumns, zero1, zero2)
         self._div = _SlotPattern(div, dof_of, self.free.size)
         self._ztop = _SlotPattern(ztop, dof_of, self.free.size)
+        # the free nodes of psi: between the walls, above the bottom
+        node_of = np.full((nx + 1, ny + 1), -1)
+        node_of[1:nx, 1:] = np.arange((nx - 1) * ny).reshape(nx - 1, ny)
+        self._stream = _SlotPattern(
+            self._stream_blocks(_SlotColumns, 1.0 + zero1, zero2),
+            node_of.ravel(), (nx - 1) * ny)
 
     def _row_blocks(self, t, c12, c22):
         """Row blocks of R, read by t: T11, T12, T22 per cell, bottom and
@@ -707,6 +693,16 @@ class MacStencils:
                 t.kron(self._ix, self._top, self.n1, 1.0)]
         return [div], [ztop]
 
+    def _stream_blocks(self, t, zw1, zw2):
+        """Row blocks of T, read by t: u1 on the free x faces, then u2 on
+        the free y faces, from Z1 = d_s psi and Z2 = -d_x psi."""
+        inv1 = 1.0 / zw1
+        ubar = -zw2[:, 1:, None, None] * inv1[self._mx.cols[:, None, :, None],
+                                              self._ubar_cell[None, :, None, :]]
+        return [[t.kron(self._fx, self._ds, 0, inv1[1:-1])],
+                [t.kron(self._dx, self._fs, 0, -1.0),
+                 t.kron(self._mx, self._ubar, 0, ubar)]]
+
     def rows(self, c12, c22):
         """R on the dofs for cell-center coefficients c12, c22 (nx, ny)."""
         return self._rows.fill(self._row_blocks(_SlotValues, c12, c22))
@@ -716,6 +712,14 @@ class MacStencils:
         faces and zw2 = Jvol b - A on the y faces."""
         div, ztop = self._flux_blocks(_SlotValues, zw1, zw2)
         return self._div.fill(div), self._ztop.fill(ztop)
+
+    def stream(self, zw1, zw2):
+        """T on the free nodes and dofs for the face weights of flux()."""
+        # neighbouring ubar1 slots read the same nodes: sum them in a copy,
+        # as the filled matrix shares the held pattern's index arrays
+        T = self._stream.fill(self._stream_blocks(_SlotValues, zw1, zw2)).copy()
+        T.sum_duplicates()
+        return T
 
     def full_vector(self, u1, u2):
         return np.concatenate([u1.ravel(), u2.ravel()])
@@ -763,8 +767,9 @@ class FlowOperators:
                                  % (low_cell, low_mass))
 
         # -------- flux divergence and surface rows --------
-        self.Div, self.Ztop = mac.flux(
-            met_xf["Jvol"], met_yf["Jvol"] * met_yf["b"] - met_yf["A"])
+        zw2 = met_yf["Jvol"] * met_yf["b"] - met_yf["A"]
+        self.Div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
+        self.T = mac.stream(met_xf["Jvol"], zw2)
         self.B_dof = sp.csr_matrix((self.Div.data * (-hx * hs),
                                     self.Div.indices, self.Div.indptr),
                                    shape=self.Div.shape)
@@ -830,15 +835,13 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
     """One implicit momentum/pressure/surface step of size dt.
 
     theta: node temperatures driving buoyancy and the thermal tension
-    correction (None for isothermal runs). The saddle system is solved by
-    problem.saddle_solver, which reuses the block factors of an earlier
-    step as a GMRES preconditioner and refactors only when that misses its
-    residual bound. When the state and its previous level were both taken
-    at this dt, the solve starts from their linear extrapolation
-    2 x_n - x_n-1, with x = (u on the free faces, p). Returns the advanced
-    FlowState; raises StabilityError on CFL violation (a NaN velocity
-    counts as one), a folded flattening map or a failed solve, and
-    SpillError when the surface, given or advanced, leaves the channel.
+    correction (None for isothermal runs). The saddle system is solved in
+    the stream function by problem.saddle_solver, which preconditions CG
+    with the LU of an earlier step's K and refactors only when a solve
+    misses its residual bound. Returns the advanced FlowState; raises
+    StabilityError on CFL violation (a NaN velocity counts as one), a
+    folded flattening map or a failed solve, and SpillError when the
+    surface, given or advanced, leaves the channel.
     """
     params = problem.params
     grid = problem.grid
@@ -895,16 +898,9 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
         dflux_c = np.diff(flux_nodes) / grid.hx
         rhs -= ops.Ztop.T @ (grid.hx * params.sigma2 * th_yf[:, -1] * dflux_c)
 
-    saddle = SaddleSystem(ops.A_dof, ops.B_dof, ops.mass_diag[mac.free],
-                          ops.cell_measure, params.mu)
-    rhs_dof = np.concatenate([rhs, np.zeros(mac.ncell)])
-    start = None
-    if state.levels and state.dt == state.levels[0].dt == dt:
-        x_n, x_prev = (np.concatenate([mac.full_vector(s.u1, s.u2)[mac.free],
-                                       s.p.ravel()])
-                       for s in (state, state.levels[0]))
-        start = 2.0 * x_n - x_prev
-    sol = problem.saddle_solver.solve(spla, saddle, rhs_dof, dt, start=start)
+    system = StreamSystem(ops.A_dof, ops.B_dof, ops.mass_diag[mac.free],
+                          ops.T)
+    sol = problem.saddle_solver.solve(spla, system, rhs, dt)
     u_new = sol[:mac.free.size]
     p_new = sol[mac.free.size:].reshape(nx, grid.ny)
 

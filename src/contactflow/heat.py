@@ -222,8 +222,8 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None):
     walls and bottom, whatever values the state held there.
     solver: the flow.LaggedLU of the run. It factors the first step's
     matrix and reuses that factor for later steps, exactly on frozen
-    geometry and as a GMRES preconditioner on moving geometry. The matrix
-    is the operators' held cn_system(dt).
+    geometry and as a CG preconditioner on moving geometry (the matrix is
+    SPD). The matrix is the operators' held cn_system(dt).
     transport: node-sampled velocity (2, nx+1, ny+1), or None for no
     advection. Advection and mesh motion are treated explicitly with the
     two-level extrapolant 1.5 theta^n - 0.5 theta^{n-1} so the implicit

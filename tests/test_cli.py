@@ -362,12 +362,12 @@ def test_heat_mode_recovers_spectral_decay_rate(tmp_path):
     assert rel < 0.05
     assert rep["fit_r2"] > 0.999
     # 20 steps on frozen geometry: the first factor solves every later step
-    # exactly, with no GMRES iteration
+    # exactly, with no CG iteration
     solver = rep["heat_solver"]
     assert solver["factorizations"] == 1
     assert solver["reused_solves"] == 19
     assert solver["fallbacks"] == 0
-    assert solver["max_gmres_iterations"] == 0
+    assert solver["max_cg_iterations"] == 0
     assert solver["factor_nnz"] > 0
 
 
@@ -421,7 +421,7 @@ def test_decay_report_counts_lagged_solves(tmp_path):
         assert rep[key]["factorizations"] == 1
         assert rep[key]["reused_solves"] == 19
         assert rep[key]["fallbacks"] == 0
-        assert 1 <= rep[key]["max_gmres_iterations"] <= 20
+        assert 1 <= rep[key]["max_cg_iterations"] <= 20
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3])

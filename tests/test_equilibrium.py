@@ -146,6 +146,16 @@ def test_rejects_supercritical_jump(params):
         eq.solve_equilibrium(_with_jump(params, 1.5), 1.0)
 
 
+@pytest.mark.parametrize("mean_height", [1.0, 0.3])
+def test_runaway_shots_keep_the_residual_bounded(params, mean_height):
+    # at gamma_jump = 0.999 the wall slope is 22 and the shots run away;
+    # the guard freezes each runaway tail inside its own bounds, so Newton
+    # stalls at a residual of at most 1e3, not at an overflowed one
+    with pytest.raises(eq.EquilibriumError, match="stalled") as err:
+        eq.solve_equilibrium(_with_jump(params, 0.999), mean_height)
+    assert float(str(err.value).split()[-1]) <= 1e3
+
+
 def test_rejects_bad_mean_height(params):
     with pytest.raises(eq.EquilibriumError):
         eq.solve_equilibrium(params, 0.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -346,14 +347,20 @@ def test_dt_change_refactors_once(problem):
         assert solver.fallbacks == 0
 
 
+def _spd(n, rng, density=0.1):
+    """A random sparse SPD matrix S S^T + I in CSC form."""
+    S = sp.random(n, n, density=density, random_state=rng)
+    return (S @ S.T + sp.eye(n)).tocsc()
+
+
 def test_lagged_lu_falls_back_on_a_distant_system():
     n = 80
     rng = np.random.default_rng(3)
-    base = (sp.random(n, n, density=0.1, random_state=rng)
-            + 4.0 * sp.eye(n)).tocsc()
-    near = (base + 1e-3 * sp.diags(rng.standard_normal(n))).tocsc()
-    far = (sp.random(n, n, density=0.1, random_state=rng)
-           - 2.0 * sp.eye(n)).tocsc()
+    base = _spd(n, rng)
+    near = (base + 1e-3 * sp.diags(rng.random(n))).tocsc()
+    # eigenvalues spread over eight decades: the base factor leaves CG far
+    # from converged after CG_MAXITER iterations
+    far = (base + sp.diags(np.logspace(-4, 4, n))).tocsc()
     b = rng.standard_normal(n)
     solver = fl.LaggedLU()
     assert not np.any(solver.solve(spla, base, np.zeros(n), 0.1))
@@ -361,11 +368,11 @@ def test_lagged_lu_falls_back_on_a_distant_system():
     for A in (base, near, far):
         x = solver.solve(spla, A, b, 0.1)
         assert np.linalg.norm(b - A @ x) <= fl.LAG_RTOL * np.linalg.norm(b)
-    # the near system takes 4 iterations, the far one a full missed cycle
-    # with the held factors and none with its own
+    # the near system takes 3 iterations, the far one a full missed solve
+    # with the held factor and none with its own
     assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
-                               "gmres_iterations": 4 + fl.LAG_RESTART,
-                               "max_gmres_iterations": fl.LAG_RESTART,
+                               "cg_iterations": 3 + fl.CG_MAXITER,
+                               "max_cg_iterations": fl.CG_MAXITER,
                                "fallbacks": 1}
     with pytest.raises(fl.StabilityError):
         solver.solve(spla, far, np.full(n, np.nan), 0.1)
@@ -389,65 +396,95 @@ def test_banded_cholesky_matches_dense_solve():
         fl.BandedCholesky(-sp.eye(n, format="csc"))
 
 
-def _scipy_gmres_cycle(A, precondition, r, atol):
-    """The same cycle through scipy's gmres on A P^-1: (dx, iterations)."""
+def _scipy_cg(A, precondition, b, atol):
+    """The same solve through scipy's cg: (x, iterations)."""
     iterations = []
-    op = spla.LinearOperator(A.shape, dtype=float,
-                             matvec=lambda y: A @ precondition(y))
-    y, _ = spla.gmres(op, r, atol=atol, rtol=0.0, restart=fl.LAG_RESTART,
-                      maxiter=1, callback=iterations.append,
-                      callback_type="pr_norm")
-    return precondition(y), len(iterations)
+    M = spla.LinearOperator(A.shape, dtype=float, matvec=precondition)
+    x, _ = spla.cg(A, b, rtol=0.0, atol=atol, maxiter=fl.CG_MAXITER, M=M,
+                   callback=iterations.append)
+    return x, len(iterations)
 
 
-@pytest.mark.parametrize("shift,converges", [(0.5, True), (5.0, False)])
-def test_gmres_cycle_matches_scipy_gmres(shift, converges):
-    # the preconditioner is the LU of A plus a random perturbation: a small
-    # one converges within the cycle, a large one uses all LAG_RESTART
-    # iterations and misses
+@pytest.mark.parametrize("shift,converges", [(0.5, True), (20.0, False)])
+def test_pcg_matches_scipy_cg(shift, converges):
+    # the preconditioner is the LU of A plus a random diagonal: a small one
+    # converges within CG_MAXITER iterations, a large one uses them all and
+    # misses
     n = 80
     rng = np.random.default_rng(11)
-    A = (sp.random(n, n, density=0.1, random_state=rng)
-         + 4.0 * sp.eye(n)).tocsc()
-    near = A + shift * sp.random(n, n, density=0.05, random_state=rng)
-    precondition = spla.splu(near.tocsc()).solve
-    r = rng.standard_normal(n)
-    atol = fl.GMRES_AIM * np.linalg.norm(r)
-    dx, iterations = fl._gmres_cycle(A, precondition, r, atol)
-    ref, ref_iterations = _scipy_gmres_cycle(A, precondition, r, atol)
+    A = _spd(n, rng)
+    near = (A + shift * sp.diags(rng.random(n) ** 4)).tocsc()
+    precondition = spla.splu(near).solve
+    b = rng.standard_normal(n)
+    atol = fl.CG_AIM * np.linalg.norm(b)
+    x, iterations = fl._pcg(A, precondition, b, atol)
+    ref, ref_iterations = _scipy_cg(A, precondition, b, atol)
     assert iterations == ref_iterations
-    assert (iterations < fl.LAG_RESTART) == converges
-    assert (np.linalg.norm(r - A @ dx) <= atol) == converges
-    assert np.linalg.norm(dx - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert (iterations < fl.CG_MAXITER) == converges
+    assert (np.linalg.norm(b - A @ x) <= fl.LAG_RTOL
+            * np.linalg.norm(b)) == converges
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("A", [-sp.eye(6, format="csr"),
+                               sp.csr_matrix((6, 6))],
+                         ids=["indefinite", "singular"])
+def test_pcg_raises_on_non_positive_curvature(A):
+    # an indefinite or singular matrix stops CG at its first direction,
+    # with no division by zero or NaN along the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fl.StabilityError):
+            fl._pcg(A, lambda r: r, np.ones(6), 1e-14)
 
 
 # ------------------------------------------------------------
-# block saddle solver
+# stream-function saddle solver
 # ------------------------------------------------------------
 
 class _DirectSaddle:
     """Reference saddle solver: assembles [[A, B^T], [B, 0]] and factors it
     afresh for every system."""
 
-    def solve(self, linalg, saddle, b, dt, start=None):
-        K = sp.bmat([[saddle.A, saddle.B.T], [saddle.B, None]], format="csc")
-        return spla.spsolve(K, b)
+    def solve(self, linalg, system, f, dt):
+        K = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
+        return spla.spsolve(K, np.concatenate([f, np.zeros(K.shape[0]
+                                                           - f.size)]))
 
 
-def _saddle(problem, fields, dt, mu=None):
+def _system(problem, fields, dt, mu=None):
+    if mu is not None:
+        problem = dataclasses.replace(
+            problem, params=dataclasses.replace(problem.params, mu=mu))
     ops = fl.FlowOperators(problem, fields, dt)
-    return fl.SaddleSystem(ops.A_dof, ops.B_dof,
-                           ops.mass_diag[problem.stencils.free],
-                           ops.cell_measure,
-                           problem.params.mu if mu is None else mu)
+    return fl.StreamSystem(ops.A_dof, ops.B_dof,
+                           ops.mass_diag[problem.stencils.free], ops.T)
 
 
-def _momentum_load(saddle, seed=5):
-    """Random momentum rows and zero continuity rows, like a step's load."""
-    b = np.zeros(saddle.shape[0])
-    b[:saddle.A.shape[0]] = np.random.default_rng(seed).standard_normal(
-        saddle.A.shape[0])
-    return b
+def _momentum_load(system, seed=5):
+    """Random momentum rows, like a step's load."""
+    return np.random.default_rng(seed).standard_normal(system.A.shape[0])
+
+
+def _saddle_residual(system, f, x):
+    """||[f - A u - B^T p; B u]|| of a solution x = [u, p]."""
+    u, p = x[:f.size], x[f.size:]
+    return math.hypot(np.linalg.norm(f - system.A @ u - system.B.T @ p),
+                      np.linalg.norm(system.B @ u))
+
+
+@pytest.mark.parametrize("size", [(24, 16), (48, 32)], ids=["24x16", "48x32"])
+@pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
+def test_stream_map_spans_divergence_free_velocities(params, jump, size):
+    problem = _curved_problem(params, jump)
+    grid = geo.make_grid(problem.surface, *size, params.depth)
+    problem = dataclasses.replace(problem, grid=grid)
+    ops = fl.FlowOperators(problem, geo.build_geometry(
+        grid, np.zeros(grid.nx)), 0.02)
+    B, T = ops.B_dof, ops.T
+    assert abs(B @ T).max() <= 1e-15 * abs(B).max() * abs(T).max()
+    # one unknown per free node: the dimension of ker B, as B is onto
+    assert T.shape == (B.shape[1], B.shape[1] - B.shape[0])
 
 
 @pytest.mark.parametrize("jump", [0.3, -0.5])
@@ -468,109 +505,64 @@ def test_block_solves_match_direct_saddle_solves(params, jump):
     assert problem.saddle_solver.fallbacks == 0
 
 
-def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
-                                                          zero_fields):
-    base = _saddle(problem, zero_fields, 0.02)
-    # thirty times the viscosity: the held factors no longer precondition
-    # within one cycle, fresh ones do
-    viscous = dataclasses.replace(
-        problem, params=dataclasses.replace(params, mu=30.0 * params.mu))
-    far = _saddle(viscous, zero_fields, 0.02)
-    b = _momentum_load(base)
-    solver = fl.LaggedBlockSaddle()
-    assert not np.any(solver.solve(spla, base, np.zeros_like(b), 0.02))
-    assert solver.factorizations == 0
-    for saddle in (base, base, far):
-        x = solver.solve(spla, saddle, b, 0.02)
-        assert np.linalg.norm(b - saddle @ x) \
-            <= fl.LAG_RTOL * np.linalg.norm(b)
-    # 17 iterations for each base solve, a full missed cycle on the far
-    # system with the held factors, then 16 with its own
-    assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
-                               "gmres_iterations": 2 * 17 + fl.LAG_RESTART
-                               + 16,
-                               "max_gmres_iterations": fl.LAG_RESTART,
-                               "fallbacks": 1}
-    assert solver.factor_nnz > 0
-    with pytest.raises(fl.StabilityError):
-        solver.solve(spla, far, np.full_like(b, np.nan), 0.02)
-
-
-class _ColdStartSaddle(fl.LaggedBlockSaddle):
-    """Block saddle solver that starts every cycle from P^-1 b."""
-
-    def solve(self, linalg, saddle, b, dt, start=None):
-        return super().solve(linalg, saddle, b, dt)
-
-
-def test_extrapolated_start_saves_iterations(params):
-    problem = _curved_problem(params, 0.3)
-    cold = dataclasses.replace(problem)
-    cold.saddle_solver = _ColdStartSaddle()
-    flow, heat_state = _perturbed_start(problem)
-    dts = [0.02] * 20
-    warm_steps = _run_steps(problem, flow, heat_state, dts, fresh=False)
-    cold_steps = _run_steps(cold, flow, heat_state, dts, fresh=False)
-    _assert_trajectories_match(warm_steps, cold_steps)
-    warm, cold = problem.saddle_solver.counts(), cold.saddle_solver.counts()
-    assert warm["gmres_iterations"] < cold["gmres_iterations"]
-    assert warm["factorizations"] == cold["factorizations"] == 1
-    assert warm["fallbacks"] == cold["fallbacks"] == 0
-
-
-def test_extrapolated_start_falls_back_when_worse_than_zero(problem,
-                                                            zero_fields):
-    saddle = _saddle(problem, zero_fields, 0.02)
-    b = _momentum_load(saddle)
-    solver = fl.LaggedBlockSaddle()
-    x = solver.solve(spla, saddle, b, 0.02)
-    first = solver.gmres_iterations
-    # solutions x and -x extrapolate to -3x, whose residual 4b is larger
-    # than that of the zero start: the cycle starts from P^-1 b instead
-    again = solver.solve(spla, saddle, b, 0.02, start=-3.0 * x)
-    assert solver.gmres_iterations == 2 * first
-    assert np.array_equal(again, x)
-
-
-def test_saddle_start_needs_two_levels_at_this_dt(problem):
-    # momentum_step extrapolates the state's two time levels only when both
-    # were taken at the step's dt; the solver holds no history of its own
-    problem = dataclasses.replace(problem)
+@pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
+def test_accepted_solves_meet_the_saddle_bound(params, jump):
+    problem = dataclasses.replace(_curved_problem(params, jump))
     solver = problem.saddle_solver
     solve = solver.solve
-    starts = []
+    solves = []
 
-    def recording(linalg, saddle, b, dt, start=None):
-        starts.append(start)
-        return solve(linalg, saddle, b, dt, start=start)
+    def recording(linalg, system, f, dt):
+        x = solve(linalg, system, f, dt)
+        solves.append(_saddle_residual(system, f, x) / np.linalg.norm(f))
+        return x
 
     solver.solve = recording
     flow, heat_state = _perturbed_start(problem)
-    steps = _run_steps(problem, flow, heat_state, [0.02] * 3 + [0.01] * 3,
-                       fresh=False)
-    assert [start is not None for start in starts] == [False, False, True,
-                                                       False, False, True]
-    mac = problem.stencils
-
-    def levels(state):
-        return np.concatenate([mac.full_vector(state.u1, state.u2)[mac.free],
-                               state.p.ravel()])
-
-    (f1, _), (f2, _), _, (f4, _), (f5, _), _ = steps
-    assert np.array_equal(starts[2], 2.0 * levels(f2) - levels(f1))
-    assert np.array_equal(starts[5], 2.0 * levels(f5) - levels(f4))
+    _run_steps(problem, flow, heat_state, [0.02] * 20, fresh=False)
+    assert len(solves) == 20
+    assert max(solves) <= fl.LAG_RTOL
+    assert solver.counts()["fallbacks"] == 0
 
 
-def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields):
-    # the viscosity enters only the Schur approximation; a wildly wrong one
-    # leaves the preconditioned matrix too far from the identity for one
-    # cycle, so the solve must stop instead of refactoring forever
-    bad = _saddle(problem, zero_fields, 0.02, mu=1e6)
-    solver = fl.LaggedBlockSaddle()
+def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
+                                                          zero_fields):
+    base = _system(problem, zero_fields, 0.02)
+    # thirty times the viscosity: the held factor no longer preconditions
+    # CG within CG_MAXITER iterations, a fresh one does
+    far = _system(problem, zero_fields, 0.02, mu=30.0 * params.mu)
+    f = _momentum_load(base)
+    solver = fl.LaggedStreamLU()
+    assert not np.any(solver.solve(spla, base, np.zeros_like(f), 0.02))
+    assert solver.factorizations == 0
+    for system in (base, base, far):
+        x = solver.solve(spla, system, f, 0.02)
+        assert _saddle_residual(system, f, x) \
+            <= fl.LAG_RTOL * np.linalg.norm(f)
+    # 2 iterations for each base solve, a full missed CG on the far system
+    # with the held factor, then 3 with its own
+    assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
+                               "cg_iterations": 2 * 2 + fl.CG_MAXITER + 3,
+                               "max_cg_iterations": fl.CG_MAXITER,
+                               "fallbacks": 1}
+    assert solver.factor_nnz > 0
     with pytest.raises(fl.StabilityError):
-        solver.solve(spla, bad, _momentum_load(bad), 0.02)
+        solver.solve(spla, far, np.full_like(f, np.nan), 0.02)
+
+
+def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields,
+                                                     grid):
+    # a stream map of another geometry does not span ker B, so no psi
+    # meets the continuity rows and the solve must stop instead of
+    # refactoring forever
+    system = _system(problem, zero_fields, 0.02)
+    eta = _centered(0.1 * np.cos(math.pi * grid.xc / grid.ell))
+    system.T = _system(problem, geo.build_geometry(grid, eta), 0.02).T
+    solver = fl.LaggedStreamLU()
+    with pytest.raises(fl.StabilityError):
+        solver.solve(spla, system, _momentum_load(system), 0.02)
     assert solver.counts()["factorizations"] == 1
-    assert solver.counts()["max_gmres_iterations"] == fl.LAG_RESTART
+    assert solver.counts()["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
@@ -588,7 +580,7 @@ def test_projection_matches_direct_saddle_solve(params, jump):
     K = sp.bmat([[sp.diags(mass), ops.B_dof.T], [ops.B_dof, None]],
                 format="csc")
     rhs = np.concatenate([mass * mac.full_vector(u1, u2)[mac.free],
-                          np.zeros(mac.ncell)])
+                          np.zeros(ops.B_dof.shape[0])])
     ref = mac.P @ spla.spsolve(K, rhs)[:mac.free.size]
     got = mac.full_vector(state.u1, state.u2)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -596,8 +588,8 @@ def test_projection_matches_direct_saddle_solve(params, jump):
 
 
 def test_block_solves_keep_divergence_at_direct_level(params):
-    # at 48x32 on a curved rest state a GMRES stop at LAG_RTOL leaves up to
-    # 2e-12 in the divergence; the solver's tighter stop keeps it near 1e-13
+    # at 48x32 on a curved rest state the velocities u = T psi keep the
+    # divergence at rounding level, whatever CG leaves in K's own residual
     params = dataclasses.replace(params, gamma_jump=0.3)
     surface = eq.solve_equilibrium(params, 1.0)
     grid = geo.make_grid(surface, 48, 32, params.depth)
@@ -614,77 +606,24 @@ def test_block_solves_keep_divergence_at_direct_level(params):
     assert problem.saddle_solver.counts()["fallbacks"] == 0
 
 
-# ------------------------------------------------------------
-# single-precision velocity factor
-# ------------------------------------------------------------
-
-class _DoubleSaddle(fl.LaggedBlockSaddle):
-    """Block saddle solver holding its velocity-block LU in float64."""
-    factor_dtype = np.float64
-
-
-def _record_splu(monkeypatch, module):
-    """dtypes of the matrices that module's spla handle factors from now on."""
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_single_precision_factor_solves_a_stiff_system(params, jump):
+    # at dt = 1 the viscous blocks outweigh the mass M/dt; a fresh float32
+    # LU of K still meets LAG_RTOL on the saddle residual in one attempt
+    problem = _curved_problem(params, jump)
+    fields = geo.build_geometry(problem.grid, np.zeros(problem.grid.nx))
+    system = _system(problem, fields, 1.0)
+    f = _momentum_load(system)
     dtypes = []
 
     def splu(A, **kw):
         dtypes.append(A.dtype)
         return spla.splu(A, **kw)
 
-    monkeypatch.setattr(module, "spla", types.SimpleNamespace(splu=splu))
-    return dtypes
-
-
-def _run_counted(problem, flow, heat_state, dts):
-    """(flow, heat) after each step and each step's saddle GMRES count."""
-    out, counts = [], []
-    fields = geo.build_geometry(problem.grid, flow.eta, flow.zdot)
-    solver = problem.saddle_solver
-    for dt in dts:
-        before = solver.gmres_iterations
-        flow, heat_state, fields = fl.coupled_step(problem, fields, flow,
-                                                   heat_state, dt)
-        out.append((flow, heat_state))
-        counts.append(solver.gmres_iterations - before)
-    return out, counts
-
-
-@pytest.mark.parametrize("jump", [0.0, 0.3])
-def test_single_precision_factor_keeps_iterations(params, jump,
-                                                  monkeypatch):
-    problem = _curved_problem(params, jump)
-    double = dataclasses.replace(problem)
-    double.saddle_solver = _DoubleSaddle()
-    flow, heat_state = _perturbed_start(problem)
-    dts = [0.02] * 20
-    dtypes = _record_splu(monkeypatch, fl)
-    single_steps, single_counts = _run_counted(problem, flow, heat_state, dts)
-    double_steps, double_counts = _run_counted(double, flow, heat_state, dts)
-    assert dtypes == [np.float32, np.float64]
-    assert single_counts == double_counts
-    assert min(single_counts) > 0
-    _assert_trajectories_match(single_steps, double_steps)
-    for state, _ in single_steps:
-        assert state.div_residual <= 1e-12
-    for solver in (problem.saddle_solver, double.saddle_solver):
-        assert solver.counts()["factorizations"] == 1
-        assert solver.counts()["fallbacks"] == 0
-
-
-@pytest.mark.parametrize("jump", [0.0, 0.3])
-def test_single_precision_factor_solves_a_stiff_system(params, jump):
-    # at dt = 1 the viscous blocks outweigh the mass M/dt; fresh float32
-    # factors still meet LAG_RTOL within the one cycle, in as many
-    # iterations as float64 ones
-    problem = _curved_problem(params, jump)
-    fields = geo.build_geometry(problem.grid, np.zeros(problem.grid.nx))
-    saddle = _saddle(problem, fields, 1.0)
-    b = _momentum_load(saddle)
-    solver, double = fl.LaggedBlockSaddle(), _DoubleSaddle()
-    x = solver.solve(spla, saddle, b, 1.0)
-    double.solve(spla, saddle, b, 1.0)
-    assert np.linalg.norm(b - saddle @ x) <= fl.LAG_RTOL * np.linalg.norm(b)
-    assert solver.counts() == double.counts()
+    solver = fl.LaggedStreamLU()
+    x = solver.solve(types.SimpleNamespace(splu=splu), system, f, 1.0)
+    assert dtypes == [np.float32]
+    assert _saddle_residual(system, f, x) <= fl.LAG_RTOL * np.linalg.norm(f)
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
-    assert solver.counts()["max_gmres_iterations"] < fl.LAG_RESTART
+    assert solver.counts()["max_cg_iterations"] < fl.CG_MAXITER

@@ -257,7 +257,7 @@ def test_heat_lu_ordering_cuts_fill_and_stays_exact(params, monkeypatch):
     # the Crank-Nicolson matrix of a curved 48x32 rest state: minimum degree
     # on A^T + A keeps fewer L+U entries than scipy's default COLAMD, and
     # on frozen geometry, as in a heat-mode run, the held factor still
-    # solves every later step with no GMRES iteration
+    # solves every later step with no CG iteration
     params = dataclasses.replace(params, gamma_jump=0.3)
     surface = eq.solve_equilibrium(params, 1.0)
     grid = geo.make_grid(surface, 48, 32, params.depth)
@@ -279,8 +279,8 @@ def test_heat_lu_ordering_cuts_fill_and_stays_exact(params, monkeypatch):
     A, = factored
     assert solver.factor_nnz < spla.splu(A).nnz
     assert solver.counts() == {"factorizations": 1, "reused_solves": 19,
-                               "gmres_iterations": 0,
-                               "max_gmres_iterations": 0, "fallbacks": 0}
+                               "cg_iterations": 0,
+                               "max_cg_iterations": 0, "fallbacks": 0}
 
 
 # ------------------------------------------------------------
