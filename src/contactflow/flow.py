@@ -54,12 +54,13 @@ Div u stay at rounding level. The step solves the SPD system K psi = T^T f,
 K = T^T A T, on the (nx - 1) ny free nodes, and takes the pressure from this
 step's pressure Laplacian, p = L_p^-1 B M^-1 (f - A u) with L_p = B M^-1 B^T
 (a BandedCholesky, the in-place LAPACK band factor that also serves the
-heat spectrum). Near rest K moves by O(|eta|) from one step to the next, so
-a run factors the first step's K once (LaggedStreamLU) and preconditions
-conjugate gradients (`_pcg`) with that LU on later steps; the heat solve
-reuses one LU the same way (LaggedLU). Refinement sweeps K dpsi = T^T r,
-u += T dpsi bring the full saddle residual r to LAG_RTOL ||f|| (projected
-CG: Gould, Hribar & Nocedal, SIAM J. Sci. Comput. 23 (2001)).
+heat spectrum), in FlowOperators.solve. Near rest K moves by O(|eta|) from
+one step to the next, so a run factors the first step's K once, in float32,
+and preconditions conjugate gradients (`_pcg`) with that LU on later steps;
+the heat solve holds a float64 LU through the same LaggedLU. Refinement
+sweeps K dpsi = T^T r, u += T dpsi bring the full saddle residual r to
+LAG_RTOL ||f|| (projected CG: Gould, Hribar & Nocedal, SIAM J. Sci.
+Comput. 23 (2001)).
 
 The curvature remainder
 
@@ -122,29 +123,26 @@ CG_MAXITER = 40       # iterations of one CG solve before it counts as a miss
 REFINE_SWEEPS = 3     # refinement sweeps of one stream-function solve
 
 
-class _LaggedSolver:
-    """Solves a sequence of nearby SPD systems with a factor held from the
-    first of them.
+class LaggedLU:
+    """Solves nearby SPD systems K x = b with the sparse LU of the first K
+    held as a CG preconditioner (`_pcg`).
 
-    The first system, and any whose shape or dt differ from the held
-    factor's, has its factor built (`_factor`, one count in
-    `factorizations`). Each CG solve (`_cg`) starts from the held factor's
-    solution, which is exact when the factor is the system's own, and
-    corrects it by conjugate gradients preconditioned with that factor.
-    `_attempt` keeps a result only when its explicitly computed residual is
-    at most LAG_RTOL ||b||; a CG solve that takes all CG_MAXITER iterations
-    is a miss at once. A miss with a factor held from an earlier step
-    drops it before refactoring, so two factors never coexist; a miss with
-    a fresh factor raises StabilityError. A zero right-hand side returns
-    zeros without factoring.
-
-    Each solve takes the caller's scipy.sparse.linalg handle, so every
-    sparse LU is made through the calling module's own `spla`.
+    The LU is built in dtype, with minimum degree on K^T + K and diagonal
+    pivots: float64 for the heat Crank-Nicolson matrix, which it solves with
+    no CG iteration on frozen geometry, and float32 for the flow's K, where
+    its rounding costs iterations, not accuracy, and an L+U entry holds 8
+    bytes against 12. solve() returns attempt(cg), None being a miss;
+    cg(g, atol) corrects the factor's solution of K x = g by CG and returns
+    (x, iterations), x None after CG_MAXITER iterations. A miss with a
+    factor held from an earlier solve drops it and refactors, so two
+    factors never coexist; a miss with a fresh factor raises
+    StabilityError. linalg is the caller's scipy.sparse.linalg handle, so
+    every sparse LU is made through the calling module's own `spla`.
     """
 
-    def __init__(self):
+    def __init__(self, dtype):
+        self.dtype = dtype
         self._precondition = None     # held preconditioner y -> P^-1 y
-        self._key = None
         self.factor_nnz = 0           # entries held in the factor
         self.factorizations = 0
         self.reused_solves = 0        # solves with a factor of an earlier step
@@ -159,66 +157,72 @@ class _LaggedSolver:
                 "max_cg_iterations": self.max_cg_iterations,
                 "fallbacks": self.fallbacks}
 
-    def solve(self, linalg, system, b, dt):
-        """The solution for right-hand side b; raises StabilityError on
-        NaN/inf."""
+    def solve(self, linalg, K, b, attempt=None):
+        """attempt(cg), by default the x with ||b - K x|| <= LAG_RTOL ||b||;
+        raises StabilityError on a non-finite b."""
         if not np.all(np.isfinite(b)):
             raise StabilityError("non-finite right-hand side")
-        if not np.any(b):
-            # keeps the rest state an exact fixed point
-            return np.zeros(self._size(system, b))
-        key = (system.shape, dt)
-        if self._precondition is not None and self._key == key:
-            x = self._attempt(system, b)
+        attempt = attempt or functools.partial(_solve_to_bound, K, b)
+        cg = functools.partial(self._cg, K)
+        if self._precondition is not None:
+            x = attempt(cg)
             if x is not None:
                 self.reused_solves += 1
                 return x
             self.fallbacks += 1
             self._precondition = None
-        self._precondition, self.factor_nnz = self._factor(linalg, system)
-        self._key = key
+        lu = linalg.splu(K.astype(self.dtype), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        # SuperLU takes a right-hand side only in the factor's dtype
+        self._precondition = lambda r: lu.solve(
+            r.astype(self.dtype, copy=False)).astype(float, copy=False)
+        self.factor_nnz = lu.nnz
         self.factorizations += 1
-        x = self._attempt(system, b)
+        x = attempt(cg)
         if x is None:
             raise StabilityError("solve with a fresh factor returned non-finite"
                                  " values or missed its residual bound")
         return x
 
-    def _size(self, system, b):
-        return b.size
-
-    def _factor(self, linalg, system):
-        """(preconditioner y -> P^-1 y, entries held) built from system."""
-        raise NotImplementedError
-
-    def _attempt(self, system, b):
-        """The solution, or None unless it meets LAG_RTOL."""
-        raise NotImplementedError
-
-    def _cg(self, A, b, atol):
-        """x with A x = b to atol in the recursive residual, or None when
-        CG takes all CG_MAXITER iterations."""
+    def _cg(self, K, b, atol):
         x = self._precondition(b)
-        dx, iterations = _pcg(A, self._precondition, b - A @ x, atol)
+        dx, iterations = _pcg(K, self._precondition, b - K @ x, atol)
         self.cg_iterations += iterations
         self.max_cg_iterations = max(self.max_cg_iterations, iterations)
-        return x + dx if iterations < CG_MAXITER else None
+        x += dx
+        return (x if iterations < CG_MAXITER else None), iterations
+
+
+def _solve_to_bound(K, b, cg):
+    """The default attempt of LaggedLU.solve: one CG solve, kept when its
+    explicit residual is at most LAG_RTOL ||b||."""
+    x, iterations = cg(b, CG_AIM * np.linalg.norm(b))
+    if x is None or not np.all(np.isfinite(x)):
+        return None
+    # with no iteration, _pcg already held the residual that cg formed to
+    # CG_AIM ||b||, below the bound
+    if iterations and \
+            np.linalg.norm(b - K @ x) > LAG_RTOL * np.linalg.norm(b):
+        return None
+    return x
 
 
 def _pcg(A, precondition, b, atol):
     """(x, iterations): preconditioned conjugate gradients for A x = b from
     x = 0 (Hestenes & Stiefel, J. Res. Nat. Bur. Standards 49 (1952)),
     stopped once the recursively updated residual is at most atol or after
-    CG_MAXITER iterations, and at once on a non-finite residual. A
-    direction of non-positive curvature d^T A d, where A or the
-    preconditioner is not positive definite, raises StabilityError.
+    CG_MAXITER iterations, and at once on a non-finite residual; x is 0.0
+    when b itself meets atol. A direction of non-positive curvature d^T A d,
+    where A or the preconditioner is not positive definite, raises
+    StabilityError.
     """
+    if not np.linalg.norm(b) > atol:
+        return 0.0, 0
     x = np.zeros_like(b)
     r = b.copy()
     d = rho = None
-    for k in range(CG_MAXITER):
-        if not np.linalg.norm(r) > atol:
-            return x, k
+    for k in range(1, CG_MAXITER + 1):
         z = precondition(r)
         rho, rho_prev = r @ z, rho
         d = z if d is None else z + (rho / rho_prev) * d
@@ -230,29 +234,9 @@ def _pcg(A, precondition, b, atol):
         alpha = rho / curvature
         x += alpha * d
         r -= alpha * q
+        if not np.linalg.norm(r) > atol:
+            return x, k
     return x, CG_MAXITER
-
-
-class LaggedLU(_LaggedSolver):
-    """Lagged solver whose held factor is the sparse LU of the first matrix
-    (the heat Crank-Nicolson solve); `system` is an SPD CSC matrix.
-
-    The columns are ordered by minimum degree on A^T + A, which suits the
-    symmetric pattern of the heat matrix and at 96x64 cuts the L+U entries
-    from 0.54M (COLAMD) to 0.35M. The factor stays in double precision: on
-    frozen geometry it solves every step exactly, with no CG iteration.
-    """
-
-    def _factor(self, linalg, A):
-        lu = linalg.splu(A, permc_spec="MMD_AT_PLUS_A")
-        return lu.solve, lu.nnz
-
-    def _attempt(self, A, b):
-        x = self._cg(A, b, CG_AIM * np.linalg.norm(b))
-        if x is None or not np.all(np.isfinite(x)) or \
-                np.linalg.norm(b - A @ x) > LAG_RTOL * np.linalg.norm(b):
-            return None
-        return x
 
 
 class BandedCholesky:
@@ -281,84 +265,6 @@ class BandedCholesky:
     def solve(self, g):
         return scipy.linalg.cho_solve_banded((self._chol, False), g,
                                              check_finite=False)
-
-
-def pressure_laplacian(B, mass):
-    """BandedCholesky of L_p = B diag(mass)^-1 B^T.
-
-    In the x-major cell order a cell couples only to cells at most ny + 2
-    places away, so L_p is a band matrix. It is positive definite without a
-    shift: B^T has no constant null vector because the top flux is free.
-    """
-    return BandedCholesky(B @ sp.diags(1.0 / mass) @ B.T)
-
-
-class StreamSystem:
-    """The saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0] of one step on
-    the divergence-free velocities u = T psi.
-
-    A: SPD velocity block on the free dofs; B: (ncell, ndof) divergence;
-    mass: the velocity mass diagonal on the free dofs; T: the stream map of
-    MacStencils.stream, with B T = 0 to rounding. K = T^T A T and the
-    pressure Laplacian are built on first use, so a zero load builds
-    neither.
-    """
-
-    def __init__(self, A, B, mass, T):
-        self.A, self.B, self.mass, self.T = A, B, mass, T
-        self.shape = (T.shape[1], T.shape[1])
-
-    @functools.cached_property
-    def K(self):
-        return (self.T.T @ (self.A @ self.T)).tocsc()
-
-    @functools.cached_property
-    def lap(self):
-        return pressure_laplacian(self.B, self.mass)
-
-
-class LaggedStreamLU(_LaggedSolver):
-    """Lagged solver of StreamSystems holding a single-precision LU of the
-    first K; a solve returns [u, p].
-
-    K is SPD, so its LU takes a symmetric fill-reducing ordering and
-    diagonal pivots. The factor only preconditions CG, whose vectors and
-    residuals are double, so its rounding costs iterations, not accuracy; a
-    float32 factor holds 8 bytes per L+U entry (value and row index)
-    against 12. An attempt solves K psi = T^T f, then sweeps K dpsi = T^T r
-    with r the saddle residual, until that residual meets LAG_RTOL ||f||,
-    at most REFINE_SWEEPS times.
-    """
-
-    def _size(self, system, f):
-        return f.size + system.B.shape[0]
-
-    def _factor(self, linalg, system):
-        lu = linalg.splu(system.K.astype(np.float32),
-                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-        # SuperLU takes a right-hand side only in the factor's dtype
-        return (lambda r: lu.solve(r.astype(np.float32)).astype(float),
-                lu.nnz)
-
-    def _attempt(self, s, f):
-        bound = LAG_RTOL * np.linalg.norm(f)
-        u, g = np.zeros_like(f), s.T.T @ f
-        # every sweep aims at the first solve's tolerance: a sweep corrects
-        # rounding, so a few digits of its own right-hand side suffice
-        atol = CG_AIM * np.linalg.norm(g)
-        for _ in range(REFINE_SWEEPS + 1):
-            dpsi = self._cg(s.K, g, atol)
-            if dpsi is None:
-                return None
-            u = u + s.T @ dpsi
-            r = f - s.A @ u
-            p = s.lap.solve(s.B @ (r / s.mass))
-            r = r - s.B.T @ p
-            if math.hypot(np.linalg.norm(r), np.linalg.norm(s.B @ u)) <= bound:
-                return np.concatenate([u, p])
-            g = s.T.T @ r
-        return None
 
 
 # ============================================================
@@ -422,12 +328,14 @@ class CoupledProblem:
     grid: object
     eps: float = 0.0
     w3: float = 1.0
-    # lagged factorizations of the saddle and heat systems, one per problem
-    saddle_solver: LaggedStreamLU = field(
-        default_factory=LaggedStreamLU, init=False, repr=False,
-        compare=False)
-    heat_solver: LaggedLU = field(default_factory=LaggedLU, init=False,
-                                  repr=False, compare=False)
+    # lagged factorizations of the stream-function and heat systems, one
+    # per problem
+    saddle_solver: LaggedLU = field(
+        default_factory=lambda: LaggedLU(np.float32), init=False,
+        repr=False, compare=False)
+    heat_solver: LaggedLU = field(
+        default_factory=lambda: LaggedLU(np.float64), init=False,
+        repr=False, compare=False)
 
     @functools.cached_property
     def stencils(self):
@@ -535,7 +443,10 @@ class _SlotPattern:
     keeps every slot of every segment, so columns may repeat within a row
     (sparse products and matvecs sum them). The slots with no entry or on
     an eliminated dof are dropped once, here; fill() then only gathers the
-    kept slot values of the same description.
+    kept slot values of the same description. Every filled matrix shares
+    the read-only `indices` and `indptr`, so an in-place operation on one
+    (sum_duplicates, sort_indices) raises ValueError instead of rewriting
+    the pattern of every later fill.
     """
 
     def __init__(self, blocks, dof_of, ndof):
@@ -545,6 +456,7 @@ class _SlotPattern:
         self.indices = np.concatenate([d[d >= 0] for d in dof]).astype(np.int32)
         counts = np.concatenate([np.sum(d >= 0, axis=1) for d in dof])
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
         self.shape = (counts.size, ndof)
 
     def fill(self, blocks):
@@ -716,7 +628,7 @@ class MacStencils:
     def stream(self, zw1, zw2):
         """T on the free nodes and dofs for the face weights of flux()."""
         # neighbouring ubar1 slots read the same nodes: sum them in a copy,
-        # as the filled matrix shares the held pattern's index arrays
+        # as the filled matrix shares the held pattern's read-only indices
         T = self._stream.fill(self._stream_blocks(_SlotValues, zw1, zw2)).copy()
         T.sum_duplicates()
         return T
@@ -741,7 +653,10 @@ class FlowOperators:
     The velocity block is one Gram product A_dof = R^T diag(w) R. Below the
     bulk rows of R (viscous, slip, mass) sit the O(nx) surface rows DxZ,
     Ztop and the two contact rows, whose Gram blocks are the implicit
-    curvature, gravity and contact-law blocks K_srf.
+    curvature, gravity and contact-law blocks K_srf. The stream map T, K =
+    T^T A_dof T and the pressure Laplacian are built on first use: a zero
+    load and the compatibility check build none of them, the initial
+    projection only the pressure Laplacian.
     """
 
     def __init__(self, problem, fields, dt):
@@ -758,6 +673,7 @@ class FlowOperators:
         w2[:, -1] *= 0.5                       # top faces own half cells
         self.mass_diag = np.concatenate([(met_xf["Jvol"] * hx * hs).ravel(),
                                          w2.ravel()])
+        self.mass = self.mass_diag[mac.free]
         # a folded map has non-positive volume weights: its blocks are
         # indefinite, and no solve of them means anything
         low_cell, low_mass = np.min(self.cell_measure), np.min(self.mass_diag)
@@ -769,7 +685,7 @@ class FlowOperators:
         # -------- flux divergence and surface rows --------
         zw2 = met_yf["Jvol"] * met_yf["b"] - met_yf["A"]
         self.Div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
-        self.T = mac.stream(met_xf["Jvol"], zw2)
+        self._stream = functools.partial(mac.stream, met_xf["Jvol"], zw2)
         self.B_dof = sp.csr_matrix((self.Div.data * (-hx * hs),
                                     self.Div.indices, self.Div.indptr),
                                    shape=self.Div.shape)
@@ -782,13 +698,71 @@ class FlowOperators:
         visc = params.mu * self.cell_measure
         w = np.concatenate([
             0.5 * visc, visc, 0.5 * visc, mac.slip_weights,
-            self.mass_diag[mac.free] / dt,
+            self.mass / dt,
             params.sigma1 * (dt + problem.eps) * hx * mac.inv32_in,
             np.full(mac.nx, params.g * dt * hx),
             np.full(2, params.kappa)])
         wR = sp.csr_matrix((R.data * np.repeat(w, np.diff(R.indptr)),
                             R.indices, R.indptr), shape=R.shape)
         self.A_dof = R.T.tocsr() @ wR
+
+    @functools.cached_property
+    def T(self):
+        """The stream map of MacStencils.stream: B_dof T = 0 to rounding."""
+        return self._stream()
+
+    @functools.cached_property
+    def K(self):
+        return (self.T.T @ (self.A_dof @ self.T)).tocsc()
+
+    @functools.cached_property
+    def lap(self):
+        """BandedCholesky of L_p = B_dof diag(mass)^-1 B_dof^T.
+
+        In the x-major cell order a cell couples only to cells at most
+        ny + 2 places away, so L_p is a band matrix. It is positive definite
+        without a shift: B^T has no constant null vector because the top
+        flux is free.
+        """
+        return BandedCholesky(self.B_dof @ sp.diags(1.0 / self.mass)
+                              @ self.B_dof.T)
+
+    def solve(self, solver, f):
+        """[u, p] of the saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0],
+        A = A_dof and B = B_dof, on the divergence-free velocities u = T psi.
+
+        solver, a LaggedLU, solves K psi = T^T f; sweeps K dpsi = T^T r,
+        u += T dpsi, with r the saddle residual and p = L_p^-1 B M^-1
+        (f - A u), repeat until that residual meets LAG_RTOL ||f||, at most
+        REFINE_SWEEPS times. A zero load returns zeros without factoring.
+        """
+        if not np.any(f):
+            # keeps the rest state an exact fixed point
+            return np.zeros(f.size + self.B_dof.shape[0])
+        A, B, T = self.A_dof, self.B_dof, self.T
+
+        def sweeps(cg):
+            bound = LAG_RTOL * np.linalg.norm(f)
+            u, g = np.zeros_like(f), T.T @ f
+            # every sweep aims at the first solve's tolerance: a sweep
+            # corrects rounding, so a few digits of its own right-hand side
+            # suffice
+            atol = CG_AIM * np.linalg.norm(g)
+            for _ in range(REFINE_SWEEPS + 1):
+                dpsi, _ = cg(g, atol)
+                if dpsi is None:
+                    return None
+                u = u + T @ dpsi
+                r = f - A @ u
+                p = self.lap.solve(B @ (r / self.mass))
+                r = r - B.T @ p
+                if math.hypot(np.linalg.norm(r),
+                              np.linalg.norm(B @ u)) <= bound:
+                    return np.concatenate([u, p])
+                g = T.T @ r
+            return None
+
+        return solver.solve(spla, self.K, f, sweeps)
 
 
 # ============================================================
@@ -835,13 +809,13 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
     """One implicit momentum/pressure/surface step of size dt.
 
     theta: node temperatures driving buoyancy and the thermal tension
-    correction (None for isothermal runs). The saddle system is solved in
-    the stream function by problem.saddle_solver, which preconditions CG
-    with the LU of an earlier step's K and refactors only when a solve
-    misses its residual bound. Returns the advanced FlowState; raises
-    StabilityError on CFL violation (a NaN velocity counts as one), a
-    folded flattening map or a failed solve, and SpillError when the
-    surface, given or advanced, leaves the channel.
+    correction (None for isothermal runs). FlowOperators.solve solves the
+    saddle system in the stream function with problem.saddle_solver, which
+    preconditions CG with the float32 LU of an earlier step's K and
+    refactors only when a solve misses its residual bound. Returns the
+    advanced FlowState; raises StabilityError on CFL violation (a NaN
+    velocity counts as one), a folded flattening map or a failed solve, and
+    SpillError when the surface, given or advanced, leaves the channel.
     """
     params = problem.params
     grid = problem.grid
@@ -898,9 +872,7 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
         dflux_c = np.diff(flux_nodes) / grid.hx
         rhs -= ops.Ztop.T @ (grid.hx * params.sigma2 * th_yf[:, -1] * dflux_c)
 
-    system = StreamSystem(ops.A_dof, ops.B_dof, ops.mass_diag[mac.free],
-                          ops.T)
-    sol = problem.saddle_solver.solve(spla, system, rhs, dt)
+    sol = ops.solve(problem.saddle_solver, rhs)
     u_new = sol[:mac.free.size]
     p_new = sol[mac.free.size:].reshape(nx, grid.ny)
 
@@ -969,9 +941,8 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         ops = FlowOperators(problem, fields, 1.0)
         mac = problem.stencils
         u = mac.full_vector(u1, u2)[mac.free]
-        mass = ops.mass_diag[mac.free]
-        p = pressure_laplacian(ops.B_dof, mass).solve(ops.B_dof @ u)
-        u = u - (ops.B_dof.T @ p) / mass
+        p = ops.lap.solve(ops.B_dof @ u)
+        u = u - (ops.B_dof.T @ p) / ops.mass
         u1n, u2n = mac.split_full(mac.P @ u)
         state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),
                           eta=eta0, zdot=ops.Ztop @ u)

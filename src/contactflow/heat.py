@@ -20,7 +20,9 @@ per grid, where each element and Robin edge entry lands in the free-node
 matrices; HeatOperators maps each step's weights to element entries and
 sums them into that pattern. HeatOperators also holds the Crank-Nicolson
 matrix M/dt + B/2 of its last dt, so on frozen geometry (conduction-only
-runs) it is built once per run, and on moving geometry once per step.
+runs) it is built once per run, and on moving geometry once per step. The
+step solves it with flow.LaggedLU, the held-factor solver of the flow step,
+in double precision.
 
 Transport (u . grad_calA theta and the mesh-motion term
 dt(etabar) W K d2 theta) is explicit with two-level extrapolation, keeping
@@ -220,10 +222,11 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None):
 
     Only the free nodes' theta enters; the step returns theta = 0 on the
     walls and bottom, whatever values the state held there.
-    solver: the flow.LaggedLU of the run. It factors the first step's
-    matrix and reuses that factor for later steps, exactly on frozen
-    geometry and as a CG preconditioner on moving geometry (the matrix is
-    SPD). The matrix is the operators' held cn_system(dt).
+    solver: the float64 flow.LaggedLU of the run. It factors the first
+    step's matrix and reuses that factor for later steps, also after a
+    change of dt: exactly on frozen geometry and as a CG preconditioner
+    otherwise (the matrix is SPD). The matrix is the operators' held
+    cn_system(dt). A zero load returns zeros without factoring.
     transport: node-sampled velocity (2, nx+1, ny+1), or None for no
     advection. Advection and mesh motion are treated explicitly with the
     two-level extrapolant 1.5 theta^n - 0.5 theta^{n-1} so the implicit
@@ -243,7 +246,9 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None):
         if np.any(adv):
             rhs += ops.M @ adv.ravel()[ops.free]
 
-    sol = solver.solve(spla, ops.cn_system(dt), rhs, dt)
+    # a zero load keeps the rest state an exact fixed point
+    sol = solver.solve(spla, ops.cn_system(dt), rhs) if np.any(rhs) \
+        else np.zeros_like(rhs)
     return state.advanced(theta=ops.embed(sol).reshape(state.theta.shape),
                           time=state.time + dt, dt=dt)
 

@@ -155,6 +155,20 @@ def test_row_and_flux_patterns_hold_no_more_than_the_stencils(params):
     assert plan <= replaced
 
 
+def test_filled_matrices_cannot_rewrite_the_held_patterns(params):
+    # a filled matrix shares its pattern's index arrays: summing the
+    # duplicate slots of R in place raises instead of changing every later
+    # fill of the pattern
+    problem = _problem(params, 0.3, 24, 16)
+    met = _displaced_fields(problem.grid).at("centers")
+    mac = problem.stencils
+    want = mac.rows(met["c12"], met["c22"]).toarray()
+    R = mac.rows(met["c12"], met["c22"])
+    with pytest.raises(ValueError):
+        R.sum_duplicates()
+    assert np.array_equal(mac.rows(met["c12"], met["c22"]).toarray(), want)
+
+
 # ------------------------------------------------------------
 # reference heat assembly: per-cell 4x4 element loop
 # ------------------------------------------------------------

@@ -318,6 +318,7 @@ def test_lagged_solves_match_fresh_factorizations(params, jump):
         assert not np.any(flow.u1) and not np.any(flow.u2)
         assert not np.any(flow.eta) and not np.any(heat_state.theta)
     assert problem.saddle_solver.factorizations == 0
+    assert problem.heat_solver.factorizations == 0
 
     flow, heat_state = _perturbed_start(problem)
     dts = [0.02] * 20
@@ -334,7 +335,9 @@ def test_lagged_solves_match_fresh_factorizations(params, jump):
         assert solver.fallbacks == 0
 
 
-def test_dt_change_refactors_once(problem):
+def test_dt_change_keeps_the_held_factor(problem):
+    # a factor held from dt = 0.02 still preconditions the systems of
+    # dt = 0.01 within CG_MAXITER iterations, so no step refactors
     problem = dataclasses.replace(problem)
     flow, heat_state = _perturbed_start(problem)
     dts = [0.02] * 6 + [0.01] * 6
@@ -342,9 +345,31 @@ def test_dt_change_refactors_once(problem):
     fresh = _run_steps(problem, flow, heat_state, dts, fresh=True)
     _assert_trajectories_match(lagged, fresh)
     for solver in (problem.saddle_solver, problem.heat_solver):
-        assert solver.factorizations == 2
-        assert solver.reused_solves == 10
+        assert solver.factorizations == 1
+        assert solver.reused_solves == 11
         assert solver.fallbacks == 0
+
+
+def test_both_solvers_factor_with_the_same_options(problem, monkeypatch):
+    # one LaggedLU serves both solves: the same ordering, pivoting and
+    # symmetric mode, in float32 for the flow and float64 for the heat
+    factored = []
+
+    def recorder(owner):
+        def splu(A, **kw):
+            factored.append((owner, A.dtype, kw))
+            return spla.splu(A, **kw)
+        return types.SimpleNamespace(splu=splu)
+
+    monkeypatch.setattr(fl, "spla", recorder("flow"))
+    monkeypatch.setattr(ht, "spla", recorder("heat"))
+    problem = dataclasses.replace(problem)
+    flow, heat_state = _perturbed_start(problem)
+    _run_steps(problem, flow, heat_state, [0.02] * 2, fresh=False)
+    options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+               "options": {"SymmetricMode": True}}
+    assert factored == [("heat", np.float64, options),
+                        ("flow", np.float32, options)]
 
 
 def _spd(n, rng, density=0.1):
@@ -362,11 +387,9 @@ def test_lagged_lu_falls_back_on_a_distant_system():
     # from converged after CG_MAXITER iterations
     far = (base + sp.diags(np.logspace(-4, 4, n))).tocsc()
     b = rng.standard_normal(n)
-    solver = fl.LaggedLU()
-    assert not np.any(solver.solve(spla, base, np.zeros(n), 0.1))
-    assert solver.factorizations == 0
+    solver = fl.LaggedLU(np.float64)
     for A in (base, near, far):
-        x = solver.solve(spla, A, b, 0.1)
+        x = solver.solve(spla, A, b)
         assert np.linalg.norm(b - A @ x) <= fl.LAG_RTOL * np.linalg.norm(b)
     # the near system takes 3 iterations, the far one a full missed solve
     # with the held factor and none with its own
@@ -375,7 +398,7 @@ def test_lagged_lu_falls_back_on_a_distant_system():
                                "max_cg_iterations": fl.CG_MAXITER,
                                "fallbacks": 1}
     with pytest.raises(fl.StabilityError):
-        solver.solve(spla, far, np.full(n, np.nan), 0.1)
+        solver.solve(spla, far, np.full(n, np.nan))
 
 
 def test_banded_cholesky_matches_dense_solve():
@@ -442,35 +465,30 @@ def test_pcg_raises_on_non_positive_curvature(A):
 # stream-function saddle solver
 # ------------------------------------------------------------
 
-class _DirectSaddle:
-    """Reference saddle solver: assembles [[A, B^T], [B, 0]] and factors it
-    afresh for every system."""
-
-    def solve(self, linalg, system, f, dt):
-        K = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
-        return spla.spsolve(K, np.concatenate([f, np.zeros(K.shape[0]
-                                                           - f.size)]))
+def _direct_saddle(ops, solver, f):
+    """Reference for FlowOperators.solve: assembles [[A, B^T], [B, 0]] and
+    factors it afresh for every system."""
+    K = sp.bmat([[ops.A_dof, ops.B_dof.T], [ops.B_dof, None]], format="csc")
+    return spla.spsolve(K, np.concatenate([f, np.zeros(K.shape[0] - f.size)]))
 
 
 def _system(problem, fields, dt, mu=None):
     if mu is not None:
         problem = dataclasses.replace(
             problem, params=dataclasses.replace(problem.params, mu=mu))
-    ops = fl.FlowOperators(problem, fields, dt)
-    return fl.StreamSystem(ops.A_dof, ops.B_dof,
-                           ops.mass_diag[problem.stencils.free], ops.T)
+    return fl.FlowOperators(problem, fields, dt)
 
 
-def _momentum_load(system, seed=5):
+def _momentum_load(ops, seed=5):
     """Random momentum rows, like a step's load."""
-    return np.random.default_rng(seed).standard_normal(system.A.shape[0])
+    return np.random.default_rng(seed).standard_normal(ops.A_dof.shape[0])
 
 
-def _saddle_residual(system, f, x):
+def _saddle_residual(ops, f, x):
     """||[f - A u - B^T p; B u]|| of a solution x = [u, p]."""
     u, p = x[:f.size], x[f.size:]
-    return math.hypot(np.linalg.norm(f - system.A @ u - system.B.T @ p),
-                      np.linalg.norm(system.B @ u))
+    return math.hypot(np.linalg.norm(f - ops.A_dof @ u - ops.B_dof.T @ p),
+                      np.linalg.norm(ops.B_dof @ u))
 
 
 @pytest.mark.parametrize("size", [(24, 16), (48, 32)], ids=["24x16", "48x32"])
@@ -488,14 +506,14 @@ def test_stream_map_spans_divergence_free_velocities(params, jump, size):
 
 
 @pytest.mark.parametrize("jump", [0.3, -0.5])
-def test_block_solves_match_direct_saddle_solves(params, jump):
+def test_block_solves_match_direct_saddle_solves(params, jump, monkeypatch):
     problem = _curved_problem(params, jump)
     grid = problem.grid
     reference = dataclasses.replace(problem)
-    reference.saddle_solver = _DirectSaddle()
     flow, heat_state = _perturbed_start(problem)
     dts = [0.02] * 20
     block = _run_steps(problem, flow, heat_state, dts, fresh=False)
+    monkeypatch.setattr(fl.FlowOperators, "solve", _direct_saddle)
     direct = _run_steps(reference, flow, heat_state, dts, fresh=False)
     _assert_trajectories_match(block, direct)
     for state, _ in block:
@@ -506,23 +524,22 @@ def test_block_solves_match_direct_saddle_solves(params, jump):
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
-def test_accepted_solves_meet_the_saddle_bound(params, jump):
+def test_accepted_solves_meet_the_saddle_bound(params, jump, monkeypatch):
     problem = dataclasses.replace(_curved_problem(params, jump))
-    solver = problem.saddle_solver
-    solve = solver.solve
+    solve = fl.FlowOperators.solve
     solves = []
 
-    def recording(linalg, system, f, dt):
-        x = solve(linalg, system, f, dt)
-        solves.append(_saddle_residual(system, f, x) / np.linalg.norm(f))
+    def recording(ops, solver, f):
+        x = solve(ops, solver, f)
+        solves.append(_saddle_residual(ops, f, x) / np.linalg.norm(f))
         return x
 
-    solver.solve = recording
+    monkeypatch.setattr(fl.FlowOperators, "solve", recording)
     flow, heat_state = _perturbed_start(problem)
     _run_steps(problem, flow, heat_state, [0.02] * 20, fresh=False)
     assert len(solves) == 20
     assert max(solves) <= fl.LAG_RTOL
-    assert solver.counts()["fallbacks"] == 0
+    assert problem.saddle_solver.counts()["fallbacks"] == 0
 
 
 def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
@@ -532,13 +549,12 @@ def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
     # CG within CG_MAXITER iterations, a fresh one does
     far = _system(problem, zero_fields, 0.02, mu=30.0 * params.mu)
     f = _momentum_load(base)
-    solver = fl.LaggedStreamLU()
-    assert not np.any(solver.solve(spla, base, np.zeros_like(f), 0.02))
+    solver = fl.LaggedLU(np.float32)
+    assert not np.any(base.solve(solver, np.zeros_like(f)))
     assert solver.factorizations == 0
-    for system in (base, base, far):
-        x = solver.solve(spla, system, f, 0.02)
-        assert _saddle_residual(system, f, x) \
-            <= fl.LAG_RTOL * np.linalg.norm(f)
+    for ops in (base, base, far):
+        x = ops.solve(solver, f)
+        assert _saddle_residual(ops, f, x) <= fl.LAG_RTOL * np.linalg.norm(f)
     # 2 iterations for each base solve, a full missed CG on the far system
     # with the held factor, then 3 with its own
     assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
@@ -547,7 +563,7 @@ def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
                                "fallbacks": 1}
     assert solver.factor_nnz > 0
     with pytest.raises(fl.StabilityError):
-        solver.solve(spla, far, np.full_like(f, np.nan), 0.02)
+        far.solve(solver, np.full_like(f, np.nan))
 
 
 def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields,
@@ -555,12 +571,12 @@ def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields,
     # a stream map of another geometry does not span ker B, so no psi
     # meets the continuity rows and the solve must stop instead of
     # refactoring forever
-    system = _system(problem, zero_fields, 0.02)
+    ops = _system(problem, zero_fields, 0.02)
     eta = _centered(0.1 * np.cos(math.pi * grid.xc / grid.ell))
-    system.T = _system(problem, geo.build_geometry(grid, eta), 0.02).T
-    solver = fl.LaggedStreamLU()
+    ops.T = _system(problem, geo.build_geometry(grid, eta), 0.02).T
+    solver = fl.LaggedLU(np.float32)
     with pytest.raises(fl.StabilityError):
-        solver.solve(spla, system, _momentum_load(system), 0.02)
+        ops.solve(solver, _momentum_load(ops))
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
 
@@ -607,23 +623,25 @@ def test_block_solves_keep_divergence_at_direct_level(params):
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3])
-def test_single_precision_factor_solves_a_stiff_system(params, jump):
+def test_single_precision_factor_solves_a_stiff_system(params, jump,
+                                                       monkeypatch):
     # at dt = 1 the viscous blocks outweigh the mass M/dt; a fresh float32
     # LU of K still meets LAG_RTOL on the saddle residual in one attempt
     problem = _curved_problem(params, jump)
     fields = geo.build_geometry(problem.grid, np.zeros(problem.grid.nx))
-    system = _system(problem, fields, 1.0)
-    f = _momentum_load(system)
+    ops = _system(problem, fields, 1.0)
+    f = _momentum_load(ops)
     dtypes = []
 
     def splu(A, **kw):
         dtypes.append(A.dtype)
         return spla.splu(A, **kw)
 
-    solver = fl.LaggedStreamLU()
-    x = solver.solve(types.SimpleNamespace(splu=splu), system, f, 1.0)
+    monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=splu))
+    solver = problem.saddle_solver
+    x = ops.solve(solver, f)
     assert dtypes == [np.float32]
-    assert _saddle_residual(system, f, x) <= fl.LAG_RTOL * np.linalg.norm(f)
+    assert _saddle_residual(ops, f, x) <= fl.LAG_RTOL * np.linalg.norm(f)
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
     assert solver.counts()["max_cg_iterations"] < fl.CG_MAXITER

@@ -33,7 +33,7 @@ def _mode_run(flat_surface, params, nx, ny, dt, t_end):
     fields = _flat_fields(flat_surface, params, nx, ny)
     met = fields.at("nodes")
     state = ht.HeatState(theta=_slowest_mode(met, 0.0, params.depth))
-    solver = fl.LaggedLU()
+    solver = fl.LaggedLU(np.float64)
     for _ in range(int(round(t_end / dt))):
         state = ht.step_fd(fields, params.k, state, dt, solver)
     return state, met
@@ -149,7 +149,7 @@ def test_crank_nicolson_energy_identity(flat_surface, params):
               * np.sin(math.pi * (met["x2"] + params.depth) / 1.5))
     state = ht.HeatState(theta=theta0)
     dt = 0.05
-    solver = fl.LaggedLU()
+    solver = fl.LaggedLU(np.float64)
     for _ in range(20):
         nxt = ht.step_fd(fields, params.k, state, dt, solver)
         a = state.theta.ravel()[ops.free]
@@ -168,7 +168,7 @@ def test_unforced_solution_decays_at_slowest_rate(flat_surface, params):
     theta0 = ops.embed(modes[:, 0]).reshape(49, 37)
     state = ht.HeatState(theta=theta0)
     dt, steps = 0.01, 60
-    solver = fl.LaggedLU()
+    solver = fl.LaggedLU(np.float64)
     for _ in range(steps):
         state = ht.step_fd(fields, params.k, state, dt, solver)
     ratio = (np.linalg.norm(state.theta.ravel())
@@ -184,7 +184,7 @@ def test_transport_moves_profile_downstream(flat_surface, params):
                     - 20.0 * (met["x2"] - 0.25) ** 2)
     u = np.array([np.full_like(theta0, 0.5), np.zeros_like(theta0)])
     state = ht.HeatState(theta=theta0)
-    solver = fl.LaggedLU()
+    solver = fl.LaggedLU(np.float64)
     for _ in range(10):
         state = ht.step_fd(fields, params.k, state, 0.01, solver,
                            transport=u)
@@ -201,7 +201,7 @@ def _rebuilt_step(fields, k, state, dt):
     rhs = ops.M @ th / dt - 0.5 * (ops.B @ th)
     mat = sp.csc_matrix((ops.M.data / dt + ops.B.data * 0.5,
                          ops.M.indices, ops.M.indptr), shape=ops.M.shape)
-    sol = fl.LaggedLU().solve(spla, mat, rhs, dt)
+    sol = fl.LaggedLU(np.float64).solve(spla, mat, rhs)
     return state.advanced(theta=ops.embed(sol).reshape(state.theta.shape),
                           time=state.time + dt, dt=dt)
 
@@ -213,13 +213,13 @@ def test_crank_nicolson_system_is_held_per_dt(flat_surface, params):
     met = fields.at("nodes")
     theta0 = (np.cos(MU * met["x1"])[:, None]
               * np.sin(met["x2"] + params.depth))
-    solver = fl.LaggedLU()
+    solver = fl.LaggedLU(np.float64)
     solve = solver.solve
     systems = []
 
-    def recording(linalg, system, b, dt):
-        systems.append(system)
-        return solve(linalg, system, b, dt)
+    def recording(linalg, K, b, attempt=None):
+        systems.append(K)
+        return solve(linalg, K, b, attempt)
 
     solver.solve = recording
     state = rebuilt = ht.HeatState(theta=theta0)
@@ -247,7 +247,7 @@ def test_step_ignores_theta_on_fixed_nodes(flat_surface, params):
     walled = theta0.copy()
     walled[0], walled[-1], walled[:, 0] = 0.3, -0.7, 1.1
     clean, dirty = (ht.step_fd(fields, params.k, ht.HeatState(theta=th),
-                               0.02, fl.LaggedLU())
+                               0.02, fl.LaggedLU(np.float64))
                     for th in (theta0, walled))
     assert np.array_equal(clean.theta, dirty.theta)
     assert not np.any(clean.theta[0]) and not np.any(clean.theta[:, 0])
