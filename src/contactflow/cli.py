@@ -304,15 +304,14 @@ def initial_velocity(cfg, grid):
     if amp == 0.0:
         return None, None
     ell = grid.ell
-
-    def psi(x, s):
-        return amp * np.sin(math.pi * (x + ell) / ell) * np.sin(math.pi * s)
-
-    ds = 1e-6
+    # u = (d psi/ds, -d psi/dx) of psi = amp sin(pi (x + ell)/ell) sin(pi s)
     Xf, Sc = np.meshgrid(grid.xf, grid.sc, indexing="ij")
-    u1 = (psi(Xf, Sc + ds) - psi(Xf, Sc - ds)) / (2 * ds)
+    u1 = amp * math.pi * np.sin(math.pi * (Xf + ell) / ell) \
+        * np.cos(math.pi * Sc)
     Xc, Sf = np.meshgrid(grid.xc, grid.sf, indexing="ij")
-    u2 = -(psi(Xc + ds, Sf) - psi(Xc - ds, Sf)) / (2 * ds)
+    u2 = -amp * (math.pi / ell) * np.cos(math.pi * (Xc + ell) / ell) \
+        * np.sin(math.pi * Sf)
+    # no-penetration on the walls and the bottom; sin(2 pi) is not 0 in floats
     u1[0, :] = 0.0
     u1[-1, :] = 0.0
     u2[:, 0] = 0.0
@@ -478,13 +477,12 @@ def run_corner_probe(cfg, params, outdir):
                   for rep in corner_mod.wedge_poisson_probe(
                       om, ccfg["qs"], ccfg["n"],
                       refine=tuple(ccfg["refine"]))]
-        gamma = mixed.eigenvalues[0]
         entries.append({
             "omega": om,
-            "eigenvalues_mixed": list(mixed.eigenvalues),
-            "eigenvalues_dirichlet": list(diri.eigenvalues),
-            "gamma_mixed": gamma,
-            "gamma_dirichlet": diri.eigenvalues[0],
+            "eigenvalues_mixed": list(mixed),
+            "eigenvalues_dirichlet": list(diri),
+            "gamma_mixed": mixed[0],
+            "gamma_dirichlet": diri[0],
             "q_star": corner_mod.regularity_threshold(mixed),
             "q_star_dirichlet": corner_mod.regularity_threshold(diri),
             "eps_max": compute_eps_max(om),

@@ -7,12 +7,11 @@ centered at the corner of opening omega, to the angular eigenproblem
     v = 0   on the fluid-surface side (Dirichlet),
     v' = 0  on the rigid side (Neumann, "mixed"), or v = 0 (pure Dirichlet).
 
-Mixed eigenvalues are (2n+1) pi / (2 omega), pure-Dirichlet ones n pi/omega;
-both spectra are computed here by RK4 shooting, not from the closed forms, so
-the closed forms stay available as independent cross-checks. The pencil and
-its lambda-derivative form a linear system with constant coefficients, so an
-RK4 step is one 4x4 step matrix and a shot is a matrix power. The smallest
-eigenvalue gamma sets the integrability threshold of second derivatives,
+Its eigenfunctions are sin(lambda theta), so the spectra are closed forms
+(Grisvard, Elliptic Problems in Nonsmooth Domains, 1985): the mixed
+eigenvalues are (2n+1) pi / (2 omega) and the pure-Dirichlet ones
+(n+1) pi / omega, n = 0, 1, .... The smallest eigenvalue gamma sets the
+integrability threshold of second derivatives,
 
     q_star = 2/(2 - gamma)  (capped at 2 once gamma >= 1):
 
@@ -36,94 +35,30 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 
-@dataclass
-class PencilSpectrum:
-    omega: float
-    boundary: str             # "mixed" or "dirichlet"
-    eigenvalues: np.ndarray   # ascending
-    residuals: np.ndarray     # shooting endpoint residuals
-
-
 # ============================================================
-# angular eigenvalues by shooting
+# angular eigenvalues
 # ============================================================
-
-def _shoot_end(lams, omega, nsteps, boundary):
-    """RK4-integrate v'' = -lam^2 v with v(0)=0, v'(0)=1 across (0, omega),
-    vectorized over lams. Returns the endpoint residual (v' for mixed, v for
-    Dirichlet) and its derivative in lambda.
-
-    The state y = (v, v', dv/dlam, dv'/dlam) obeys y' = M y with constant
-    M; the lambda pair carries the extra -2 lam v source. One RK4 step of a
-    linear constant-coefficient system is exactly y -> P y with
-    P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so nsteps steps are P^nsteps.
-    """
-    lams = np.asarray(lams, float)
-    h = omega / nsteps
-    hm = np.zeros(lams.shape + (4, 4))
-    hm[..., 0, 1] = hm[..., 2, 3] = h
-    hm[..., 1, 0] = hm[..., 3, 2] = -h * lams * lams
-    hm[..., 3, 0] = -2.0 * h * lams
-    step = np.eye(4)
-    for k in (4, 3, 2, 1):                  # Horner's rule for P
-        step = np.eye(4) + hm @ step / k
-    # y(0) = (0, 1, 0, 0) picks column 1 of P^nsteps
-    end = np.linalg.matrix_power(step, nsteps)[..., :, 1]
-    i = 1 if boundary == "mixed" else 0
-    return end[..., i], end[..., i + 2]
-
 
 def angular_eigenvalues(omega, count=6, boundary="mixed"):
-    """First `count` eigenvalues of the angular pencil by shooting.
+    """First `count` eigenvalues of the angular pencil, ascending.
 
-    Every shot raises the RK4 step matrix of `_shoot_end`, one per lambda,
-    to the step count, and reads the endpoint residual and its lambda
-    derivative off the result. A coarse scan at 600 steps brackets sign
-    changes of the residual, 25 bisections tighten them, and 5 Newton steps
-    converge the residual to roundoff at a step count chosen so the RK4
-    phase error stays below ~1e-10 in lambda.
+    v = sin(lambda theta) meets v(0) = 0, and the far side asks
+    cos(lambda omega) = 0 (mixed) or sin(lambda omega) = 0 (Dirichlet), so
+    lambda_n = (2n + 1) pi / (2 omega) or (n + 1) pi / omega, n = 0, 1, ...
     """
     if boundary not in ("mixed", "dirichlet"):
         raise ValueError("boundary must be 'mixed' or 'dirichlet'")
     if not 0.0 < omega < math.pi:
         raise ValueError("omega must lie in (0, pi)")
-
-    # enough headroom for `count` roots of either spectrum
-    lam_hi = (2.0 * count + 2.0) * math.pi / (2.0 * omega)
-    n_coarse = 600
-    step = math.pi / (8.0 * omega)
-    grid = np.arange(1e-6, lam_hi + step, step)
-    res = _shoot_end(grid, omega, n_coarse, boundary)[0]
-    flip = np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0][:count]
-    if flip.size < count:
-        raise RuntimeError("scan found only %d roots" % flip.size)
-    lo, hi = grid[flip].copy(), grid[flip + 1].copy()
-    flo = res[flip].copy()
-    for _ in range(25):
-        mid = 0.5 * (lo + hi)
-        fm = _shoot_end(mid, omega, n_coarse, boundary)[0]
-        left = np.sign(fm) == np.sign(flo)
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fm, flo)
-        hi = np.where(left, hi, mid)
-
-    lam = 0.5 * (lo + hi)
-    # RK4 phase drift per unit length ~ lam^5 h^4 / 120; pick nsteps so the
-    # eigenvalue shift stays ~1e-10
-    lam_max = float(np.max(lam))
-    n_fine = max(800, int(omega * (lam_max ** 5 / (120.0 * 1e-10)) ** 0.25) + 1)
-    for _ in range(5):
-        f, df = _shoot_end(lam, omega, n_fine, boundary)
-        lam = lam - f / df
-    resid = _shoot_end(lam, omega, n_fine, boundary)[0]
-    order = np.argsort(lam)
-    return PencilSpectrum(omega=omega, boundary=boundary,
-                          eigenvalues=lam[order], residuals=resid[order])
+    n = np.arange(count)
+    if boundary == "mixed":
+        return (2 * n + 1) * math.pi / (2.0 * omega)
+    return (n + 1) * math.pi / omega
 
 
-def regularity_threshold(spectrum):
+def regularity_threshold(eigenvalues):
     """q_star = 2/(2 - gamma) from the smallest eigenvalue, capped at 2."""
-    gamma = float(spectrum.eigenvalues[0])
+    gamma = float(eigenvalues[0])
     if gamma >= 1.0:
         return 2.0
     return 2.0 / (2.0 - gamma)

@@ -255,6 +255,15 @@ def test_initial_velocity_vanishes_on_walls(grid):
     assert np.all(u1[0, :] == 0.0) and np.all(u1[-1, :] == 0.0)
     assert np.all(u2[:, 0] == 0.0)
     assert np.max(np.abs(u1)) > 0.0
+    # the exact derivatives of psi = 0.3 sin(pi (x + ell)/ell) sin(pi s)
+    ell = grid.ell
+    x, s = np.meshgrid(grid.xf, grid.sc, indexing="ij")
+    want1 = 0.3 * np.pi * np.sin(np.pi * (x + ell) / ell) * np.cos(np.pi * s)
+    x, s = np.meshgrid(grid.xc, grid.sf, indexing="ij")
+    want2 = -0.3 * np.pi / ell * np.cos(np.pi * (x + ell) / ell) \
+        * np.sin(np.pi * s)
+    assert np.max(np.abs(u1 - want1)) <= 1e-14
+    assert np.max(np.abs(u2 - want2)) <= 1e-14
 
 
 def test_initial_theta_shape_and_walls(grid):

@@ -28,44 +28,14 @@ Q_STAR = {  # capped thresholds 2/(2 - gamma_min)
 def test_angular_spectrum_closed_form(omega, boundary, closed):
     spec = co.angular_eigenvalues(omega, count=5, boundary=boundary)
     want = np.array([closed(omega, j) for j in range(5)])
-    assert np.max(np.abs(spec.eigenvalues - want)) < 1e-10
-    assert np.max(np.abs(spec.residuals)) < 1e-8
-    assert np.all(np.diff(spec.eigenvalues) > 0)
+    assert np.max(np.abs(spec - want)) < 1e-10
+    assert np.all(np.diff(spec) > 0)
     assert abs(co.regularity_threshold(spec) - Q_STAR[boundary, omega]) < 1e-9
 
 
 def test_spectrum_sorted_generic_angle():
     spec = co.angular_eigenvalues(2.0, count=6, boundary="mixed")
-    assert np.all(np.diff(spec.eigenvalues) > 0)
-    assert np.max(np.abs(spec.residuals)) < 1e-8
-
-
-def _rk4_end(lam, omega, nsteps, boundary):
-    """Reference shot: plain RK4 stages for v'' = -lam^2 v, v(0)=0, v'(0)=1."""
-    h = omega / nsteps
-    v, w = 0.0, 1.0
-    for _ in range(nsteps):
-        k1v, k1w = w, -lam * lam * v
-        k2v, k2w = w + 0.5 * h * k1w, -lam * lam * (v + 0.5 * h * k1v)
-        k3v, k3w = w + 0.5 * h * k2w, -lam * lam * (v + 0.5 * h * k2v)
-        k4v, k4w = w + h * k3w, -lam * lam * (v + h * k3v)
-        v += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        w += h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-    return w if boundary == "mixed" else v
-
-
-@pytest.mark.parametrize("omega", [math.pi / 4, 2.0, 2.8])
-@pytest.mark.parametrize("boundary", ["mixed", "dirichlet"])
-def test_shoot_end_matches_rk4_stages_and_central_difference(omega, boundary):
-    lams = np.array([0.7, 2.3, 5.1])
-    nsteps, dlam = 800, 1e-5
-    f, df = co._shoot_end(lams, omega, nsteps, boundary)
-    want = [_rk4_end(lam, omega, nsteps, boundary) for lam in lams]
-    assert np.max(np.abs(f - want)) < 1e-12
-    # the lambda derivative is that of the discrete residual itself
-    fd = (co._shoot_end(lams + dlam, omega, nsteps, boundary)[0]
-          - co._shoot_end(lams - dlam, omega, nsteps, boundary)[0]) / (2 * dlam)
-    assert np.max(np.abs(df - fd) / np.abs(df)) < 1e-6
+    assert np.all(np.diff(spec) > 0)
 
 
 def test_rejects_unknown_boundary():
@@ -175,8 +145,8 @@ def test_angular_modes_are_the_stencil_eigenbasis(n):
 @pytest.mark.parametrize("omega", [math.pi / 2, 3 * math.pi / 4, 0.9 * math.pi])
 def test_wedge_growth_rate_approaches_corner_exponent(omega):
     # a Hessian ~ r^(gamma - 2) on the graded grid (r_min ~ n^-2) grows in
-    # L^q like n^(4 (1/q* - 1/q)): the wedge probe and the shooting
-    # spectrum must agree on one exponent
+    # L^q like n^(4 (1/q* - 1/q)): the wedge probe's PDE solve and the
+    # closed-form spectrum must agree on one exponent
     qs = [1.2, 1.6, 1.8, 2.0]
     q_star = co.regularity_threshold(co.angular_eigenvalues(omega))
     gaps = {}
