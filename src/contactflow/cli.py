@@ -205,6 +205,12 @@ def validate_config(cfg):
         raise ConstraintError("time.save_every must be at least 1")
     if cfg["eps"] < 0 or any(e < 0 for e in cfg["sweep"]["eps_values"]):
         raise ConstraintError("eps and sweep.eps_values must be nonnegative")
+    # the contact response kappa z + w3 z^3 must increase with z
+    if cfg["w3"] < 0:
+        raise ConstraintError("w3 must be nonnegative")
+    # mode 0 is sin(0) = 0: a zero temperature whatever theta_amp says
+    if cfg["initial"]["theta_mode"] < 1:
+        raise ConstraintError("initial.theta_mode must be at least 1")
     # the linearity and Cauchy ratios compare neighbouring eps values
     if len(cfg["sweep"]["eps_values"]) < 2:
         raise ConstraintError("sweep.eps_values needs at least two entries")

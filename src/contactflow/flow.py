@@ -2,8 +2,8 @@
 
 One step solves the saddle system
 
-    [ M/dt + A_visc + A_slip + K_srf ,  G ] [u]   [loads]
-    [ G^T                            ,  0 ] [p] = [0    ]
+    [ M/dt + A_visc + A_slip + A_srf ,  B^T ] [u]   [loads]
+    [ B                              ,  0   ] [p] = [0    ]
 
 on MAC-staggered reference-rectangle unknowns: u1 on x faces, u2 on y
 faces, p in cells. The pieces:
@@ -14,26 +14,23 @@ faces, p in cells. The pieces:
   * A_slip: Navier friction beta (u.tau)(v.tau) on bottom and walls, traces
     extrapolated from the first two interior layers. u.nu = 0 is strong
     (wall u1 and bottom u2 eliminated).
-  * G^T u = flux-form divergence: (Jvol div_calA u)_cell = div_ref Z with
+  * B u = flux-form divergence: (Jvol div_calA u)_cell = div_ref Z with
     Z1 = Jvol u1 and Z2 = (Jvol b - A) ubar1 + u2. The top value of Z2 is
     exactly u.N, so sum_cells of the divergence telescopes to the surface
     flux and discrete volume bookkeeping is exact to solver precision.
-  * K_srf: the traction integral int T (v.N) after integrating the
-    curvature flux by parts. Substituting eta~ = eta^n + dt zdot and the
-    contact law at the endpoints gives symmetric positive blocks
-    sigma1 (dt+eps) int d1 zdot d1(v.N) / (1+zeta0'^2)^{3/2}
-    + g dt int zdot (v.N) + kappa zdot(+-ell)(v.N)(+-ell); the remaining
-    surface pieces (curvature remainder, cubic contact response, thermal
-    tension correction) load the right-hand side explicitly.
+  * A_srf = Ztop^T G(dt) Ztop, the traction integral int T (v.N) with the
+    curvature flux integrated by parts, eta~ = eta^n + dt zdot substituted
+    and the contact law at the endpoints: G(dt) = G0 + dt G on the top
+    cells, CoupledProblem.surface_stiffness. The explicit surface pieces
+    (G eta^n, curvature remainder, cubic contact response, thermal tension
+    correction) form one load on the top cells.
 
-Every implicit operator is a fixed stencil weighted by the metric: the
-velocity block is the Gram matrix R^T diag(w) R of a row operator R whose
-values are linear in the cell coefficients c12 and c22, and the divergence
-and its top row are linear in the face weights (Jvol, Jvol b - A). Their
-stencils are Kronecker products of 1-D stencils, and MacStencils builds the
-sparsity patterns of R, Div and Ztop on the free dofs once per problem;
-FlowOperators fills them with each step's metric and forms the one Gram
-product.
+Every implicit bulk operator is a fixed stencil weighted by the metric: the
+rows R of the velocity block are linear in the cell coefficients c12 and
+c22, and the divergence and its top row are linear in the face weights
+(Jvol, Jvol b - A). Their stencils are Kronecker products of 1-D stencils,
+and MacStencils builds the sparsity patterns of R, Div and Ztop on the free
+dofs once per problem; FlowOperators fills them with each step's metric.
 
 Advection, buoyancy and the mesh-motion term are explicit, so the overall
 splitting is first order in dt and each step is one linear saddle solve.
@@ -51,8 +48,9 @@ the nodes and vanishes on the walls and the bottom; the fluxes Z1 = d_s psi
 and Z2 = -d_x psi have zero flux divergence identically, and the stream map
 T takes psi to u1 = Z1/Jvol, u2 = Z2 - (Jvol b - A) ubar1, so B T = 0 and
 Div u stay at rounding level. The step solves the SPD system K psi = T^T f,
-K = T^T A T, on the (nx - 1) ny free nodes, and takes the pressure from this
-step's pressure Laplacian, p = L_p^-1 B M^-1 (f - A u) with L_p = B M^-1 B^T
+K = S^T diag(w) S + Z^T G(dt) Z with S = R T and Z = Ztop T, on the
+(nx - 1) ny free nodes, and takes the pressure from this step's pressure
+Laplacian, p = L_p^-1 B M^-1 (f - A u) with L_p = B M^-1 B^T
 (a BandedCholesky, the in-place LAPACK band factor that also serves the
 heat spectrum), in FlowOperators.solve. Near rest K moves by O(|eta|) from
 one step to the next, so a run factors the first step's K once, in float32,
@@ -346,6 +344,19 @@ class CoupledProblem:
     def exps(self):
         """Regularity exponents of the rest contact angle."""
         return select_exponents(self.surface.omega)
+
+    @functools.cached_property
+    def surface_stiffness(self):
+        """(G0, G) on the nx top cells: G = g hx I + sigma1 Dx^T diag(hx
+        inv32) Dx, so that 1/2 eta^T G eta is the surface energy 1/2 sigma1
+        int |eta'|^2 (1+zeta0'^2)^{-3/2} + 1/2 g int eta^2, and G0 = eps
+        sigma1 Dx^T diag(hx inv32) Dx + kappa E^T E, E = stencils.ends, the
+        dt-free part of a step's implicit surface block G0 + dt G."""
+        mac, params, hx = self.stencils, self.params, self.grid.hx
+        curvature = params.sigma1 * (mac.Dx.T @ sp.diags(hx * mac.inv32_in)
+                                     @ mac.Dx)
+        return (self.eps * curvature + params.kappa * (mac.ends.T @ mac.ends),
+                params.g * hx * sp.eye(mac.nx) + curvature)
 
 
 # ============================================================
@@ -650,16 +661,16 @@ class FlowOperators:
     the patterns of problem.stencils filled with c12, c22, Jvol and
     Jvol b - A of fields.
 
-    The velocity block is one Gram product A_dof = R^T diag(w) R. Below the
-    bulk rows of R (viscous, slip, mass) sit the O(nx) surface rows DxZ,
-    Ztop and the two contact rows, whose Gram blocks are the implicit
-    curvature, gravity and contact-law blocks K_srf. The stream map T, K =
-    T^T A_dof T and the pressure Laplacian are built on first use: a zero
-    load and the compatibility check build none of them, the initial
-    projection only the pressure Laplacian.
+    A step of size dt has the velocity block A(dt) = R^T diag(w) R +
+    Ztop^T (G0 + dt G) Ztop: R holds the bulk rows (viscous, slip, mass),
+    w = weights(dt) and (G0, G) = problem.surface_stiffness. solve() forms
+    K = S^T diag(w) S + Z^T (G0 + dt G) Z, S = R T and Z = Ztop T, never
+    A(dt). The stream map T and the pressure Laplacian are built on first
+    use: a zero load and the compatibility check build neither, the
+    initial projection only the pressure Laplacian.
     """
 
-    def __init__(self, problem, fields, dt):
+    def __init__(self, problem, fields):
         mac = problem.stencils
         params = problem.params
         hx, hs = problem.grid.hx, problem.grid.hs
@@ -682,38 +693,29 @@ class FlowOperators:
                                  "measure %.3g, smallest velocity mass %.3g"
                                  % (low_cell, low_mass))
 
-        # -------- flux divergence and surface rows --------
+        # -------- flux divergence and its top row --------
         zw2 = met_yf["Jvol"] * met_yf["b"] - met_yf["A"]
         self.Div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
         self._stream = functools.partial(mac.stream, met_xf["Jvol"], zw2)
         self.B_dof = sp.csr_matrix((self.Div.data * (-hx * hs),
                                     self.Div.indices, self.Div.indptr),
                                    shape=self.Div.shape)
-        self.DxZ = mac.Dx @ self.Ztop
-        self.ends = mac.ends @ self.Ztop
 
         # -------- velocity block --------
-        R = sp.vstack([mac.rows(met_c["c12"], met_c["c22"]), self.DxZ,
-                       self.Ztop, self.ends], format="csr")
+        self.R = mac.rows(met_c["c12"], met_c["c22"])
         visc = params.mu * self.cell_measure
-        w = np.concatenate([
-            0.5 * visc, visc, 0.5 * visc, mac.slip_weights,
-            self.mass / dt,
-            params.sigma1 * (dt + problem.eps) * hx * mac.inv32_in,
-            np.full(mac.nx, params.g * dt * hx),
-            np.full(2, params.kappa)])
-        wR = sp.csr_matrix((R.data * np.repeat(w, np.diff(R.indptr)),
-                            R.indices, R.indptr), shape=R.shape)
-        self.A_dof = R.T.tocsr() @ wR
+        self._bulk_weights = np.concatenate([0.5 * visc, visc, 0.5 * visc,
+                                             mac.slip_weights])
+        self.surface_stiffness = problem.surface_stiffness
+
+    def weights(self, dt):
+        """w of A(dt): the viscous and slip weights, then the mass / dt."""
+        return np.concatenate([self._bulk_weights, self.mass / dt])
 
     @functools.cached_property
     def T(self):
         """The stream map of MacStencils.stream: B_dof T = 0 to rounding."""
         return self._stream()
-
-    @functools.cached_property
-    def K(self):
-        return (self.T.T @ (self.A_dof @ self.T)).tocsc()
 
     @functools.cached_property
     def lap(self):
@@ -727,9 +729,9 @@ class FlowOperators:
         return BandedCholesky(self.B_dof @ sp.diags(1.0 / self.mass)
                               @ self.B_dof.T)
 
-    def solve(self, solver, f):
+    def solve(self, solver, f, dt):
         """[u, p] of the saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0],
-        A = A_dof and B = B_dof, on the divergence-free velocities u = T psi.
+        A = A(dt) and B = B_dof, on the divergence-free velocities u = T psi.
 
         solver, a LaggedLU, solves K psi = T^T f; sweeps K dpsi = T^T r,
         u += T dpsi, with r the saddle residual and p = L_p^-1 B M^-1
@@ -739,7 +741,11 @@ class FlowOperators:
         if not np.any(f):
             # keeps the rest state an exact fixed point
             return np.zeros(f.size + self.B_dof.shape[0])
-        A, B, T = self.A_dof, self.B_dof, self.T
+        R, B, T, Ztop = self.R, self.B_dof, self.T, self.Ztop
+        w, (G0, G) = self.weights(dt), self.surface_stiffness
+        Gdt = G0 + dt * G
+        S, Z = R @ T, Ztop @ T
+        K = (S.T @ (sp.diags(w) @ S) + Z.T @ (Gdt @ Z)).tocsc()
 
         def sweeps(cg):
             bound = LAG_RTOL * np.linalg.norm(f)
@@ -753,7 +759,7 @@ class FlowOperators:
                 if dpsi is None:
                     return None
                 u = u + T @ dpsi
-                r = f - A @ u
+                r = f - R.T @ (w * (R @ u)) - Ztop.T @ (Gdt @ (Ztop @ u))
                 p = self.lap.solve(B @ (r / self.mass))
                 r = r - B.T @ p
                 if math.hypot(np.linalg.norm(r),
@@ -762,7 +768,7 @@ class FlowOperators:
                 g = T.T @ r
             return None
 
-        return solver.solve(spla, self.K, f, sweeps)
+        return solver.solve(spla, K, f, sweeps)
 
 
 # ============================================================
@@ -830,7 +836,7 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
         raise StabilityError("advective CFL %.3g exceeds %.2f"
                              % (speed * dt, CFL_LIMIT))
 
-    ops = FlowOperators(problem, fields, dt)
+    ops = FlowOperators(problem, fields)
     mac = problem.stencils
     ufull = mac.full_vector(state.u1, state.u2)
     rhs = ops.mass_diag * ufull / dt
@@ -847,32 +853,26 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
     rhs += ops.mass_diag * np.concatenate([adv1.ravel(), adv2.ravel()])
     rhs = rhs[mac.free]
 
-    # explicit surface loads: linear curvature of eta^n, remainder, gravity
-    inv32 = mac.inv32_in
+    # explicit surface load on the top cells: G eta^n, curvature remainder,
+    # contact response W(z) = w3 z^3 and lagged thermal tension correction
     dxe = mac.Dx @ state.eta
     rem = remainder_r(mac.s0_in, dxe)
-    v_expl = params.sigma1 * grid.hx * (dxe * inv32 + rem)
-    rhs -= ops.DxZ.T @ v_expl
-    rhs -= ops.Ztop.T @ (params.g * grid.hx * state.eta)
-
-    # explicit contact response W(z) = w3 z^3 at the two contact points
     z = mac.ends @ state.zdot
     cubic = problem.w3 * z ** 3
-    rhs -= ops.ends.T @ (params.kappa * cubic)
-
-    # thermal tension correction, fully lagged
+    load = (problem.surface_stiffness[1] @ state.eta
+            + mac.Dx.T @ (params.sigma1 * grid.hx * rem)
+            + mac.ends.T @ (params.kappa * cubic))
     if theta is not None and params.sigma2 != 0.0:
         dxz = mac.Dx @ state.zdot
         flux_nodes = np.empty(nx + 1)
-        flux_nodes[1:-1] = (dxe + problem.eps * dxz) * inv32 + rem
-        wL = params.kappa * (z[0] + cubic[0])
-        wR = params.kappa * (z[1] + cubic[1])
-        flux_nodes[0] = wL / params.sigma1
-        flux_nodes[-1] = -wR / params.sigma1
+        flux_nodes[1:-1] = (dxe + problem.eps * dxz) * mac.inv32_in + rem
+        flux_nodes[[0, -1]] = (params.kappa * (z + cubic) * [1.0, -1.0]
+                               / params.sigma1)
         dflux_c = np.diff(flux_nodes) / grid.hx
-        rhs -= ops.Ztop.T @ (grid.hx * params.sigma2 * th_yf[:, -1] * dflux_c)
+        load += grid.hx * params.sigma2 * th_yf[:, -1] * dflux_c
+    rhs -= ops.Ztop.T @ load
 
-    sol = ops.solve(problem.saddle_solver, rhs)
+    sol = ops.solve(problem.saddle_solver, rhs, dt)
     u_new = sol[:mac.free.size]
     p_new = sol[mac.free.size:].reshape(nx, grid.ny)
 
@@ -938,7 +938,7 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         u2 = np.zeros((grid.nx, grid.ny + 1)) if u2_raw is None \
             else np.asarray(u2_raw, float)
         fields = geometry.build_geometry(grid, eta0)
-        ops = FlowOperators(problem, fields, 1.0)
+        ops = FlowOperators(problem, fields)
         mac = problem.stencils
         u = mac.full_vector(u1, u2)[mac.free]
         p = ops.lap.solve(ops.B_dof @ u)
@@ -957,7 +957,7 @@ def check_compatibility(problem, fields, state):
     flux and zero mean."""
     grid = problem.grid
     mac = problem.stencils
-    ops = FlowOperators(problem, fields, 1.0)
+    ops = FlowOperators(problem, fields)
     u = mac.full_vector(state.u1, state.u2)[mac.free]
     return {
         "div": float(np.max(np.abs(ops.Div @ u))),

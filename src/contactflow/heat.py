@@ -230,8 +230,13 @@ def step_fd(fields, k_cond, state, dt, solver, transport=None):
     transport: node-sampled velocity (2, nx+1, ny+1), or None for no
     advection. Advection and mesh motion are treated explicitly with the
     two-level extrapolant 1.5 theta^n - 0.5 theta^{n-1} so the implicit
-    matrix stays symmetric.
+    matrix stays symmetric. A zero theta with a zero newest level loads
+    nothing and builds no operators.
     """
+    if not np.any(state.theta) and \
+            not (state.levels and np.any(state.levels[0].theta)):
+        return state.advanced(theta=np.zeros_like(state.theta),
+                              time=state.time + dt, dt=dt)
     ops = heat_operators(fields, k_cond)
     th = state.theta.ravel()[ops.free]
     rhs = ops.M @ th / dt - 0.5 * (ops.B @ th)

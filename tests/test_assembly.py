@@ -21,6 +21,8 @@ from contactflow import flow as fl
 from contactflow import geometry as geo
 from contactflow import heat as ht
 
+from _blocks import velocity_block
+
 REL = 1e-14
 
 
@@ -82,7 +84,7 @@ def _reference_stencils(grid, beta):
 
 
 def _reference_flow(problem, fields, dt):
-    """(A_dof, B_dof, Div, Ztop) by the product formulas, on the dofs."""
+    """(A(dt), B_dof, Div, Ztop) by the product formulas, on the dofs."""
     mac = problem.stencils
     st = _reference_stencils(problem.grid, problem.params.beta)
     params = problem.params
@@ -121,9 +123,10 @@ def _reference_flow(problem, fields, dt):
 def test_flow_matrices_match_product_formulas(params, jump):
     problem = _problem(params, jump, 24, 16)
     fields = _displaced_fields(problem.grid)
-    ops = fl.FlowOperators(problem, fields, 0.02)
+    ops = fl.FlowOperators(problem, fields)
     want = _reference_flow(problem, fields, 0.02)
-    for got, ref in zip((ops.A_dof, ops.B_dof, ops.Div, ops.Ztop), want):
+    blocks = (velocity_block(ops, 0.02), ops.B_dof, ops.Div, ops.Ztop)
+    for got, ref in zip(blocks, want):
         _assert_entries_match(got, ref)
 
 

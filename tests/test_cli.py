@@ -175,6 +175,10 @@ BAD_CONFIGS = [
     (("time", "save_every"), -3),
     # sigma(theta) = sigma1 - sigma2 theta is -1 at theta = 20
     (("initial", "theta_amp"), 20.0),
+    # a decreasing contact response kappa z + w3 z^3
+    (("w3",), -0.5),
+    # sin(0) = 0: a zero temperature whatever theta_amp says
+    (("initial", "theta_mode"), 0),
 ]
 
 

@@ -16,6 +16,8 @@ from contactflow import flow as fl
 from contactflow import geometry as geo
 from contactflow import heat as ht
 
+from _blocks import velocity_block
+
 
 def _centered(v):
     v = np.asarray(v, float)
@@ -241,8 +243,8 @@ def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
     eta = _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)
                     + 3e-3 * np.sin(2.3 * grid.xc))
     zdot = _centered(1e-2 * np.sin(math.pi * grid.xc / grid.ell))
-    ops = fl.FlowOperators(problem, geo.build_geometry(grid, eta, zdot), 0.02)
-    A = ops.A_dof
+    ops = fl.FlowOperators(problem, geo.build_geometry(grid, eta, zdot))
+    A = velocity_block(ops, 0.02)
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     # discrete divergence theorem: the cell divergences of any admissible
     # velocity sum to its surface flux
@@ -262,6 +264,31 @@ def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
     _run_steps(problem, flow, heat_state, [0.02], fresh=True)
     assert len(built) == 2
     assert len(heat_built) == 1
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
+def test_surface_stiffness_is_the_surface_energy(params, jump):
+    problem = dataclasses.replace(_curved_problem(params, jump), eps=0.1)
+    grid, nx, hx = problem.grid, problem.grid.nx, problem.grid.hx
+    G0, G = (M.toarray() for M in problem.surface_stiffness)
+    for M in (G0, G):
+        assert np.max(np.abs(M - M.T)) <= 1e-14 * np.max(np.abs(M))
+    assert np.min(np.linalg.eigvalsh(G)) > 0.0
+    # 1/2 eta^T G eta is the surface energy, written out cell by cell
+    inv32 = (1.0 + grid.dzeta0_f[1:-1] ** 2) ** -1.5
+    for eta in np.random.default_rng(3).standard_normal((4, nx)):
+        energy = (0.5 * params.sigma1 * hx
+                  * np.sum(inv32 * (np.diff(eta) / hx) ** 2)
+                  + 0.5 * params.g * hx * np.sum(eta ** 2))
+        assert abs(0.5 * eta @ G @ eta - energy) <= 1e-13 * energy
+    # G0 is eps times the curvature part plus the contact law at the two
+    # node ends of the surface
+    D = np.diff(np.eye(nx), axis=0) / hx
+    curvature = params.sigma1 * D.T @ np.diag(hx * inv32) @ D
+    E = geo.to_nodes(np.eye(nx), 0)[[0, -1]]
+    contact = G0 - problem.eps * curvature
+    assert np.max(np.abs(contact - params.kappa * E.T @ E)) \
+        <= 1e-14 * np.max(np.abs(G0))
 
 
 # ------------------------------------------------------------
@@ -465,29 +492,31 @@ def test_pcg_raises_on_non_positive_curvature(A):
 # stream-function saddle solver
 # ------------------------------------------------------------
 
-def _direct_saddle(ops, solver, f):
+def _direct_saddle(ops, solver, f, dt):
     """Reference for FlowOperators.solve: assembles [[A, B^T], [B, 0]] and
     factors it afresh for every system."""
-    K = sp.bmat([[ops.A_dof, ops.B_dof.T], [ops.B_dof, None]], format="csc")
+    K = sp.bmat([[velocity_block(ops, dt), ops.B_dof.T], [ops.B_dof, None]],
+                format="csc")
     return spla.spsolve(K, np.concatenate([f, np.zeros(K.shape[0] - f.size)]))
 
 
-def _system(problem, fields, dt, mu=None):
+def _system(problem, fields, mu=None):
     if mu is not None:
         problem = dataclasses.replace(
             problem, params=dataclasses.replace(problem.params, mu=mu))
-    return fl.FlowOperators(problem, fields, dt)
+    return fl.FlowOperators(problem, fields)
 
 
 def _momentum_load(ops, seed=5):
     """Random momentum rows, like a step's load."""
-    return np.random.default_rng(seed).standard_normal(ops.A_dof.shape[0])
+    return np.random.default_rng(seed).standard_normal(ops.mass.size)
 
 
-def _saddle_residual(ops, f, x):
-    """||[f - A u - B^T p; B u]|| of a solution x = [u, p]."""
+def _saddle_residual(ops, f, x, dt):
+    """||[f - A u - B^T p; B u]|| of a solution x = [u, p], A = A(dt)."""
     u, p = x[:f.size], x[f.size:]
-    return math.hypot(np.linalg.norm(f - ops.A_dof @ u - ops.B_dof.T @ p),
+    A = velocity_block(ops, dt)
+    return math.hypot(np.linalg.norm(f - A @ u - ops.B_dof.T @ p),
                       np.linalg.norm(ops.B_dof @ u))
 
 
@@ -497,8 +526,8 @@ def test_stream_map_spans_divergence_free_velocities(params, jump, size):
     problem = _curved_problem(params, jump)
     grid = geo.make_grid(problem.surface, *size, params.depth)
     problem = dataclasses.replace(problem, grid=grid)
-    ops = fl.FlowOperators(problem, geo.build_geometry(
-        grid, np.zeros(grid.nx)), 0.02)
+    ops = fl.FlowOperators(problem, geo.build_geometry(grid,
+                                                       np.zeros(grid.nx)))
     B, T = ops.B_dof, ops.T
     assert abs(B @ T).max() <= 1e-15 * abs(B).max() * abs(T).max()
     # one unknown per free node: the dimension of ker B, as B is onto
@@ -529,9 +558,9 @@ def test_accepted_solves_meet_the_saddle_bound(params, jump, monkeypatch):
     solve = fl.FlowOperators.solve
     solves = []
 
-    def recording(ops, solver, f):
-        x = solve(ops, solver, f)
-        solves.append(_saddle_residual(ops, f, x) / np.linalg.norm(f))
+    def recording(ops, solver, f, dt):
+        x = solve(ops, solver, f, dt)
+        solves.append(_saddle_residual(ops, f, x, dt) / np.linalg.norm(f))
         return x
 
     monkeypatch.setattr(fl.FlowOperators, "solve", recording)
@@ -544,17 +573,18 @@ def test_accepted_solves_meet_the_saddle_bound(params, jump, monkeypatch):
 
 def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
                                                           zero_fields):
-    base = _system(problem, zero_fields, 0.02)
+    base = _system(problem, zero_fields)
     # thirty times the viscosity: the held factor no longer preconditions
     # CG within CG_MAXITER iterations, a fresh one does
-    far = _system(problem, zero_fields, 0.02, mu=30.0 * params.mu)
+    far = _system(problem, zero_fields, mu=30.0 * params.mu)
     f = _momentum_load(base)
     solver = fl.LaggedLU(np.float32)
-    assert not np.any(base.solve(solver, np.zeros_like(f)))
+    assert not np.any(base.solve(solver, np.zeros_like(f), 0.02))
     assert solver.factorizations == 0
     for ops in (base, base, far):
-        x = ops.solve(solver, f)
-        assert _saddle_residual(ops, f, x) <= fl.LAG_RTOL * np.linalg.norm(f)
+        x = ops.solve(solver, f, 0.02)
+        assert (_saddle_residual(ops, f, x, 0.02)
+                <= fl.LAG_RTOL * np.linalg.norm(f))
     # 2 iterations for each base solve, a full missed CG on the far system
     # with the held factor, then 3 with its own
     assert solver.counts() == {"factorizations": 2, "reused_solves": 1,
@@ -563,7 +593,7 @@ def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
                                "fallbacks": 1}
     assert solver.factor_nnz > 0
     with pytest.raises(fl.StabilityError):
-        far.solve(solver, np.full_like(f, np.nan))
+        far.solve(solver, np.full_like(f, np.nan), 0.02)
 
 
 def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields,
@@ -571,12 +601,12 @@ def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields,
     # a stream map of another geometry does not span ker B, so no psi
     # meets the continuity rows and the solve must stop instead of
     # refactoring forever
-    ops = _system(problem, zero_fields, 0.02)
+    ops = _system(problem, zero_fields)
     eta = _centered(0.1 * np.cos(math.pi * grid.xc / grid.ell))
-    ops.T = _system(problem, geo.build_geometry(grid, eta), 0.02).T
+    ops.T = _system(problem, geo.build_geometry(grid, eta)).T
     solver = fl.LaggedLU(np.float32)
     with pytest.raises(fl.StabilityError):
-        ops.solve(solver, _momentum_load(ops))
+        ops.solve(solver, _momentum_load(ops), 0.02)
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
 
@@ -591,7 +621,7 @@ def test_projection_matches_direct_saddle_solve(params, jump):
     state = fl.construct_flow_initial_data(problem, eta0, u1, u2)
 
     mac = problem.stencils
-    ops = fl.FlowOperators(problem, geo.build_geometry(grid, state.eta), 1.0)
+    ops = fl.FlowOperators(problem, geo.build_geometry(grid, state.eta))
     mass = ops.mass_diag[mac.free]
     K = sp.bmat([[sp.diags(mass), ops.B_dof.T], [ops.B_dof, None]],
                 format="csc")
@@ -629,7 +659,7 @@ def test_single_precision_factor_solves_a_stiff_system(params, jump,
     # LU of K still meets LAG_RTOL on the saddle residual in one attempt
     problem = _curved_problem(params, jump)
     fields = geo.build_geometry(problem.grid, np.zeros(problem.grid.nx))
-    ops = _system(problem, fields, 1.0)
+    ops = _system(problem, fields)
     f = _momentum_load(ops)
     dtypes = []
 
@@ -639,9 +669,9 @@ def test_single_precision_factor_solves_a_stiff_system(params, jump,
 
     monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=splu))
     solver = problem.saddle_solver
-    x = ops.solve(solver, f)
+    x = ops.solve(solver, f, 1.0)
     assert dtypes == [np.float32]
-    assert _saddle_residual(ops, f, x) <= fl.LAG_RTOL * np.linalg.norm(f)
+    assert _saddle_residual(ops, f, x, 1.0) <= fl.LAG_RTOL * np.linalg.norm(f)
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
     assert solver.counts()["max_cg_iterations"] < fl.CG_MAXITER

@@ -253,6 +253,39 @@ def test_step_ignores_theta_on_fixed_nodes(flat_surface, params):
     assert not np.any(clean.theta[0]) and not np.any(clean.theta[:, 0])
 
 
+def test_zero_temperature_step_builds_no_operators(flat_surface, params,
+                                                  monkeypatch):
+    # a zero theta whose newest level is zero too loads nothing, even with
+    # transport and a moving surface, so the step builds no operators
+    built = []
+
+    class CountedOperators(ht.HeatOperators):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ht, "HeatOperators", CountedOperators)
+    grid = geo.make_grid(flat_surface, 24, 16, params.depth)
+    eta = 1e-2 * np.cos(math.pi * grid.xc / grid.ell)
+    fields = geo.build_geometry(grid, eta - eta.mean(), eta - eta.mean())
+    transport = np.ones((2, grid.nx + 1, grid.ny + 1))
+    zero = ht.HeatState(theta=np.zeros((grid.nx + 1, grid.ny + 1)))
+    state = zero
+    for _ in range(2):
+        state = ht.step_fd(fields, params.k, state, 0.02,
+                           fl.LaggedLU(np.float64), transport=transport)
+    assert not built
+    assert not np.any(state.theta) and state.time == 0.04
+    # a nonzero newest level still advects into the zero theta
+    theta1 = _slowest_mode(fields.at("nodes"), 0.0, params.depth)
+    moved = ht.HeatState(theta=zero.theta, dt=0.02,
+                         levels=[ht.HeatState(theta=theta1)])
+    state = ht.step_fd(fields, params.k, moved, 0.02,
+                       fl.LaggedLU(np.float64), transport=transport)
+    assert len(built) == 1
+    assert np.any(state.theta)
+
+
 def test_heat_lu_ordering_cuts_fill_and_stays_exact(params, monkeypatch):
     # the Crank-Nicolson matrix of a curved 48x32 rest state: minimum degree
     # on A^T + A keeps fewer L+U entries than scipy's default COLAMD, and
