@@ -419,6 +419,8 @@ def run_heat(cfg, params, outdir):
         cfg, problem, flow_mod.zero_flow_state(grid),
         heat_mod.HeatState(theta=initial_theta(cfg, grid)), step=conduct,
         fields=fields)
+    # the spectrum factors B: free the stepping factor before it
+    problem.heat_solver.release()
     lam = heat_mod.lowest_eigenvalues(fields, params.k, m=1)[0]
     times = [r[0] for r in rows]
     e_th = [r[diag.SERIES_COLUMNS.index("E_th_L2")] for r in rows]

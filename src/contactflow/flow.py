@@ -155,6 +155,11 @@ class LaggedLU:
                 "max_cg_iterations": self.max_cg_iterations,
                 "fallbacks": self.fallbacks}
 
+    def release(self):
+        """Drops the held factor; the counts and factor_nnz stay, and the
+        next solve factors afresh."""
+        self._precondition = None
+
     def solve(self, linalg, K, b, attempt=None):
         """attempt(cg), by default the x with ||b - K x|| <= LAG_RTOL ||b||;
         raises StabilityError on a non-finite b."""

@@ -16,13 +16,15 @@ geometry. Since theta and psi vanish on the fixed nodes, the mass and
 stiffness matrices are held on the free nodes only.
 
 Between steps only the quadrature weights change. HeatPattern holds, once
-per grid, where each element and Robin edge entry lands in the free-node
-matrices; HeatOperators maps each step's weights to element entries and
-sums them into that pattern. HeatOperators also holds the Crank-Nicolson
-matrix M/dt + B/2 of its last dt, so on frozen geometry (conduction-only
-runs) it is built once per run, and on moving geometry once per step. The
-step solves it with flow.LaggedLU, the held-factor solver of the flow step,
-in double precision.
+per grid, the free-node pattern, which is the 9-point stencil built as a
+Kronecker product of two tridiagonal patterns, and the slot of each element
+and Robin edge entry in it, found pair by pair. HeatOperators keeps three
+Gauss-point fields of the metric (Jvol, c12, c22), maps them to element
+entries and sums them into that pattern. HeatOperators also holds the
+Crank-Nicolson matrix M/dt + B/2 of its last dt, so on frozen geometry
+(conduction-only runs) it is built once per run, and on moving geometry
+once per step. The step solves it with flow.LaggedLU, the held-factor
+solver of the flow step, in double precision.
 
 Transport (u . grad_calA theta and the mesh-motion term
 dt(etabar) W K d2 theta) is explicit with two-level extrapolation, keeping
@@ -82,11 +84,15 @@ class HeatPattern:
     """The fixed structure of the heat matrices on one grid.
 
     The matrices are held on the free nodes only (walls and bottom carry
-    theta = 0), in CSC form over the free nodes in x-major order, which
-    makes them band matrices of half-width ny + 1. `slot` places every
+    theta = 0), in CSC form over the free nodes in x-major order. Two free
+    nodes couple exactly when they share a cell, so the pattern is the
+    9-point stencil kron(tri(nx - 1), tri(ny)), a band matrix of half-width
+    ny + 1, and the Robin edges add no entry to it. `slot` places every
     element entry (a, b) of every cell, then every Robin entry of every top
-    edge, in their data; entries with a fixed row or column go to the extra
-    slot nnz, which is dropped.
+    edge, in its data, a the row corner: each pair's slots are one
+    searchsorted of its (col, row) keys in the pattern's sorted keys.
+    Entries with a fixed row or column go to the extra slot nnz, which is
+    dropped.
     """
 
     def __init__(self, grid):
@@ -100,26 +106,32 @@ class HeatPattern:
         rank = np.full(self.nodes, nf)     # fixed nodes rank past the end
         rank[self.free] = np.arange(nf)
 
+        def tri(n):
+            return sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(n, n))
+
+        stencil = sp.kron(tri(nx - 1), tri(ny), format="csc")
+        self.nnz = stencil.nnz
+        self.indices = stencil.indices.astype(np.int32)
+        self.indptr = stencil.indptr.astype(np.int32)
+        keys = np.repeat(np.arange(nf, dtype=np.int64) * nf,
+                         np.diff(self.indptr)) + self.indices
+
         ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        corners = np.array([ci * (ny + 1) + cj, (ci + 1) * (ny + 1) + cj,
-                            ci * (ny + 1) + cj + 1,
-                            (ci + 1) * (ny + 1) + cj + 1]).reshape(4, -1)
-        top = np.arange(nx + 1) * (ny + 1) + ny
+        corners = rank[np.array([ci * (ny + 1) + cj, (ci + 1) * (ny + 1) + cj,
+                                 ci * (ny + 1) + cj + 1,
+                                 (ci + 1) * (ny + 1) + cj + 1]).reshape(4, -1)]
+        top = rank[np.arange(nx + 1) * (ny + 1) + ny]
         edges = np.array([top[:-1], top[1:]])
-        row = rank[np.concatenate([np.repeat(corners, 4, axis=0).ravel(),
-                                   np.repeat(edges, 2, axis=0).ravel()])]
-        col = rank[np.concatenate([np.tile(corners, (4, 1)).ravel(),
-                                   np.tile(edges, (2, 1)).ravel()])]
-        kept = (row < nf) & (col < nf)
-        key = col * nf + row
-        entries = np.unique(key[kept])
-        self.nnz = entries.size
-        self.slot = np.full(key.size, self.nnz, np.int32)
-        self.slot[kept] = np.searchsorted(entries, key[kept])
-        self.indices = (entries % nf).astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(entries // nf, minlength=nf))]
-        ).astype(np.int32)
+        pairs = [(corners[a], corners[b]) for a in range(4) for b in range(4)]
+        pairs += [(edges[a], edges[b]) for a in range(2) for b in range(2)]
+        self.slot = np.full(sum(row.size for row, _ in pairs), self.nnz,
+                            np.int32)
+        start = 0
+        for row, col in pairs:
+            kept = np.flatnonzero((row < nf) & (col < nf))
+            self.slot[start + kept] = np.searchsorted(
+                keys, col[kept].astype(np.int64) * nf + row[kept])
+            start += row.size
 
     def matrix(self, data):
         """The free-node matrix with this pattern and data."""
@@ -137,9 +149,10 @@ class HeatOperators:
     """Mass M and conduction + Robin stiffness B on the free nodes.
 
     Each step samples the metric at the 2x2 Gauss points of every cell and
-    maps the weights k Jvol, k Jvol c12, k Jvol (c12^2 + c22^2) and Jvol to
-    the element entries with one matmul each; np.bincount sums them, with
-    the Robin edge entries, into the held pattern of HeatPattern.
+    keeps only Jvol, c12 and c22 of that sample. It maps the weights
+    k Jvol, k Jvol c12, k Jvol (c12^2 + c22^2) and Jvol to the element
+    entries with one matmul each; np.bincount sums them, with the Robin edge
+    entries, into the held pattern of HeatPattern.
 
     cn_system(dt) builds the Crank-Nicolson matrix M/dt + B/2 and holds it
     for that dt, so every step on these operators hands the solver the same
@@ -157,16 +170,17 @@ class HeatOperators:
         xg = (grid.xc[:, None] + dx[None, :]).ravel()
         dz = hs * (np.array(_GP) - 0.5)
         sg = (grid.sc[:, None] + dz[None, :]).ravel()
-        met = fields.sample_metric(xg, sg)
         srf = fields.surface_metric(xg)
 
         def at_gauss(f):
-            """(4, ncell) Gauss-point samples of f, point 2 gx + gz."""
+            """(4, ncell) Gauss-point samples of f, point 2 gx + gz, copied
+            out of the tensor-grid sample."""
             return f.reshape(nx, 2, ny, 2).transpose(1, 3, 0, 2).reshape(4, -1)
 
-        jv = at_gauss(met["Jvol"])
-        c12 = at_gauss(met["c12"])
-        c22 = at_gauss(met["c22"])
+        # the other fields of the sample are not read, so none outlives it
+        met = fields.sample_metric(xg, sg)
+        jv, c12, c22 = (at_gauss(met[name]) for name in ("Jvol", "c12", "c22"))
+        del met
         d11 = k_cond * jv
         weights = np.concatenate([d11, d11 * c12,
                                   d11 * (c12 ** 2 + c22 ** 2)])

@@ -234,9 +234,11 @@ def _reference_heat(fields, k_cond):
     return M, (K + S).tocsr()
 
 
-@pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
-def test_heat_matrices_match_element_loop(params, jump):
-    grid = _problem(params, jump, 24, 16).grid
+@pytest.mark.parametrize("jump,nx,ny", [(0.0, 24, 16), (0.3, 24, 16),
+                                         (-0.5, 24, 16), (0.3, 7, 5)],
+                         ids=["0.0", "0.3", "-0.5", "0.3-7x5"])
+def test_heat_matrices_match_element_loop(params, jump, nx, ny):
+    grid = _problem(params, jump, nx, ny).grid
     fields = _displaced_fields(grid)
     ops = ht.HeatOperators(fields, params.k)
     M, B = _reference_heat(fields, params.k)
@@ -244,6 +246,49 @@ def test_heat_matrices_match_element_loop(params, jump):
     for got, ref in ((ops.M, M), (ops.B, B)):
         assert got.shape == (free.size, free.size)
         _assert_entries_match(got, ref[free][:, free])
+
+
+def _reference_heat_pairs(nx, ny):
+    """(row, col) nodes of every element entry (a, b) of every cell, then of
+    every Robin entry of every top edge, in HeatPattern's slot order."""
+    def node(i, j):
+        return i * (ny + 1) + j
+
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))     # offsets of corner a
+    pairs = [(node(i + ai, j + aj), node(i + bi, j + bj))
+             for ai, aj in corners for bi, bj in corners
+             for i in range(nx) for j in range(ny)]
+    pairs += [(node(i + a, ny), node(i + b, ny))
+              for a in range(2) for b in range(2) for i in range(nx)]
+    return pairs
+
+
+@pytest.mark.parametrize("jump,nx,ny", [(0.0, 7, 5), (0.0, 24, 16),
+                                         (0.3, 24, 16)],
+                         ids=["7x5", "24x16", "24x16-curved"])
+def test_heat_pattern_matches_summed_pairs(params, jump, nx, ny):
+    # the stencil-built pattern against the one every element and Robin pair
+    # sums to, and each pair's slot against its (row, col) in that pattern
+    pat = ht.heat_pattern(_problem(params, jump, nx, ny).grid)
+    rank = {i * (ny + 1) + j: (i - 1) * ny + j - 1
+            for i in range(1, nx) for j in range(1, ny + 1)}
+    nf = len(rank)
+    pairs = _reference_heat_pairs(nx, ny)
+    kept = [(rank[r], rank[c]) for r, c in pairs if r in rank and c in rank]
+    rows, cols = np.array(kept).T
+    want = sp.coo_matrix((np.ones(len(kept)), (rows, cols)),
+                         (nf, nf)).tocsc()
+    want.sum_duplicates()
+    assert pat.nnz == want.nnz
+    assert np.array_equal(pat.indices, want.indices)
+    assert np.array_equal(pat.indptr, want.indptr)
+    assert pat.slot.size == len(pairs)
+    for (r, c), slot in zip(pairs, pat.slot):
+        if r in rank and c in rank:
+            assert pat.indptr[rank[c]] <= slot < pat.indptr[rank[c] + 1]
+            assert pat.indices[slot] == rank[r]
+        else:
+            assert slot == pat.nnz
 
 
 # ------------------------------------------------------------

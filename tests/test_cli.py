@@ -363,9 +363,22 @@ def test_equilibrium_mode_outputs(tmp_path):
                                 "python": platform.python_version()}
 
 
-def test_heat_mode_recovers_spectral_decay_rate(tmp_path):
+def test_heat_mode_recovers_spectral_decay_rate(tmp_path, monkeypatch):
     cfg = dict(TINY, mode="heat")
     cfg["initial"] = {"theta_amp": 0.1}
+    problems, held = [], []
+    build_problem, spectrum = cli.build_problem, cli.heat_mod.lowest_eigenvalues
+
+    def built(*args):
+        problems.append(build_problem(*args))
+        return problems[-1]
+
+    def lowest(*args, **kw):
+        held.append(problems[0].heat_solver._precondition)
+        return spectrum(*args, **kw)
+
+    monkeypatch.setattr(cli, "build_problem", built)
+    monkeypatch.setattr(cli.heat_mod, "lowest_eigenvalues", lowest)
     rc, outdir = _run(tmp_path, cfg)
     assert rc == 0
     rep = _report(outdir)
@@ -382,6 +395,8 @@ def test_heat_mode_recovers_spectral_decay_rate(tmp_path):
     assert solver["fallbacks"] == 0
     assert solver["max_cg_iterations"] == 0
     assert solver["factor_nnz"] > 0
+    # the stepping factor is released before the spectrum factors B
+    assert held == [None]
 
 
 def test_decay_mode_report_and_series(tmp_path):

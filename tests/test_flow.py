@@ -428,6 +428,25 @@ def test_lagged_lu_falls_back_on_a_distant_system():
         solver.solve(spla, far, np.full(n, np.nan))
 
 
+def test_release_drops_the_factor_and_keeps_the_counts():
+    n = 80
+    rng = np.random.default_rng(4)
+    A = _spd(n, rng)
+    b = rng.standard_normal(n)
+    solver = fl.LaggedLU(np.float64)
+    solver.solve(spla, A, b)
+    solver.solve(spla, A, b)
+    counts, nnz = solver.counts(), solver.factor_nnz
+    solver.release()
+    assert solver.counts() == counts
+    assert solver.factor_nnz == nnz
+    # the next solve factors afresh, as a new solver would
+    x = solver.solve(spla, A, b)
+    assert solver.counts() == dict(counts,
+                                   factorizations=counts["factorizations"] + 1)
+    assert np.array_equal(x, fl.LaggedLU(np.float64).solve(spla, A, b))
+
+
 def test_banded_cholesky_matches_dense_solve():
     # a random SPD band matrix of half-width 3, given in full: the factor
     # reads its upper triangle
