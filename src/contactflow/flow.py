@@ -49,16 +49,17 @@ and Z2 = -d_x psi have zero flux divergence identically, and the stream map
 T takes psi to u1 = Z1/Jvol, u2 = Z2 - (Jvol b - A) ubar1, so B T = 0 and
 Div u stay at rounding level. The step solves the SPD system K psi = T^T f,
 K = S^T diag(w) S + Z^T G(dt) Z with S = R T and Z = Ztop T, on the
-(nx - 1) ny free nodes, and takes the pressure from this step's pressure
-Laplacian, p = L_p^-1 B M^-1 (f - A u) with L_p = B M^-1 B^T
-(a BandedCholesky, the in-place LAPACK band factor that also serves the
-heat spectrum), in FlowOperators.solve. Near rest K moves by O(|eta|) from
-one step to the next, so a run factors the first step's K once, in float32,
-and preconditions conjugate gradients (`_pcg`) with that LU on later steps;
-the heat solve holds a float64 LU through the same LaggedLU. Refinement
-sweeps K dpsi = T^T r, u += T dpsi bring the full saddle residual r to
-LAG_RTOL ||f|| (projected CG: Gould, Hribar & Nocedal, SIAM J. Sci.
-Comput. 23 (2001)).
+(nx - 1) ny free nodes. The pressure comes from the y-face rows of
+B^T p = f - A u, the fundamental-basis form of the same method: on the
+free y faces B = -hx hs kron(I, d_s) is square, metric free and
+bidiagonal in each column, so p is a cumulative sum down from the top
+face (MacStencils.pressure) and no pressure Laplacian is formed. Near
+rest K moves by O(|eta|) from one step to the next, so a run factors the
+first step's K once, in float32, and preconditions conjugate gradients
+(`_pcg`) with that LU on later steps; the heat solve holds a float64 LU
+through the same LaggedLU. Refinement sweeps K dpsi = T^T r, u += T dpsi
+bring the full saddle residual r to LAG_RTOL ||f|| (projected CG: Gould,
+Hribar & Nocedal, SIAM J. Sci. Comput. 23 (2001)).
 
 The curvature remainder
 
@@ -511,7 +512,7 @@ class MacStencils:
 
     def __init__(self, grid, beta):
         nx, ny, hx, hs = grid.nx, grid.ny, grid.hx, grid.hs
-        self.nx, self.ny = nx, ny
+        self.nx, self.ny, self.hx = nx, ny, hx
         self.n1 = (nx + 1) * ny
 
         # 1-D stencils: x stencils over faces (nx+1) or cells (nx), s
@@ -649,6 +650,13 @@ class MacStencils:
         T.sum_duplicates()
         return T
 
+    def pressure(self, r):
+        """p with B^T p = r on the free y faces, B = -hx hs Div: there B^T
+        is -hx times the transposed d_s of each cell column, metric free,
+        and the top face is free, so p[i, j] = -(1/hx) sum_{k>=j} r2[i, k]."""
+        r2 = r[-self.nx * self.ny:].reshape(self.nx, self.ny)
+        return np.cumsum(r2[:, ::-1], axis=1)[:, ::-1].ravel() / -self.hx
+
     def full_vector(self, u1, u2):
         return np.concatenate([u1.ravel(), u2.ravel()])
 
@@ -670,9 +678,9 @@ class FlowOperators:
     Ztop^T (G0 + dt G) Ztop: R holds the bulk rows (viscous, slip, mass),
     w = weights(dt) and (G0, G) = problem.surface_stiffness. solve() forms
     K = S^T diag(w) S + Z^T (G0 + dt G) Z, S = R T and Z = Ztop T, never
-    A(dt). The stream map T and the pressure Laplacian are built on first
-    use: a zero load and the compatibility check build neither, the
-    initial projection only the pressure Laplacian.
+    A(dt). The stream map T is built on first use: a zero load and the
+    compatibility check do not build it. B_dof = -hx hs Div is the one
+    divergence held.
     """
 
     def __init__(self, problem, fields):
@@ -700,11 +708,11 @@ class FlowOperators:
 
         # -------- flux divergence and its top row --------
         zw2 = met_yf["Jvol"] * met_yf["b"] - met_yf["A"]
-        self.Div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
+        div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
         self._stream = functools.partial(mac.stream, met_xf["Jvol"], zw2)
-        self.B_dof = sp.csr_matrix((self.Div.data * (-hx * hs),
-                                    self.Div.indices, self.Div.indptr),
-                                   shape=self.Div.shape)
+        self._pressure = mac.pressure
+        self.B_dof = sp.csr_matrix((div.data * (-hx * hs), div.indices,
+                                    div.indptr), shape=div.shape)
 
         # -------- velocity block --------
         self.R = mac.rows(met_c["c12"], met_c["c22"])
@@ -722,26 +730,16 @@ class FlowOperators:
         """The stream map of MacStencils.stream: B_dof T = 0 to rounding."""
         return self._stream()
 
-    @functools.cached_property
-    def lap(self):
-        """BandedCholesky of L_p = B_dof diag(mass)^-1 B_dof^T.
-
-        In the x-major cell order a cell couples only to cells at most
-        ny + 2 places away, so L_p is a band matrix. It is positive definite
-        without a shift: B^T has no constant null vector because the top
-        flux is free.
-        """
-        return BandedCholesky(self.B_dof @ sp.diags(1.0 / self.mass)
-                              @ self.B_dof.T)
-
     def solve(self, solver, f, dt):
         """[u, p] of the saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0],
         A = A(dt) and B = B_dof, on the divergence-free velocities u = T psi.
 
         solver, a LaggedLU, solves K psi = T^T f; sweeps K dpsi = T^T r,
-        u += T dpsi, with r the saddle residual and p = L_p^-1 B M^-1
-        (f - A u), repeat until that residual meets LAG_RTOL ||f||, at most
-        REFINE_SWEEPS times. A zero load returns zeros without factoring.
+        u += T dpsi, with r the saddle residual and p from the y-face rows
+        of B^T p = f - A u (MacStencils.pressure, exact once T^T r = 0, as
+        range(T) = ker B), repeat until that residual meets LAG_RTOL ||f||,
+        at most REFINE_SWEEPS times. A zero load returns zeros without
+        factoring.
         """
         if not np.any(f):
             # keeps the rest state an exact fixed point
@@ -765,7 +763,7 @@ class FlowOperators:
                     return None
                 u = u + T @ dpsi
                 r = f - R.T @ (w * (R @ u)) - Ztop.T @ (Gdt @ (Ztop @ u))
-                p = self.lap.solve(B @ (r / self.mass))
+                p = self._pressure(r)
                 r = r - B.T @ p
                 if math.hypot(np.linalg.norm(r),
                               np.linalg.norm(B @ u)) <= bound:
@@ -883,7 +881,7 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
 
     u1_new, u2_new = mac.split_full(mac.P @ u_new)
     zdot = ops.Ztop @ u_new
-    div_res = float(np.max(np.abs(ops.Div @ u_new)))
+    div_res = float(np.max(np.abs(ops.B_dof @ u_new))) / (grid.hx * grid.hs)
 
     eta_new = state.eta + dt * zdot
     drift = float(np.sum(eta_new) * grid.hx / (2.0 * grid.ell))
@@ -926,12 +924,12 @@ def coupled_step(problem, fields, flow, heat_state, dt):
 def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
     """Project raw velocity data onto the discrete divergence-free space.
 
-    The mass-weighted projection [[M, B^T], [B, 0]] has the exact Schur
-    complement L_p = B M^-1 B^T, so one pressure Laplacian solve projects:
-    p = L_p^-1 B u_raw, u = u_raw - M^-1 B^T p. eta0 is recentered to exact
-    zero mean and the kinematic speed is seeded from the projected field,
-    so the t = 0 state satisfies the same discrete constraints the stepper
-    preserves.
+    The mass-weighted projection onto ker B = range(T) is solved in the
+    stream function: psi = (T^T M T)^-1 T^T M u_raw, a BandedCholesky of the
+    SPD band matrix T^T M T, and u = T psi; p stays zero. eta0 is
+    recentered to exact zero mean and the kinematic speed is seeded from
+    the projected field, so the t = 0 state satisfies the same discrete
+    constraints the stepper preserves.
     """
     grid = problem.grid
     eta0 = np.asarray(eta0, float).copy()
@@ -945,9 +943,9 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         fields = geometry.build_geometry(grid, eta0)
         ops = FlowOperators(problem, fields)
         mac = problem.stencils
-        u = mac.full_vector(u1, u2)[mac.free]
-        p = ops.lap.solve(ops.B_dof @ u)
-        u = u - (ops.B_dof.T @ p) / ops.mass
+        MT = sp.diags(ops.mass) @ ops.T
+        u = ops.T @ BandedCholesky(ops.T.T @ MT).solve(
+            MT.T @ mac.full_vector(u1, u2)[mac.free])
         u1n, u2n = mac.split_full(mac.P @ u)
         state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),
                           eta=eta0, zdot=ops.Ztop @ u)
@@ -965,7 +963,7 @@ def check_compatibility(problem, fields, state):
     ops = FlowOperators(problem, fields)
     u = mac.full_vector(state.u1, state.u2)[mac.free]
     return {
-        "div": float(np.max(np.abs(ops.Div @ u))),
+        "div": float(np.max(np.abs(ops.B_dof @ u))) / (grid.hx * grid.hs),
         "wall_flux": float(max(np.max(np.abs(state.u1[0])),
                                np.max(np.abs(state.u1[-1])))),
         "kinematic": float(np.max(np.abs(ops.Ztop @ u - state.zdot))),

@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 from contactflow import cli
 from contactflow import diagnostics as diag
 from contactflow import flow as flow_mod
+from contactflow import geometry
 from contactflow.params import ConstraintError, PhysicalParams
 
 TINY = {
@@ -417,6 +418,30 @@ def test_decay_mode_report_and_series(tmp_path):
     idx = diag.SERIES_COLUMNS.index("E_total")
     e_first, e_last = float(got[1][idx]), float(got[-1][idx])
     assert 0.0 < e_last < e_first
+
+
+def test_coupled_run_projects_a_raw_stream_velocity(tmp_path, monkeypatch):
+    # stream_amp sends the sampled velocity through the initial projection,
+    # whose t = 0 state must meet the constraints the stepper keeps
+    starts = []
+    construct = flow_mod.construct_flow_initial_data
+
+    def recording(problem, *args):
+        starts.append((problem, construct(problem, *args)))
+        return starts[-1][1]
+
+    monkeypatch.setattr(flow_mod, "construct_flow_initial_data", recording)
+    cfg = dict(TINY, mode="coupled")
+    cfg["initial"] = dict(TINY["initial"], stream_amp=0.05)
+    rc, outdir = _run(tmp_path, cfg)
+    assert rc == 0
+    assert _report(outdir)["max_div_residual"] <= 1e-12
+    (problem, state), = starts
+    assert np.max(np.abs(state.u1)) > 0.0
+    fields = geometry.build_geometry(problem.grid, state.eta, state.zdot)
+    res = flow_mod.check_compatibility(problem, fields, state)
+    assert res["div"] <= 1e-12 and res["wall_flux"] == 0.0
+    assert res["kinematic"] <= 1e-13 and res["mean_eta"] <= 1e-15
 
 
 def test_report_json_is_strict(tmp_path):

@@ -248,7 +248,7 @@ def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     # discrete divergence theorem: the cell divergences of any admissible
     # velocity sum to its surface flux
-    cells = grid.hs * np.asarray(ops.Div.sum(axis=0)).ravel()
+    cells = -np.asarray(ops.B_dof.sum(axis=0)).ravel() / grid.hx
     surface = np.asarray(ops.Ztop.sum(axis=0)).ravel()
     assert np.max(np.abs(cells - surface)) <= 1e-14 * np.max(np.abs(surface))
 
@@ -551,6 +551,46 @@ def test_stream_map_spans_divergence_free_velocities(params, jump, size):
     assert abs(B @ T).max() <= 1e-15 * abs(B).max() * abs(T).max()
     # one unknown per free node: the dimension of ker B, as B is onto
     assert T.shape == (B.shape[1], B.shape[1] - B.shape[0])
+
+
+@pytest.mark.parametrize("size", [(12, 8), (24, 16)], ids=["12x8", "24x16"])
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_pressure_back_substitutes_the_y_face_rows(params, jump, size,
+                                                   monkeypatch):
+    problem = _curved_problem(params, jump)
+    grid = geo.make_grid(problem.surface, *size, params.depth)
+    problem = dataclasses.replace(problem, grid=grid)
+    nx, ny = grid.nx, grid.ny
+    eta = _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)
+                    + 3e-3 * np.sin(2.3 * grid.xc))
+    zdot = _centered(1e-2 * np.sin(math.pi * grid.xc / grid.ell))
+    fields = geo.build_geometry(grid, eta, zdot)
+    ops = fl.FlowOperators(problem, fields)
+    # the y-face columns of B_dof, the last nx ny dofs, hold no metric:
+    # -hx times a lower bidiagonal (1, -1) in each cell column
+    want = -grid.hx * sp.kron(sp.eye(nx), sp.eye(ny) - sp.eye(ny, k=-1))
+    got = ops.B_dof.toarray()[:, -nx * ny:]
+    assert np.max(np.abs(got - want.toarray())) <= 1e-15 * grid.hx
+    p0 = np.random.default_rng(3).standard_normal(nx * ny)
+    p = problem.stencils.pressure(ops.B_dof.T @ p0)
+    assert np.linalg.norm(p - p0) <= 1e-13 * np.linalg.norm(p0)
+
+    # a momentum step factors nothing but the held LU of K
+    built = []
+
+    class CountedCholesky(fl.BandedCholesky):
+        def __init__(self, S):
+            built.append(1)
+            super().__init__(S)
+
+    monkeypatch.setattr(fl, "BandedCholesky", CountedCholesky)
+    state = fl.construct_flow_initial_data(problem, eta)
+    state = fl.momentum_step(problem, fields, state, dt=0.02)
+    assert np.any(state.p) and state.div_residual <= 1e-12
+    assert built == []
+    # the counter sees the band factor of the initial projection
+    fl.construct_flow_initial_data(problem, eta, state.u1, state.u2)
+    assert built == [1]
 
 
 @pytest.mark.parametrize("jump", [0.3, -0.5])
