@@ -56,7 +56,10 @@ bidiagonal in each column, so p is a cumulative sum down from the top
 face (MacStencils.pressure) and no pressure Laplacian is formed. Near
 rest K moves by O(|eta|) from one step to the next, so a run factors the
 first step's K once, in float32, and preconditions conjugate gradients
-(`_pcg`) with that LU on later steps; the heat solve holds a float64 LU
+(`_pcg`) with that LU on later steps. The LU is taken in the nested
+dissection of the node grid (MacStencils.order), which suits K's 7 x 7
+stencil better than minimum degree: at 96x64 it keeps a quarter fewer L+U
+entries. The heat solve holds a float64 LU, in minimum-degree order,
 through the same LaggedLU. Refinement sweeps K dpsi = T^T r, u += T dpsi
 bring the full saddle residual r to LAG_RTOL ||f|| (projected CG: Gould,
 Hribar & Nocedal, SIAM J. Sci. Comput. 23 (2001)).
@@ -126,12 +129,13 @@ class LaggedLU:
     """Solves nearby SPD systems K x = b with the sparse LU of the first K
     held as a CG preconditioner (`_pcg`).
 
-    The LU is built in dtype, with minimum degree on K^T + K and diagonal
-    pivots: float64 for the heat Crank-Nicolson matrix, which it solves with
-    no CG iteration on frozen geometry, and float32 for the flow's K, where
-    its rounding costs iterations, not accuracy, and an L+U entry holds 8
-    bytes against 12. solve() returns attempt(cg), None being a miss;
-    cg(g, atol) corrects the factor's solution of K x = g by CG and returns
+    The LU is built in dtype with diagonal pivots, in minimum-degree order
+    on K^T + K or, given an order, in that order: float64 for the heat
+    Crank-Nicolson matrix, which it solves with no CG iteration on frozen
+    geometry, and float32 for the flow's K in MacStencils.order, where its
+    rounding costs iterations, not accuracy, and an L+U entry holds 8 bytes
+    against 12. solve() returns attempt(cg), None being a miss; cg(g, atol)
+    corrects the factor's solution of K x = g by CG and returns
     (x, iterations), x None after CG_MAXITER iterations. A miss with a
     factor held from an earlier solve drops it and refactors, so two
     factors never coexist; a miss with a fresh factor raises
@@ -161,9 +165,11 @@ class LaggedLU:
         next solve factors afresh."""
         self._precondition = None
 
-    def solve(self, linalg, K, b, attempt=None):
+    def solve(self, linalg, K, b, attempt=None, order=None):
         """attempt(cg), by default the x with ||b - K x|| <= LAG_RTOL ||b||;
-        raises StabilityError on a non-finite b."""
+        raises StabilityError on a non-finite b. A fresh factor is the LU of
+        K[order][:, order] in its own order, given a permutation order of
+        K's rows, and of K in minimum-degree order otherwise."""
         if not np.all(np.isfinite(b)):
             raise StabilityError("non-finite right-hand side")
         attempt = attempt or functools.partial(_solve_to_bound, K, b)
@@ -175,19 +181,33 @@ class LaggedLU:
                 return x
             self.fallbacks += 1
             self._precondition = None
-        lu = linalg.splu(K.astype(self.dtype), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-        # SuperLU takes a right-hand side only in the factor's dtype
-        self._precondition = lambda r: lu.solve(
-            r.astype(self.dtype, copy=False)).astype(float, copy=False)
-        self.factor_nnz = lu.nnz
+        self._precondition = self._factor(linalg, K, order)
         self.factorizations += 1
         x = attempt(cg)
         if x is None:
             raise StabilityError("solve with a fresh factor returned non-finite"
                                  " values or missed its residual bound")
         return x
+
+    def _factor(self, linalg, K, order):
+        """The preconditioner y -> K^-1 y of a fresh LU of K in dtype."""
+        # splu sums duplicates in place, which leaves a canonical K as it
+        # is, so a K already in dtype is factored with no copy
+        K = K.astype(self.dtype, copy=False)
+        permc, inverse = "MMD_AT_PLUS_A", slice(None)
+        if order is None:
+            order = slice(None)
+        else:
+            # K[order][:, order] as a column gather, a CSR row gather and
+            # back: each conversion sorts the indices, so splu sorts none
+            K = K[:, order].tocsr()[order].tocsc()
+            permc, inverse = "NATURAL", np.argsort(order)
+        lu = linalg.splu(K, permc_spec=permc, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        self.factor_nnz = lu.nnz
+        # SuperLU takes a right-hand side only in the factor's dtype
+        return lambda r: lu.solve(r[order].astype(self.dtype, copy=False))[
+            inverse].astype(float, copy=False)
 
     def _cg(self, K, b, atol):
         x = self._precondition(b)
@@ -482,6 +502,36 @@ class _SlotPattern:
                              shape=self.shape)
 
 
+def nested_dissection(nx, ny, reach):
+    """Nested-dissection order of the x-major nx-by-ny node grid (George,
+    SIAM J. Numer. Anal. 10 (1973)), for a matrix whose entries couple no
+    two nodes more than reach apart along either axis.
+
+    A separator reach nodes wide across the longer side of a block (x on a
+    tie) leaves no entry between the two halves; the halves are ordered
+    first, each by the same rule, and the separator last, so an LU in this
+    order fills no entry between the halves. A block less than reach + 2
+    nodes long on both sides is ordered x-major. Returns order, with
+    K[order][:, order] the matrix in that order.
+    """
+    parts = []
+
+    def dissect(block):
+        axis = int(block.shape[1] > block.shape[0])
+        n = block.shape[axis]
+        if n < reach + 2:
+            parts.append(block.ravel())
+            return
+        low, separator, high = np.split(
+            block, [(n - reach) // 2, (n + reach) // 2], axis)
+        dissect(low)
+        dissect(high)
+        parts.append(separator.ravel())
+
+    dissect(np.arange(nx * ny).reshape(nx, ny))
+    return np.concatenate(parts)
+
+
 class MacStencils:
     """The metric-free structure of the MAC saddle system on one grid.
 
@@ -504,7 +554,11 @@ class MacStencils:
       * the stream map T from the free nodes (psi = 0 on the walls and the
         bottom) to the dofs, u1 = d_s psi / Jvol and u2 = -d_x psi -
         (Jvol b - A) ubar1, whose ubar1 slots carry the 1/Jvol of the x face
-        they read.
+        they read;
+      * `order`, the nested dissection of the (nx - 1) x ny free nodes in
+        which the flow's held LU factors K. A row of S = R T or of Z =
+        Ztop T reads nodes at most 3 apart along either axis, so K couples
+        none further apart and the separators are 3 nodes wide.
 
     rows(), flux() and stream() fill these patterns from each step's
     metric.
@@ -584,6 +638,7 @@ class MacStencils:
         self._stream = _SlotPattern(
             self._stream_blocks(_SlotColumns, 1.0 + zero1, zero2),
             node_of.ravel(), (nx - 1) * ny)
+        self.order = nested_dissection(nx - 1, ny, 3)
 
     def _row_blocks(self, t, c12, c22):
         """Row blocks of R, read by t: T11, T12, T22 per cell, bottom and
@@ -711,6 +766,7 @@ class FlowOperators:
         div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
         self._stream = functools.partial(mac.stream, met_xf["Jvol"], zw2)
         self._pressure = mac.pressure
+        self._order = mac.order
         self.B_dof = sp.csr_matrix((div.data * (-hx * hs), div.indices,
                                     div.indptr), shape=div.shape)
 
@@ -771,7 +827,7 @@ class FlowOperators:
                 g = T.T @ r
             return None
 
-        return solver.solve(spla, K, f, sweeps)
+        return solver.solve(spla, K, f, sweeps, order=self._order)
 
 
 # ============================================================

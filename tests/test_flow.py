@@ -377,26 +377,109 @@ def test_dt_change_keeps_the_held_factor(problem):
         assert solver.fallbacks == 0
 
 
-def test_both_solvers_factor_with_the_same_options(problem, monkeypatch):
-    # one LaggedLU serves both solves: the same ordering, pivoting and
-    # symmetric mode, in float32 for the flow and float64 for the heat
+def _record_systems(solver):
+    """The list of (K, order) that solver.solve receives from now on."""
+    solve, systems = solver.solve, []
+
+    def recording(linalg, K, b, attempt=None, order=None):
+        systems.append((K, order))
+        return solve(linalg, K, b, attempt, order)
+
+    solver.solve = recording
+    return systems
+
+
+def test_heat_factors_in_minimum_degree_and_the_flow_in_dissection(
+        problem, monkeypatch):
+    # one LaggedLU serves both solves with diagonal pivots and symmetric
+    # mode, in float64 for the heat and float32 for the flow: the heat
+    # factors its held Crank-Nicolson matrix as given, in minimum-degree
+    # order, and the flow factors the step's K permuted into the nested
+    # dissection of its nodes
     factored = []
 
     def recorder(owner):
         def splu(A, **kw):
-            factored.append((owner, A.dtype, kw))
+            factored.append((owner, A, kw,
+                             [x.copy() for x in (A.data, A.indices,
+                                                 A.indptr)]))
             return spla.splu(A, **kw)
         return types.SimpleNamespace(splu=splu)
 
     monkeypatch.setattr(fl, "spla", recorder("flow"))
     monkeypatch.setattr(ht, "spla", recorder("heat"))
     problem = dataclasses.replace(problem)
+    heat_systems = _record_systems(problem.heat_solver)
+    flow_systems = _record_systems(problem.saddle_solver)
     flow, heat_state = _perturbed_start(problem)
     _run_steps(problem, flow, heat_state, [0.02] * 2, fresh=False)
-    options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-               "options": {"SymmetricMode": True}}
-    assert factored == [("heat", np.float64, options),
-                        ("flow", np.float32, options)]
+
+    (heat, heat_A, heat_kw, held), (flow, flow_A, flow_kw, _) = factored
+    pivots = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    assert (heat, flow) == ("heat", "flow")
+    assert heat_kw == dict(pivots, permc_spec="MMD_AT_PLUS_A")
+    assert flow_kw == dict(pivots, permc_spec="NATURAL")
+    assert heat_A.dtype == np.float64 and flow_A.dtype == np.float32
+    heat_K, heat_order = heat_systems[0]
+    flow_K, flow_order = flow_systems[0]
+    assert heat_A is heat_K and heat_order is None
+    # splu sums duplicates in place, and the canonical Crank-Nicolson
+    # matrix, held for later steps, keeps its arrays
+    assert all(np.array_equal(x, y) for x, y in
+               zip(held, (heat_A.data, heat_A.indices, heat_A.indptr)))
+    order = problem.stencils.order
+    assert flow_order is order
+    want = flow_K.astype(np.float32).toarray()[np.ix_(order, order)]
+    assert np.array_equal(flow_A.toarray(), want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (4, 4), (13, 5),
+                                   (47, 32)],
+                         ids=lambda shape: "%dx%d" % shape)
+def test_nested_dissection_is_a_permutation(shape):
+    order = fl.nested_dissection(*shape, 3)
+    assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
+
+
+def _first_step_system(problem):
+    """(K, order) that the first momentum step of a perturbed start hands
+    its saddle solver."""
+    grid = problem.grid
+    state = fl.construct_flow_initial_data(
+        problem, _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)))
+    systems = _record_systems(problem.saddle_solver)
+    fl.momentum_step(problem, geo.build_geometry(grid, state.eta, state.zdot),
+                     state, dt=0.02)
+    system, = systems
+    return system
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_step_matrix_reaches_three_nodes(params, jump):
+    # the separators of MacStencils.order are 3 nodes wide: no entry of K
+    # couples two nodes further apart along either axis
+    problem = _curved_problem(params, jump)
+    grid = geo.make_grid(problem.surface, 12, 8, params.depth)
+    problem = dataclasses.replace(problem, grid=grid)
+    K, order = _first_step_system(problem)
+    assert order is problem.stencils.order
+    K = K.tocoo()
+    assert K.shape == ((grid.nx - 1) * grid.ny,) * 2
+    for node in (lambda k: k // grid.ny, lambda k: k % grid.ny):
+        assert np.max(np.abs(node(K.row) - node(K.col))) == 3
+
+
+def test_dissection_cuts_the_flow_lu_fill(params):
+    # the step's K of a curved 48x32 rest state: its LU in nested
+    # dissection keeps fewer L+U entries than in minimum-degree order
+    params = dataclasses.replace(params, gamma_jump=0.3)
+    surface = eq.solve_equilibrium(params, 1.0)
+    grid = geo.make_grid(surface, 48, 32, params.depth)
+    problem = fl.CoupledProblem(params=params, surface=surface, grid=grid)
+    K, _ = _first_step_system(problem)
+    mmd = spla.splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert 0 < problem.saddle_solver.factor_nnz < mmd.nnz
 
 
 def _spd(n, rng, density=0.1):
