@@ -343,7 +343,8 @@ def run_equilibrium(cfg, params, outdir):
     report = {
         "p0": surface.p0,
         "omega": omega,
-        # |u'(0)|, the centre slope that the half shot drives to zero
+        # |xi(tau_w) - ell|, the wall-condition residual of the k root,
+        # and the root's Newton iterations
         "newton_residual": surface.newton_residual,
         "newton_iters": surface.newton_iters,
         "ode_residual": eq_mod.ode_residual(surface, params),

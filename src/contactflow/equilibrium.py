@@ -15,16 +15,23 @@ constant rest value of the modified pressure (gravity potential folded into
 the pressure), which is why the equilibrium is an exact steady state of the
 dynamical scheme rather than one up to discretization error.
 
-Solved by shooting. The vessel is symmetric, so zeta0 is even, and P0
-enters only through u = zeta0 - P0/g. RK4 integrates u from the left wall
-to the centre node, and Newton on the one unknown u(-ell) drives u'(0) to
-zero. The half is mirrored to the right wall, and the running integral of
-u gives P0 = g (h_mean - mean u). Between the nodes the surface is sampled
-from the piecewise quintic Hermite interpolant of zeta0, zeta0' and
-zeta0'', the last read from the ODE itself, so the sampled slope is the
-exact derivative of the sampled height.
+Solved in closed form. The vessel is symmetric, so zeta0 is even, and P0
+enters only through u = zeta0 - P0/g, with u'' = c (1 + u'^2)^(3/2) u and
+c = g/sigma1. Its first integral is cos(phi) = 1 - (c/2)(u^2 - u(0)^2) for
+the inclination phi. With sin(phi/2) = q = k sinh(tau), k = sqrt(c)|u(0)|/2,
+u = sign(gamma_jump) (2k/sqrt(c)) cosh(tau) at the distance from the centre
+
+    xi(tau) = (1/sqrt(c)) int_0^tau (1 - 2q^2)/sqrt(1 - q^2) dt,
+
+a smooth integral (48-point Gauss-Legendre). The wall angle fixes tau_w,
+and xi(tau_w) = ell is one equation in k. Integrating g u = sigma1 (sin
+phi)' gives mean u = gamma_jump/(g ell), so P0 = g h_mean - gamma_jump/ell
+exactly. Off the nodes the surface is the quintic Hermite interpolant of
+zeta0, zeta0' and zeta0'' (from the ODE), whose slope is the exact
+derivative of its height.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +39,7 @@ import numpy as np
 
 
 class EquilibriumError(RuntimeError):
-    """Shooting iteration failed or produced an inadmissible surface."""
+    """The wall-condition root failed or the surface is inadmissible."""
 
 
 @dataclass
@@ -50,8 +57,8 @@ class EquilibriumSurface:
 
     def interpolators(self):
         """Callables (zeta0, dzeta0) for off-node sampling: the piecewise
-        quintic Hermite interpolant of (zeta0, zeta0', zeta0'') on the
-        shooting nodes and its exact derivative. Constant node data give
+        quintic Hermite interpolant of the exact (zeta0, zeta0', zeta0'')
+        at the nodes and its exact derivative. Constant node data give
         constant callables exactly, since every higher coefficient is 0."""
         return _quintic_hermite(self.x, self.zeta0, self.dzeta0, self.d2zeta0)
 
@@ -97,106 +104,99 @@ def _quintic_hermite(x, z, dz, d2z):
     return (lambda q: evaluate(value, q), lambda q: evaluate(slope, q))
 
 
-def _wall_slope(params):
-    """Slope at -ell from sigma1 * s / sqrt(1+s^2) = -gamma_jump."""
-    a = -params.gamma_jump / params.sigma1
-    return a / math.sqrt(1.0 - a * a)
+@functools.cache
+def _gauss_legendre(n=48):
+    """n-point Gauss-Legendre rule on [0, 1], by Newton on P_n from Tricomi's
+    guesses (four steps converge; ten are taken), not by an eigensolve."""
+    t = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(10):
+        p0, p1 = np.ones_like(t), t
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * t * p1 - (j - 1) * p0) / j
+        dp = n * (t * p1 - p0) / (t * t - 1.0)
+        t = t - p1 / dp
+    return 0.5 * (1.0 - t), 1.0 / ((1.0 - t * t) * dp * dp)
 
 
-def _shoot(params, u_left, n):
-    """RK4 integrate u = zeta0 - P0/g from the left wall to the centre.
-
-    u obeys u'' = (1 + u'^2)^(3/2) g u / sigma1, which holds no P0. The
-    state (u, u', w, w', m) carries w = du/du(-ell) by the variational
-    equation and the running integral m of u. Returns node arrays of u and
-    u' on [-ell, 0], the centre value of w' = d u'(0)/d u(-ell), and m.
-    """
-    c = params.g / params.sigma1
-    half = n // 2
-    h = 2.0 * params.ell / n
-    u = np.empty(half + 1)
-    s = np.empty(half + 1)
-    u[0], s[0] = u_left, _wall_slope(params)
-    y = (u[0], s[0], 1.0, 0.0, 0.0)
-
-    def rhs(y):
-        ui, si, wi, vi, _ = y
-        q = 1.0 + si * si
-        f = math.sqrt(q) * c
-        return si, q * f * ui, vi, f * (q * wi + 3.0 * si * ui * vi), ui
-
-    cap = 10.0 * (abs(u_left) + params.big_l + 1.0)
-    for i in range(1, half + 1):
-        k1 = rhs(y)
-        k2 = rhs([a + 0.5 * h * b for a, b in zip(y, k1)])
-        k3 = rhs([a + 0.5 * h * b for a, b in zip(y, k2)])
-        k4 = rhs([a + h * b for a, b in zip(y, k3)])
-        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not (abs(y[0]) < cap and abs(y[1]) < 1e3):
-            # runaway trajectory: freeze the tail inside the guard's bounds
-            # (NaN to the bound), so the residual stays finite and at most
-            # 1e3, and the damped Newton rejects the step
-            u[i:] = math.copysign(min(cap, abs(y[0])), y[0])
-            s[i:] = math.copysign(min(1e3, abs(y[1])), y[1])
-            return u, s, y[3], y[4] + u[-1] * h * (half - i)
-        u[i], s[i] = y[0], y[1]
-    return u, s, y[3], y[4]
+def _integrand(q):
+    """(1 - 2q^2)/sqrt(1 - q^2) = sqrt(c) dxi/dtau."""
+    return (1.0 - 2.0 * q * q) / np.sqrt(1.0 - q * q)
 
 
-def solve_equilibrium(params, mean_height, n=400, tol=1e-12, max_iter=60):
-    """Shooting + Newton solve of the equilibrium surface on n + 1 nodes.
+def _wall_root(qw, rc, ell):
+    """(k, |gap|, iters) for gap = xi(tau_w) - ell with k sinh(tau_w) = qw:
+    Newton on log k in a bisection bracket, from the small-slope root. The
+    gap falls strictly in log k (tau_w at the rate tanh(tau_w), the
+    integrand at q^2 (3 - 2q^2)/(1 - q^2)^(3/2)), so the root is unique."""
+    v, w = _gauss_legendre()
+    y = rc * ell
+    logk = math.log(2.0 * qw) - y - math.log1p(-math.exp(-2.0 * y))
+    lo, hi = -math.inf, math.inf
+    try:
+        for it in range(1, 100):
+            k = math.exp(logk)
+            tw = math.asinh(qw / k)
+            q = k * np.sinh(tw * v)
+            gap = tw * float(_integrand(q) @ w) / rc - ell
+            dq = (q * q * (3.0 - 2.0 * q * q) / (1.0 - q * q) ** 1.5) @ w
+            nxt = logk + gap * rc / (tw * dq + _integrand(qw) * math.tanh(tw))
+            lo, hi = (logk, hi) if gap > 0.0 else (lo, logk)
+            if nxt != logk and not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if nxt == logk:
+                return k, abs(gap), it
+            logk = nxt
+    except ArithmeticError:     # k under- or overflowed
+        pass
+    raise EquilibriumError("wall condition root failed at log k = %g" % logk)
 
-    The vessel is symmetric, so the surface is even. Newton drives the
-    centre slope u'(0) of the half shot to zero in the one unknown
-    u(-ell), with the derivative from the variational equation; the
-    reported newton_residual is the final |u'(0)|. The half is mirrored
-    to the right wall and P0 = g (hbar - mean u) sets the mean height.
-    n must be even so that the centre is a node. For a flat rest state
-    (gamma_jump = 0) the initial guess is already the exact root and the
-    solver returns immediately.
+
+def solve_equilibrium(params, mean_height, n=400):
+    """Closed-form equilibrium surface on n + 1 uniform nodes (n even).
+
+    newton_residual and newton_iters report the k root. The left half's
+    nodes solve xi(tau) = |x1| by Newton from sqrt(c)|x1|, where xi <= |x1|;
+    xi is concave, so the iterates rise to the root. The half is mirrored.
     """
     params.require_valid()
     if not 0.0 < mean_height <= params.big_l:
         raise EquilibriumError("mean height %g outside (0, big_l]" % mean_height)
     if n % 2:
         raise ValueError("n = %d must be even so the centre is a node" % n)
-    # start from the small-slope closed form u = A cosh(m x1) with
-    # A = a/(m sinh(m ell)), a = gamma_jump/sigma1, so u(-ell) =
-    # a/(m tanh(m ell)). Exact when gamma_jump = 0; close enough to
-    # converge undamped otherwise.
+    x = np.linspace(-params.ell, params.ell, n + 1)
+    u, s = np.zeros(n // 2 + 1), np.zeros(n // 2 + 1)
+    residual, it = 0.0, 0
     a = params.gamma_jump / params.sigma1
-    mfreq = math.sqrt(params.g / params.sigma1)
-    u_left = a / (mfreq * math.tanh(mfreq * params.ell))
-    u, s, ds, m = _shoot(params, u_left, n)
-    it = 0
-    # "not <=" keeps iterating on a NaN residual until the stall error
-    while not abs(s[-1]) <= tol:
-        it += 1
-        if it > max_iter:
-            raise EquilibriumError(
-                "shooting Newton stalled at residual %g" % abs(s[-1]))
-        step = -s[-1] / ds
-        # damped update, halve until the residual decreases
-        lam = 1.0
-        for _ in range(30):
-            shot = _shoot(params, u_left + lam * step, n)
-            if abs(shot[1][-1]) < abs(s[-1]):
+    if a != 0.0:
+        rc = math.sqrt(params.g / params.sigma1)
+        qw = math.sin(0.5 * math.asin(abs(a)))
+        k, residual, it = _wall_root(qw, rc, params.ell)
+        v, w = _gauss_legendre()
+        d = -x[:n // 2 + 1]               # distance from the centre
+        tau = rc * d
+        for _ in range(100):
+            # sqrt(c) (xi(tau) - |x1|); its tau-derivative is the integrand
+            q = k * np.sinh(np.multiply.outer(tau, v))
+            res = tau * (_integrand(q) @ w) - rc * d
+            tau = tau - res / _integrand(k * np.sinh(tau))
+            if not np.max(np.abs(res)) > 1e-14 * rc * params.ell:
                 break
-            lam *= 0.5
-        u_left += lam * step
-        u, s, ds, m = shot
+        tau[0], tau[-1] = math.asinh(qw / k), 0.0
+        q = k * np.sinh(tau)
+        u = math.copysign(2.0 * k / rc, a) * np.cosh(tau)
+        s = math.copysign(2.0, -a) * q * np.sqrt(1.0 - q * q) / (1 - 2 * q * q)
+        # the walls take sigma1 s / sqrt(1 + s^2) = -+gamma_jump exactly
+        s[0], s[-1] = -a / math.sqrt(1.0 - a * a), 0.0
 
     # mirror the left half: zeta0 and zeta0'' even, zeta0' odd
-    residual, s[-1] = abs(s[-1]), 0.0
     u = np.concatenate([u, u[-2::-1]])
     s = np.concatenate([s, -s[-2::-1]])
-    shift = mean_height - m / params.ell     # P0/g: mean u is m/ell
+    # mean u = gamma_jump/(g ell), from integrating g u = sigma1 (sin phi)'
+    shift = mean_height - params.gamma_jump / (params.g * params.ell)
     z = u + shift
-    if np.min(z) <= 0.0 or np.max(z) > params.big_l:
+    if not (np.min(z) > 0.0 and np.max(z) <= params.big_l):
         raise EquilibriumError("equilibrium surface leaves (0, big_l]: "
                                "range [%g, %g]" % (np.min(z), np.max(z)))
-    x = np.linspace(-params.ell, params.ell, n + 1)
     omega = math.pi / 2.0 + math.atan(s[-1])
     # the curvature ODE gives zeta0'' at the nodes without differencing
     d2z = (1.0 + s * s) ** 1.5 * params.g * u / params.sigma1
@@ -210,10 +210,8 @@ def solve_equilibrium(params, mean_height, n=400, tol=1e-12, max_iter=60):
 def ode_residual(surface, params):
     """Pointwise defect P0 - g*zeta0 + sigma1*H(zeta0) on interior nodes.
 
-    Curvature is evaluated by centered differences of the stored slope, so a
-    grid refinement halving h should shrink this by about 4 (the shooting
-    trajectory itself is 4th-order accurate; the measurement here is the
-    2nd-order bottleneck).
+    Curvature is evaluated by centered differences of the exact node slopes,
+    so a grid refinement halving h should shrink this by about 4.
     """
     x, z, s = surface.x, surface.zeta0, surface.dzeta0
     h = x[1] - x[0]

@@ -364,6 +364,20 @@ def test_equilibrium_mode_outputs(tmp_path):
                                 "python": platform.python_version()}
 
 
+def test_equilibrium_mode_solves_a_steep_meniscus(tmp_path):
+    # a wall slope of 22: the closed-form rest state still exists
+    cfg = {"mode": "equilibrium", "params": {"gamma_jump": 0.999}}
+    rc, outdir = _run(tmp_path, cfg)
+    assert rc == 0
+    rep = _report(outdir)
+    assert abs(rep["omega"] - (math.pi / 2 + math.asin(0.999))) <= 1e-12
+    assert rep["newton_residual"] <= 1e-14
+    with open(outdir / "surface.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 401
+    assert abs(float(rows[0]["dzeta0"]) + 22.3439) < 5e-5
+
+
 def test_heat_mode_recovers_spectral_decay_rate(tmp_path, monkeypatch):
     cfg = dict(TINY, mode="heat")
     cfg["initial"] = {"theta_amp": 0.1}

@@ -47,7 +47,10 @@ def test_package_exports_resolve():
 # rest state and structural constraints
 # ------------------------------------------------------------
 
-def test_rest_state_is_exact_fixed_point(problem, grid):
+@pytest.mark.parametrize("jump", [0.0, 0.3, -0.5, 0.9])
+def test_rest_state_is_exact_fixed_point(params, jump):
+    problem = _curved_problem(params, jump)
+    grid = problem.grid
     state = fl.zero_flow_state(grid)
     theta = np.zeros((grid.nx + 1, grid.ny + 1))
     for _ in range(5):
