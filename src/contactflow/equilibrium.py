@@ -23,7 +23,9 @@ u = sign(gamma_jump) (2k/sqrt(c)) cosh(tau) at the distance from the centre
 
     xi(tau) = (1/sqrt(c)) int_0^tau (1 - 2q^2)/sqrt(1 - q^2) dt,
 
-a smooth integral (48-point Gauss-Legendre). The wall angle fixes tau_w,
+integrated by Gauss-Legendre on panels graded toward the integrand's
+singularity at q = 1, which a steep, thin meniscus puts just beyond the
+wall (`_xi_rule`). The wall angle fixes tau_w,
 and xi(tau_w) = ell is one equation in k. Integrating g u = sigma1 (sin
 phi)' gives mean u = gamma_jump/(g ell), so P0 = g h_mean - gamma_jump/ell
 exactly. Off the nodes the surface is the quintic Hermite interpolant of
@@ -105,7 +107,7 @@ def _quintic_hermite(x, z, dz, d2z):
 
 
 @functools.cache
-def _gauss_legendre(n=48):
+def _gauss_legendre(n=16):
     """n-point Gauss-Legendre rule on [0, 1], by Newton on P_n from Tricomi's
     guesses (four steps converge; ten are taken), not by an eigensolve."""
     t = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
@@ -123,12 +125,35 @@ def _integrand(q):
     return (1.0 - 2.0 * q * q) / np.sqrt(1.0 - q * q)
 
 
+def _xi_rule(tau, k):
+    """(t, w) with int_0^tau f(t) dt ~ f(t) @ w for each entry of tau: a
+    16-point rule on each of J panels of [0, tau], graded geometrically in
+    the distance to tau_s = asinh(1/k), where q = k sinh(t) reaches 1.
+
+    Every singularity of the integrand has real part +-tau_s, so a panel
+    no longer than its distance to tau_s has Bernstein ratio at least
+    3 + sqrt(8), and its rule errs by about (3 + sqrt(8))^-32 = 3e-25. J is
+    the fewest panels with that property for the largest tau: from each
+    panel end to the next, the distance to tau_s at most doubles.
+    """
+    tau = np.asarray(tau, float)[..., None]
+    ts = math.asinh(1.0 / k)
+    near = ts - tau
+    panels = max(1, math.ceil(math.log2(ts / np.min(near))))
+    ends = ts - near * (ts / near) ** (np.arange(panels + 1) / panels)
+    ends[..., 0], ends[..., -1] = tau[..., 0], 0.0
+    v, w = _gauss_legendre()
+    width = (ends[..., :-1] - ends[..., 1:])[..., None]
+    t = ends[..., 1:, None] + width * v
+    return (t.reshape(*tau.shape[:-1], -1),
+            (width * w).reshape(*tau.shape[:-1], -1))
+
+
 def _wall_root(qw, rc, ell):
     """(k, |gap|, iters) for gap = xi(tau_w) - ell with k sinh(tau_w) = qw:
     Newton on log k in a bisection bracket, from the small-slope root. The
     gap falls strictly in log k (tau_w at the rate tanh(tau_w), the
     integrand at q^2 (3 - 2q^2)/(1 - q^2)^(3/2)), so the root is unique."""
-    v, w = _gauss_legendre()
     y = rc * ell
     logk = math.log(2.0 * qw) - y - math.log1p(-math.exp(-2.0 * y))
     lo, hi = -math.inf, math.inf
@@ -136,10 +161,11 @@ def _wall_root(qw, rc, ell):
         for it in range(1, 100):
             k = math.exp(logk)
             tw = math.asinh(qw / k)
-            q = k * np.sinh(tw * v)
-            gap = tw * float(_integrand(q) @ w) / rc - ell
+            t, w = _xi_rule(tw, k)
+            q = k * np.sinh(t)
+            gap = float(_integrand(q) @ w) / rc - ell
             dq = (q * q * (3.0 - 2.0 * q * q) / (1.0 - q * q) ** 1.5) @ w
-            nxt = logk + gap * rc / (tw * dq + _integrand(qw) * math.tanh(tw))
+            nxt = logk + gap * rc / (dq + _integrand(qw) * math.tanh(tw))
             lo, hi = (logk, hi) if gap > 0.0 else (lo, logk)
             if nxt != logk and not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
@@ -171,13 +197,12 @@ def solve_equilibrium(params, mean_height, n=400):
         rc = math.sqrt(params.g / params.sigma1)
         qw = math.sin(0.5 * math.asin(abs(a)))
         k, residual, it = _wall_root(qw, rc, params.ell)
-        v, w = _gauss_legendre()
         d = -x[:n // 2 + 1]               # distance from the centre
         tau = rc * d
         for _ in range(100):
             # sqrt(c) (xi(tau) - |x1|); its tau-derivative is the integrand
-            q = k * np.sinh(np.multiply.outer(tau, v))
-            res = tau * (_integrand(q) @ w) - rc * d
+            t, w = _xi_rule(tau, k)
+            res = np.sum(_integrand(k * np.sinh(t)) * w, axis=-1) - rc * d
             tau = tau - res / _integrand(k * np.sinh(tau))
             if not np.max(np.abs(res)) > 1e-14 * rc * params.ell:
                 break

@@ -56,7 +56,9 @@ bidiagonal in each column, so p is a cumulative sum down from the top
 face (MacStencils.pressure) and no pressure Laplacian is formed. Near
 rest K moves by O(|eta|) from one step to the next, so a run factors the
 first step's K once, in float32, and preconditions conjugate gradients
-(`_pcg`) with that LU on later steps. The LU is taken in the nested
+(`_pcg`) with that LU on later steps. CG applies K matrix-free as T^T A T
+(StreamSystem), the same operator whose residual the sweeps check, and K
+is formed only on a step that factors. The LU is taken in the nested
 dissection of the node grid (MacStencils.order), which suits K's 7 x 7
 stencil better than minimum degree: at 96x64 it keeps a quarter fewer L+U
 entries. The heat solve holds a float64 LU, in minimum-degree order,
@@ -129,7 +131,10 @@ class LaggedLU:
     """Solves nearby SPD systems K x = b with the sparse LU of the first K
     held as a CG preconditioner (`_pcg`).
 
-    The LU is built in dtype with diagonal pivots, in minimum-degree order
+    K is anything with `@` and `astype(dtype, copy)`: the heat passes its
+    sparse Crank-Nicolson matrix, the flow a StreamSystem, which applies K
+    matrix-free and forms it only in astype, so only a factorization forms
+    it. The LU is built in dtype with diagonal pivots, in minimum-degree order
     on K^T + K or, given an order, in that order: float64 for the heat
     Crank-Nicolson matrix, which it solves with no CG iteration on frozen
     geometry, and float32 for the flow's K in MacStencils.order, where its
@@ -724,6 +729,30 @@ class MacStencils:
 # MAC operator assembly
 # ============================================================
 
+class StreamSystem(typing.NamedTuple):
+    """K = S^T diag(w) S + Z^T Gdt Z, S = R T and Z = Ztop T, held as its
+    factors: K @ psi is T^T A T psi, matrix-free, with A u =
+    velocity_block(u), and astype(dtype) forms K in CSC, always a fresh
+    matrix, for the one use that needs its entries: a factorization."""
+    R: sp.csr_matrix
+    Ztop: sp.csr_matrix
+    w: np.ndarray
+    Gdt: sp.spmatrix
+    T: sp.csr_matrix
+
+    def velocity_block(self, u):
+        return (self.R.T @ (self.w * (self.R @ u))
+                + self.Ztop.T @ (self.Gdt @ (self.Ztop @ u)))
+
+    def __matmul__(self, psi):
+        return self.T.T @ self.velocity_block(self.T @ psi)
+
+    def astype(self, dtype, copy=True):
+        S, Z = self.R @ self.T, self.Ztop @ self.T
+        K = S.T @ (sp.diags(self.w) @ S) + Z.T @ (self.Gdt @ Z)
+        return K.tocsc().astype(dtype, copy=False)
+
+
 class FlowOperators:
     """The metric-dependent pieces of one momentum solve, all on the dofs:
     the patterns of problem.stencils filled with c12, c22, Jvol and
@@ -731,11 +760,12 @@ class FlowOperators:
 
     A step of size dt has the velocity block A(dt) = R^T diag(w) R +
     Ztop^T (G0 + dt G) Ztop: R holds the bulk rows (viscous, slip, mass),
-    w = weights(dt) and (G0, G) = problem.surface_stiffness. solve() forms
-    K = S^T diag(w) S + Z^T (G0 + dt G) Z, S = R T and Z = Ztop T, never
-    A(dt). The stream map T is built on first use: a zero load and the
-    compatibility check do not build it. B_dof = -hx hs Div is the one
-    divergence held.
+    w = weights(dt) and (G0, G) = problem.surface_stiffness. solve()
+    applies K = S^T diag(w) S + Z^T (G0 + dt G) Z, S = R T and Z = Ztop T,
+    matrix-free (StreamSystem) and forms it only on a step that factors;
+    A(dt) is never formed. The stream map T is built on first use: a zero
+    load and the compatibility check do not build it. B_dof = -hx hs Div
+    is the one divergence held.
     """
 
     def __init__(self, problem, fields):
@@ -790,21 +820,20 @@ class FlowOperators:
         """[u, p] of the saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0],
         A = A(dt) and B = B_dof, on the divergence-free velocities u = T psi.
 
-        solver, a LaggedLU, solves K psi = T^T f; sweeps K dpsi = T^T r,
-        u += T dpsi, with r the saddle residual and p from the y-face rows
-        of B^T p = f - A u (MacStencils.pressure, exact once T^T r = 0, as
-        range(T) = ker B), repeat until that residual meets LAG_RTOL ||f||,
-        at most REFINE_SWEEPS times. A zero load returns zeros without
-        factoring.
+        solver, a LaggedLU, solves K psi = T^T f with K the StreamSystem of
+        this step, applied matrix-free and formed only if solver factors;
+        sweeps K dpsi = T^T r, u += T dpsi, with r the saddle residual and p
+        from the y-face rows of B^T p = f - A u (MacStencils.pressure, exact
+        once T^T r = 0, as range(T) = ker B), repeat until that residual
+        meets LAG_RTOL ||f||, at most REFINE_SWEEPS times. A zero load
+        returns zeros without building K.
         """
         if not np.any(f):
             # keeps the rest state an exact fixed point
             return np.zeros(f.size + self.B_dof.shape[0])
-        R, B, T, Ztop = self.R, self.B_dof, self.T, self.Ztop
-        w, (G0, G) = self.weights(dt), self.surface_stiffness
-        Gdt = G0 + dt * G
-        S, Z = R @ T, Ztop @ T
-        K = (S.T @ (sp.diags(w) @ S) + Z.T @ (Gdt @ Z)).tocsc()
+        B, T = self.B_dof, self.T
+        G0, G = self.surface_stiffness
+        K = StreamSystem(self.R, self.Ztop, self.weights(dt), G0 + dt * G, T)
 
         def sweeps(cg):
             bound = LAG_RTOL * np.linalg.norm(f)
@@ -818,7 +847,7 @@ class FlowOperators:
                 if dpsi is None:
                     return None
                 u = u + T @ dpsi
-                r = f - R.T @ (w * (R @ u)) - Ztop.T @ (Gdt @ (Ztop @ u))
+                r = f - K.velocity_block(u)
                 p = self._pressure(r)
                 r = r - B.T @ p
                 if math.hypot(np.linalg.norm(r),

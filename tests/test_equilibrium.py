@@ -199,6 +199,34 @@ def test_agrees_with_integration_from_the_wall(params, jump):
         <= 1e-11 * np.max(np.abs(s.dzeta0))
 
 
+@pytest.mark.parametrize("g", [2500.0, 1e4])
+def test_steep_thin_meniscus_meets_adaptive_quadrature(params, g):
+    # gamma_jump = 0.99: xi's integrand is singular where q = 1, about 0.4
+    # beyond tau_w = 50 (g = 2500) or 100 (g = 1e4); the wall root and
+    # every node of the left half match scipy's adaptive quadrature
+    from scipy.integrate import quad
+    p = dataclasses.replace(params, g=g, gamma_jump=0.99)
+    s = eq.solve_equilibrium(p, 1.0)
+    rc = math.sqrt(g / p.sigma1)
+    qw = math.sin(0.5 * math.asin(p.gamma_jump / p.sigma1))
+    k = eq._wall_root(qw, rc, p.ell)[0]
+
+    def xi(tau):
+        # q = k sinh(t) rises from 0 to qw within the last few units
+        layer = [t for t in (tau - 4.0, tau - 2.0, tau - 1.0) if t > 0.0]
+        return quad(lambda t: (1.0 - 2.0 * (k * math.sinh(t)) ** 2)
+                    / math.sqrt(1.0 - (k * math.sinh(t)) ** 2), 0.0, tau,
+                    points=layer or None, limit=200, epsabs=1e-13,
+                    epsrel=1e-13)[0] / rc
+
+    assert abs(xi(math.asinh(qw / k)) - p.ell) <= 1e-12
+    # a node's tau from its slope tan(phi), as sin(phi/2) = k sinh(tau)
+    half = s.x.size // 2 + 1
+    q = np.sin(0.5 * np.arctan(np.abs(s.dzeta0[:half])))
+    for x, tau in zip(s.x[:half:10], np.arcsinh(q[::10] / k)):
+        assert abs(xi(tau) + x) <= 1e-12
+
+
 def test_unresolvable_boundary_layer_is_an_equilibrium_error(params):
     # at g/sigma1 = 1e6 the small-slope start puts k below the smallest
     # double; the root fails with a reason, not with a ZeroDivisionError

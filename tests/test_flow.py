@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from contactflow import cli
 from contactflow import diagnostics as dg
 from contactflow import equilibrium as eq
 from contactflow import flow as fl
@@ -466,10 +467,44 @@ def test_step_matrix_reaches_three_nodes(params, jump):
     problem = dataclasses.replace(problem, grid=grid)
     K, order = _first_step_system(problem)
     assert order is problem.stencils.order
-    K = K.tocoo()
+    K = K.astype(np.float64).tocoo()
     assert K.shape == ((grid.nx - 1) * grid.ny,) * 2
     for node in (lambda k: k // grid.ny, lambda k: k % grid.ny):
         assert np.max(np.abs(node(K.row) - node(K.col))) == 3
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_step_operator_applies_the_formed_matrix(params, jump):
+    # the K that a step hands its solver applies T^T A T matrix-free; its
+    # product is the formed matrix's to rounding
+    problem = _curved_problem(params, jump)
+    grid = geo.make_grid(problem.surface, 12, 8, params.depth)
+    problem = dataclasses.replace(problem, grid=grid)
+    K, _ = _first_step_system(problem)
+    psi = np.random.default_rng(7).standard_normal((grid.nx - 1) * grid.ny)
+    want = K.astype(np.float64) @ psi
+    assert np.linalg.norm(K @ psi - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_default_decay_takes_one_sweep_per_solve(jump, tmp_path,
+                                                 monkeypatch):
+    # CG applies the same matrix-free K whose saddle residual each sweep
+    # checks, so its first psi meets the bound: one pressure per solve
+    pressures = []
+    pressure = fl.MacStencils.pressure
+
+    def counted(mac, r):
+        pressures.append(1)
+        return pressure(mac, r)
+
+    monkeypatch.setattr(fl.MacStencils, "pressure", counted)
+    cfg = cli.load_config(environ={}, overrides={
+        "time": {"t_end": 0.4}, "params": {"gamma_jump": jump}})
+    report, _ = cli.run_coupled(cfg, cli.validate_config(cfg), str(tmp_path))
+    solver = report["saddle_solver"]
+    assert solver["factorizations"] + solver["reused_solves"] == 20
+    assert len(pressures) == 20
 
 
 def test_dissection_cuts_the_flow_lu_fill(params):
