@@ -58,9 +58,11 @@ rest K moves by O(|eta|) from one step to the next, so a run factors the
 first step's K once, in float32, and preconditions conjugate gradients
 (`_pcg`) with that LU on later steps. CG applies K matrix-free as T^T A T
 (StreamSystem), the same operator whose residual the sweeps check, and K
-is formed only on a step that factors. The LU is taken in the nested
-dissection of the node grid (MacStencils.order), which suits K's 7 x 7
-stencil better than minimum degree: at 96x64 it keeps a quarter fewer L+U
+is formed only on a step that factors. The free nodes are numbered in the
+nested dissection of the node grid (MacStencils.order), so T's columns, K
+and every CG vector are in that order from the start and the LU takes K
+as formed, in its natural order: the dissection suits K's 7 x 7 stencil
+better than minimum degree, and at 96x64 keeps a quarter fewer L+U
 entries. The heat solve holds a float64 LU, in minimum-degree order,
 through the same LaggedLU. Refinement sweeps K dpsi = T^T r, u += T dpsi
 bring the full saddle residual r to LAG_RTOL ||f|| (projected CG: Gould,
@@ -134,22 +136,24 @@ class LaggedLU:
     K is anything with `@` and `astype(dtype, copy)`: the heat passes its
     sparse Crank-Nicolson matrix, the flow a StreamSystem, which applies K
     matrix-free and forms it only in astype, so only a factorization forms
-    it. The LU is built in dtype with diagonal pivots, in minimum-degree order
-    on K^T + K or, given an order, in that order: float64 for the heat
-    Crank-Nicolson matrix, which it solves with no CG iteration on frozen
-    geometry, and float32 for the flow's K in MacStencils.order, where its
-    rounding costs iterations, not accuracy, and an L+U entry holds 8 bytes
-    against 12. solve() returns attempt(cg), None being a miss; cg(g, atol)
-    corrects the factor's solution of K x = g by CG and returns
-    (x, iterations), x None after CG_MAXITER iterations. A miss with a
-    factor held from an earlier solve drops it and refactors, so two
-    factors never coexist; a miss with a fresh factor raises
+    it. The LU is built in dtype with diagonal pivots, in the column order
+    permc_spec of SuperLU, fixed at construction: float64 in minimum-degree
+    order on K^T + K for the heat Crank-Nicolson matrix, which it solves
+    with no CG iteration on frozen geometry, and float32 in the natural
+    order for the flow's K, whose nodes MacStencils numbers in nested
+    dissection; there its rounding costs iterations, not accuracy, and an
+    L+U entry holds 8 bytes against 12. solve() returns attempt(cg), None
+    being a miss; cg(g, atol) corrects the factor's solution of K x = g by
+    CG and returns (x, iterations), x None after CG_MAXITER iterations. A
+    miss with a factor held from an earlier solve drops it and refactors,
+    so two factors never coexist; a miss with a fresh factor raises
     StabilityError. linalg is the caller's scipy.sparse.linalg handle, so
     every sparse LU is made through the calling module's own `spla`.
     """
 
-    def __init__(self, dtype):
+    def __init__(self, dtype, permc_spec="MMD_AT_PLUS_A"):
         self.dtype = dtype
+        self.permc_spec = permc_spec
         self._precondition = None     # held preconditioner y -> P^-1 y
         self.factor_nnz = 0           # entries held in the factor
         self.factorizations = 0
@@ -170,11 +174,10 @@ class LaggedLU:
         next solve factors afresh."""
         self._precondition = None
 
-    def solve(self, linalg, K, b, attempt=None, order=None):
+    def solve(self, linalg, K, b, attempt=None):
         """attempt(cg), by default the x with ||b - K x|| <= LAG_RTOL ||b||;
         raises StabilityError on a non-finite b. A fresh factor is the LU of
-        K[order][:, order] in its own order, given a permutation order of
-        K's rows, and of K in minimum-degree order otherwise."""
+        K in the solver's column order."""
         if not np.all(np.isfinite(b)):
             raise StabilityError("non-finite right-hand side")
         attempt = attempt or functools.partial(_solve_to_bound, K, b)
@@ -186,7 +189,7 @@ class LaggedLU:
                 return x
             self.fallbacks += 1
             self._precondition = None
-        self._precondition = self._factor(linalg, K, order)
+        self._precondition = self._factor(linalg, K)
         self.factorizations += 1
         x = attempt(cg)
         if x is None:
@@ -194,25 +197,17 @@ class LaggedLU:
                                  " values or missed its residual bound")
         return x
 
-    def _factor(self, linalg, K, order):
+    def _factor(self, linalg, K):
         """The preconditioner y -> K^-1 y of a fresh LU of K in dtype."""
         # splu sums duplicates in place, which leaves a canonical K as it
         # is, so a K already in dtype is factored with no copy
-        K = K.astype(self.dtype, copy=False)
-        permc, inverse = "MMD_AT_PLUS_A", slice(None)
-        if order is None:
-            order = slice(None)
-        else:
-            # K[order][:, order] as a column gather, a CSR row gather and
-            # back: each conversion sorts the indices, so splu sorts none
-            K = K[:, order].tocsr()[order].tocsc()
-            permc, inverse = "NATURAL", np.argsort(order)
-        lu = linalg.splu(K, permc_spec=permc, diag_pivot_thresh=0.0,
+        lu = linalg.splu(K.astype(self.dtype, copy=False),
+                         permc_spec=self.permc_spec, diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
         self.factor_nnz = lu.nnz
         # SuperLU takes a right-hand side only in the factor's dtype
-        return lambda r: lu.solve(r[order].astype(self.dtype, copy=False))[
-            inverse].astype(float, copy=False)
+        return lambda r: lu.solve(r.astype(self.dtype, copy=False)).astype(
+            float, copy=False)
 
     def _cg(self, K, b, atol):
         x = self._precondition(b)
@@ -360,11 +355,11 @@ class CoupledProblem:
     # lagged factorizations of the stream-function and heat systems, one
     # per problem
     saddle_solver: LaggedLU = field(
-        default_factory=lambda: LaggedLU(np.float32), init=False,
+        default_factory=lambda: LaggedLU(np.float32, "NATURAL"), init=False,
         repr=False, compare=False)
     heat_solver: LaggedLU = field(
-        default_factory=lambda: LaggedLU(np.float64), init=False,
-        repr=False, compare=False)
+        default_factory=lambda: LaggedLU(np.float64, "MMD_AT_PLUS_A"),
+        init=False, repr=False, compare=False)
 
     @functools.cached_property
     def stencils(self):
@@ -516,8 +511,8 @@ def nested_dissection(nx, ny, reach):
     tie) leaves no entry between the two halves; the halves are ordered
     first, each by the same rule, and the separator last, so an LU in this
     order fills no entry between the halves. A block less than reach + 2
-    nodes long on both sides is ordered x-major. Returns order, with
-    K[order][:, order] the matrix in that order.
+    nodes long on both sides is ordered x-major. Returns order, the x-major
+    index of the node at each position of the dissection order.
     """
     parts = []
 
@@ -560,10 +555,13 @@ class MacStencils:
         bottom) to the dofs, u1 = d_s psi / Jvol and u2 = -d_x psi -
         (Jvol b - A) ubar1, whose ubar1 slots carry the 1/Jvol of the x face
         they read;
-      * `order`, the nested dissection of the (nx - 1) x ny free nodes in
-        which the flow's held LU factors K. A row of S = R T or of Z =
-        Ztop T reads nodes at most 3 apart along either axis, so K couples
-        none further apart and the separators are 3 nodes wide.
+      * `order`, the nested dissection of the x-major (nx - 1) x ny free
+        nodes, which numbers them: T's column k reads node order[k], so K
+        and every stream-function vector come in this order and the flow's
+        held LU factors K as formed. A row of S = R T or of Z = Ztop T reads
+        nodes at most 3 apart along either axis, so K couples none further
+        apart and the separators are 3 nodes wide. In x-major node order K
+        would be a band of half-width 3 ny + 3 instead.
 
     rows(), flux() and stream() fill these patterns from each step's
     metric.
@@ -637,13 +635,14 @@ class MacStencils:
         div, ztop = self._flux_blocks(_SlotColumns, zero1, zero2)
         self._div = _SlotPattern(div, dof_of, self.free.size)
         self._ztop = _SlotPattern(ztop, dof_of, self.free.size)
-        # the free nodes of psi: between the walls, above the bottom
+        # the free nodes of psi, between the walls and above the bottom,
+        # numbered in their nested dissection
+        self.order = nested_dissection(nx - 1, ny, 3)
         node_of = np.full((nx + 1, ny + 1), -1)
-        node_of[1:nx, 1:] = np.arange((nx - 1) * ny).reshape(nx - 1, ny)
+        node_of[1:nx, 1:] = np.argsort(self.order).reshape(nx - 1, ny)
         self._stream = _SlotPattern(
             self._stream_blocks(_SlotColumns, 1.0 + zero1, zero2),
             node_of.ravel(), (nx - 1) * ny)
-        self.order = nested_dissection(nx - 1, ny, 3)
 
     def _row_blocks(self, t, c12, c22):
         """Row blocks of R, read by t: T11, T12, T22 per cell, bottom and
@@ -733,19 +732,31 @@ class StreamSystem(typing.NamedTuple):
     """K = S^T diag(w) S + Z^T Gdt Z, S = R T and Z = Ztop T, held as its
     factors: K @ psi is T^T A T psi, matrix-free, with A u =
     velocity_block(u), and astype(dtype) forms K in CSC, always a fresh
-    matrix, for the one use that needs its entries: a factorization."""
+    matrix, for the one use that needs its entries: a factorization. psi
+    is in MacStencils.order, the order of T's columns.
+
+    Rt, Ztopt and Tt are the transposes of R, Ztop and T, CSC views that
+    share their arrays; of() takes them once per step, so a product builds
+    no sparse matrix."""
     R: sp.csr_matrix
+    Rt: sp.csc_matrix
     Ztop: sp.csr_matrix
+    Ztopt: sp.csc_matrix
     w: np.ndarray
     Gdt: sp.spmatrix
     T: sp.csr_matrix
+    Tt: sp.csc_matrix
+
+    @classmethod
+    def of(cls, R, Ztop, w, Gdt, T):
+        return cls(R, R.T, Ztop, Ztop.T, w, Gdt, T, T.T)
 
     def velocity_block(self, u):
-        return (self.R.T @ (self.w * (self.R @ u))
-                + self.Ztop.T @ (self.Gdt @ (self.Ztop @ u)))
+        return (self.Rt @ (self.w * (self.R @ u))
+                + self.Ztopt @ (self.Gdt @ (self.Ztop @ u)))
 
     def __matmul__(self, psi):
-        return self.T.T @ self.velocity_block(self.T @ psi)
+        return self.Tt @ self.velocity_block(self.T @ psi)
 
     def astype(self, dtype, copy=True):
         S, Z = self.R @ self.T, self.Ztop @ self.T
@@ -796,7 +807,6 @@ class FlowOperators:
         div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
         self._stream = functools.partial(mac.stream, met_xf["Jvol"], zw2)
         self._pressure = mac.pressure
-        self._order = mac.order
         self.B_dof = sp.csr_matrix((div.data * (-hx * hs), div.indices,
                                     div.indptr), shape=div.shape)
 
@@ -833,11 +843,12 @@ class FlowOperators:
             return np.zeros(f.size + self.B_dof.shape[0])
         B, T = self.B_dof, self.T
         G0, G = self.surface_stiffness
-        K = StreamSystem(self.R, self.Ztop, self.weights(dt), G0 + dt * G, T)
+        K = StreamSystem.of(self.R, self.Ztop, self.weights(dt), G0 + dt * G,
+                            T)
 
         def sweeps(cg):
             bound = LAG_RTOL * np.linalg.norm(f)
-            u, g = np.zeros_like(f), T.T @ f
+            u, g = np.zeros_like(f), K.Tt @ f
             # every sweep aims at the first solve's tolerance: a sweep
             # corrects rounding, so a few digits of its own right-hand side
             # suffice
@@ -853,10 +864,10 @@ class FlowOperators:
                 if math.hypot(np.linalg.norm(r),
                               np.linalg.norm(B @ u)) <= bound:
                     return np.concatenate([u, p])
-                g = T.T @ r
+                g = K.Tt @ r
             return None
 
-        return solver.solve(spla, K, f, sweeps, order=self._order)
+        return solver.solve(spla, K, f, sweeps)
 
 
 # ============================================================
@@ -1011,10 +1022,12 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
 
     The mass-weighted projection onto ker B = range(T) is solved in the
     stream function: psi = (T^T M T)^-1 T^T M u_raw, a BandedCholesky of the
-    SPD band matrix T^T M T, and u = T psi; p stays zero. eta0 is
-    recentered to exact zero mean and the kinematic speed is seeded from
-    the projected field, so the t = 0 state satisfies the same discrete
-    constraints the stepper preserves.
+    SPD matrix T^T M T, and u = T psi; p stays zero. T's columns are taken
+    back from MacStencils.order to x-major node order, in which T^T M T is
+    a band of half-width ny + 2. eta0 is recentered to exact zero mean
+    and the kinematic speed is seeded from the projected field, so the
+    t = 0 state satisfies the same discrete constraints the stepper
+    preserves.
     """
     grid = problem.grid
     eta0 = np.asarray(eta0, float).copy()
@@ -1028,8 +1041,9 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
         fields = geometry.build_geometry(grid, eta0)
         ops = FlowOperators(problem, fields)
         mac = problem.stencils
-        MT = sp.diags(ops.mass) @ ops.T
-        u = ops.T @ BandedCholesky(ops.T.T @ MT).solve(
+        T = ops.T[:, np.argsort(mac.order)]
+        MT = sp.diags(ops.mass) @ T
+        u = T @ BandedCholesky(T.T @ MT).solve(
             MT.T @ mac.full_vector(u1, u2)[mac.free])
         u1n, u2n = mac.split_full(mac.P @ u)
         state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),

@@ -47,6 +47,7 @@ dt(etabar) W K d2 f - u . grad_calA f, and transport_source is its one
 discrete form: flow and heat both take their explicit transport from it.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,18 @@ def extend_surface(eta):
 # separable mode extension
 # ============================================================
 
+@functools.cache
+def _dct_table(n):
+    """(2/n) cos(w_k (x_j + ell)), (j, k) over n cell centers and n modes,
+    read-only: the DCT-II matrix of _ModeSampler, built once per n."""
+    k = np.arange(n)
+    # w_k (x_j + ell) = (2j + 1) k pi/(2n), reduced mod 2 pi exactly
+    dct = np.cos(np.outer(2 * k + 1, k) % (4 * n) * (np.pi / (2 * n)))
+    table = dct * (2.0 / n)
+    table.flags.writeable = False
+    return table
+
+
 class _ModeSampler:
     """Evaluates the cosine-series extension of stacked surface rows.
 
@@ -99,12 +112,9 @@ class _ModeSampler:
     def __init__(self, rows, ell):
         rows = np.atleast_2d(np.asarray(rows, float))
         n = rows.shape[1]
-        k = np.arange(n)
         self.ell = ell
-        self.w = k * (np.pi / (2.0 * ell))
-        # w_k (x_j + ell) = (2j + 1) k pi/(2n), reduced mod 2 pi exactly
-        dct = np.cos(np.outer(2 * k + 1, k) % (4 * n) * (np.pi / (2 * n)))
-        self.coef = rows @ (dct * (2.0 / n))
+        self.w = np.arange(n) * (np.pi / (2.0 * ell))
+        self.coef = rows @ _dct_table(n)
         self.coef[:, 0] *= 0.5
 
     def sample_triple(self, x1, depth):

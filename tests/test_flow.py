@@ -382,12 +382,12 @@ def test_dt_change_keeps_the_held_factor(problem):
 
 
 def _record_systems(solver):
-    """The list of (K, order) that solver.solve receives from now on."""
+    """The list of K that solver.solve receives from now on."""
     solve, systems = solver.solve, []
 
-    def recording(linalg, K, b, attempt=None, order=None):
-        systems.append((K, order))
-        return solve(linalg, K, b, attempt, order)
+    def recording(linalg, K, b, attempt=None):
+        systems.append(K)
+        return solve(linalg, K, b, attempt)
 
     solver.solve = recording
     return systems
@@ -398,8 +398,8 @@ def test_heat_factors_in_minimum_degree_and_the_flow_in_dissection(
     # one LaggedLU serves both solves with diagonal pivots and symmetric
     # mode, in float64 for the heat and float32 for the flow: the heat
     # factors its held Crank-Nicolson matrix as given, in minimum-degree
-    # order, and the flow factors the step's K permuted into the nested
-    # dissection of its nodes
+    # order, and the flow factors the step's K as formed, in the natural
+    # order, which is the nested dissection of its nodes
     factored = []
 
     def recorder(owner):
@@ -424,17 +424,22 @@ def test_heat_factors_in_minimum_degree_and_the_flow_in_dissection(
     assert heat_kw == dict(pivots, permc_spec="MMD_AT_PLUS_A")
     assert flow_kw == dict(pivots, permc_spec="NATURAL")
     assert heat_A.dtype == np.float64 and flow_A.dtype == np.float32
-    heat_K, heat_order = heat_systems[0]
-    flow_K, flow_order = flow_systems[0]
-    assert heat_A is heat_K and heat_order is None
+    assert heat_A is heat_systems[0]
     # splu sums duplicates in place, and the canonical Crank-Nicolson
     # matrix, held for later steps, keeps its arrays
     assert all(np.array_equal(x, y) for x, y in
                zip(held, (heat_A.data, heat_A.indices, heat_A.indptr)))
-    order = problem.stencils.order
-    assert flow_order is order
-    want = flow_K.astype(np.float32).toarray()[np.ix_(order, order)]
-    assert np.array_equal(flow_A.toarray(), want)
+    K = flow_systems[0].astype(np.float32)
+    assert np.array_equal(flow_A.toarray(), K.toarray())
+    # K taken to x-major node order by the nodes its columns read, then
+    # gathered into the nested dissection of the node grid, factors with
+    # the same fill
+    grid = problem.grid
+    xmajor = np.argsort(_stream_nodes(flow_systems[0].T, grid))
+    order = fl.nested_dissection(grid.nx - 1, grid.ny, 3)
+    gathered = K[xmajor][:, xmajor][order][:, order].tocsc()
+    lu = spla.splu(gathered, permc_spec="NATURAL", **pivots)
+    assert problem.saddle_solver.factor_nnz == lu.nnz
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (4, 4), (13, 5),
@@ -445,45 +450,84 @@ def test_nested_dissection_is_a_permutation(shape):
     assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
 
 
+def _stream_nodes(T, grid):
+    """The x-major free node (i, j), i < nx - 1 and j < ny, that each column
+    of the stream map T reads. u1 = d_s psi / Jvol, so a node feeds the u1
+    dofs of its x face on the cells below and above it, and the lower one,
+    i ny + j, is its own x-major index."""
+    u1 = T[:(grid.nx - 1) * grid.ny].tocsc()
+    return np.array([u1.indices[a:b].min()
+                     for a, b in zip(u1.indptr[:-1], u1.indptr[1:])])
+
+
 def _first_step_system(problem):
-    """(K, order) that the first momentum step of a perturbed start hands
-    its saddle solver."""
+    """The K that the first momentum step of a perturbed start hands its
+    saddle solver."""
     grid = problem.grid
     state = fl.construct_flow_initial_data(
         problem, _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)))
     systems = _record_systems(problem.saddle_solver)
     fl.momentum_step(problem, geo.build_geometry(grid, state.eta, state.zdot),
                      state, dt=0.02)
-    system, = systems
-    return system
+    K, = systems
+    return K
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3])
 def test_step_matrix_reaches_three_nodes(params, jump):
     # the separators of MacStencils.order are 3 nodes wide: no entry of K
-    # couples two nodes further apart along either axis
+    # couples two nodes further apart along either axis. K's row and column
+    # k is the x-major node order[k]
     problem = _curved_problem(params, jump)
     grid = geo.make_grid(problem.surface, 12, 8, params.depth)
     problem = dataclasses.replace(problem, grid=grid)
-    K, order = _first_step_system(problem)
-    assert order is problem.stencils.order
-    K = K.astype(np.float64).tocoo()
+    K = _first_step_system(problem).astype(np.float64).tocoo()
     assert K.shape == ((grid.nx - 1) * grid.ny,) * 2
-    for node in (lambda k: k // grid.ny, lambda k: k % grid.ny):
+    order = problem.stencils.order
+    for node in (lambda k: order[k] // grid.ny, lambda k: order[k] % grid.ny):
         assert np.max(np.abs(node(K.row) - node(K.col))) == 3
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3])
-def test_step_operator_applies_the_formed_matrix(params, jump):
-    # the K that a step hands its solver applies T^T A T matrix-free; its
-    # product is the formed matrix's to rounding
+def test_step_operator_applies_the_formed_matrix(params, jump, monkeypatch):
+    # the K that a step hands its solver applies T^T A T matrix-free, with
+    # the transposes held as CSC views of R, Ztop and T, so a product builds
+    # no sparse matrix; it is the formed matrix's product to rounding
     problem = _curved_problem(params, jump)
     grid = geo.make_grid(problem.surface, 12, 8, params.depth)
     problem = dataclasses.replace(problem, grid=grid)
-    K, _ = _first_step_system(problem)
+    K = _first_step_system(problem)
+    for M, Mt in ((K.R, K.Rt), (K.Ztop, K.Ztopt), (K.T, K.Tt)):
+        assert Mt.format == "csc" and Mt.shape == M.shape[::-1]
+        assert all(np.shares_memory(x, y) for x, y in
+                   zip((M.data, M.indices, M.indptr),
+                       (Mt.data, Mt.indices, Mt.indptr)))
+    built = []
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        def counted(self, *args, _init=cls.__init__, **kw):
+            built.append(type(self))
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
     psi = np.random.default_rng(7).standard_normal((grid.nx - 1) * grid.ny)
+    got = K @ psi
+    assert built == []
+    monkeypatch.undo()
     want = K.astype(np.float64) @ psi
-    assert np.linalg.norm(K @ psi - want) <= 1e-14 * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_stream_columns_follow_the_dissection_order(params):
+    # T's column k reads the x-major node order[k]: its u1 entries are the
+    # d_s psi of that node's x face on the cells below and above it
+    problem = _curved_problem(params, 0.3)
+    grid = geo.make_grid(problem.surface, 12, 8, params.depth)
+    problem = dataclasses.replace(problem, grid=grid)
+    ops = fl.FlowOperators(problem, geo.build_geometry(grid,
+                                                       np.zeros(grid.nx)))
+    u1 = ops.T[:(grid.nx - 1) * grid.ny].tocsc()
+    for k, node in enumerate(problem.stencils.order):
+        want = [node] if node % grid.ny == grid.ny - 1 else [node, node + 1]
+        assert sorted(u1.indices[u1.indptr[k]:u1.indptr[k + 1]]) == want
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3])
@@ -514,7 +558,7 @@ def test_dissection_cuts_the_flow_lu_fill(params):
     surface = eq.solve_equilibrium(params, 1.0)
     grid = geo.make_grid(surface, 48, 32, params.depth)
     problem = fl.CoupledProblem(params=params, surface=surface, grid=grid)
-    K, _ = _first_step_system(problem)
+    K = _first_step_system(problem)
     mmd = spla.splu(K.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     assert 0 < problem.saddle_solver.factor_nnz < mmd.nnz
@@ -789,6 +833,45 @@ def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields,
         ops.solve(solver, _momentum_load(ops), 0.02)
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("size", [(12, 8), (24, 16)], ids=["12x8", "24x16"])
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_initial_projection_factors_a_band(params, jump, size, monkeypatch):
+    # the projection takes T's columns back to x-major node order, where
+    # T^T M T is a band of half-width ny + 2: a row of T reads a node's x
+    # neighbours and, through ubar1, nodes two s steps away. In
+    # MacStencils.order the band would span most of the matrix
+    problem = _curved_problem(params, jump)
+    grid = geo.make_grid(problem.surface, *size, params.depth)
+    problem = dataclasses.replace(problem, grid=grid)
+    factored = []
+
+    class RecordedCholesky(fl.BandedCholesky):
+        def __init__(self, S):
+            factored.append(S)
+            super().__init__(S)
+
+    monkeypatch.setattr(fl, "BandedCholesky", RecordedCholesky)
+    eta0 = _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell))
+    u1, u2 = cli.initial_velocity({"initial": {"stream_amp": 0.3}}, grid)
+    state = fl.construct_flow_initial_data(problem, eta0, u1, u2)
+    S, = factored
+    upper = sp.triu(S).tocoo()
+    assert np.max(upper.col - upper.row) == grid.ny + 2
+
+    # the same projection solved densely, in any node order
+    mac = problem.stencils
+    fields = geo.build_geometry(grid, state.eta, state.zdot)
+    ops = fl.FlowOperators(problem, fields)
+    T = ops.T.toarray()
+    MT = ops.mass[:, None] * T
+    psi = np.linalg.solve(T.T @ MT,
+                          MT.T @ mac.full_vector(u1, u2)[mac.free])
+    want = mac.P @ (T @ psi)
+    got = mac.full_vector(state.u1, state.u2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert fl.check_compatibility(problem, fields, state)["div"] <= 1e-12
 
 
 @pytest.mark.parametrize("jump", [0.0, 0.3, -0.5])
