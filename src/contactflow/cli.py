@@ -116,7 +116,10 @@ def load_config(path=None, environ=None, overrides=None):
     cfg = default_config()
     if path is not None:
         with open(path) as fh:
-            _merge(cfg, json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConstraintError("config file must hold a JSON object")
+        _merge(cfg, loaded)
     _merge(cfg, _env_overrides(os.environ if environ is None else environ))
     if overrides:
         _merge(cfg, overrides)
@@ -577,6 +580,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, overrides=overrides)
         params = validate_config(cfg)
+        if not args.validate_only:
+            os.makedirs(cfg["out"], exist_ok=True)
     except (ConstraintError, OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -586,7 +591,6 @@ def main(argv=None):
         return 0
 
     outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
 
     started = _time.time()
     runners = {

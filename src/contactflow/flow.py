@@ -57,16 +57,19 @@ face (MacStencils.pressure) and no pressure Laplacian is formed. Near
 rest K moves by O(|eta|) from one step to the next, so a run factors the
 first step's K once, in float32, and preconditions conjugate gradients
 (`_pcg`) with that LU on later steps. CG applies K matrix-free as T^T A T
-(StreamSystem), the same operator whose residual the sweeps check, and K
-is formed only on a step that factors. The free nodes are numbered in the
-nested dissection of the node grid (MacStencils.order), so T's columns, K
-and every CG vector are in that order from the start and the LU takes K
-as formed, in its natural order: the dissection suits K's 7 x 7 stencil
-better than minimum degree, and at 96x64 keeps a quarter fewer L+U
-entries. The heat solve holds a float64 LU, in minimum-degree order,
-through the same LaggedLU. Refinement sweeps K dpsi = T^T r, u += T dpsi
-bring the full saddle residual r to LAG_RTOL ||f|| (projected CG: Gould,
-Hribar & Nocedal, SIAM J. Sci. Comput. 23 (2001)).
+(StreamSystem), and K is formed only on a step that factors. The free
+nodes are numbered in the nested dissection of the node grid
+(MacStencils.order), so T's columns, K and every CG vector are in that
+order from the start and the LU takes K as formed, in its natural order:
+the dissection suits K's 7 x 7 stencil better than minimum degree, and at
+96x64 keeps a quarter fewer L+U entries. The heat solve holds a float64
+LU, in minimum-degree order, through the same LaggedLU. Both accept a
+solve on one rule, its normwise backward error ||b - K x|| / (||b|| +
+||K|| ||x||) at most LAG_RTOL: a residual bound relative to the load
+alone would lie below the rounding floor of K x wherever ||K|| ||x||
+dwarfs the load, as it does at large kappa or eps. The flow then forms
+u = T psi and p once. Continuity needs no check in the solve, since
+B T = 0; momentum_step reports max |Div u| as div_residual.
 
 The curvature remainder
 
@@ -78,7 +81,6 @@ at the moving contact points, with W(z) = w3 z^3.
 """
 
 import functools
-import math
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -120,13 +122,13 @@ def remainder_r(s0, s):
 # lagged factorizations
 # ============================================================
 
-LAG_RTOL = 1e-13      # accepted residual ||b - A x|| / ||b|| of a lagged solve
-# CG stops a decade below LAG_RTOL: its recursively updated residual keeps
-# falling below the rounding level of the true one, and this margin brings
-# the accepted residuals to the level of a direct solve
+LAG_RTOL = 1e-13      # accepted backward error of a lagged solve
+# CG stops once its recursively updated residual is CG_AIM ||b||, a decade
+# below LAG_RTOL ||b|| and so below the backward-error bound whatever ||x||:
+# that residual keeps falling below the rounding level of the true one, and
+# the margin brings the accepted residuals to the level of a direct solve
 CG_AIM = 1e-14
 CG_MAXITER = 40       # iterations of one CG solve before it counts as a miss
-REFINE_SWEEPS = 3     # refinement sweeps of one stream-function solve
 
 
 class LaggedLU:
@@ -142,19 +144,25 @@ class LaggedLU:
     with no CG iteration on frozen geometry, and float32 in the natural
     order for the flow's K, whose nodes MacStencils numbers in nested
     dissection; there its rounding costs iterations, not accuracy, and an
-    L+U entry holds 8 bytes against 12. solve() returns attempt(cg), None
-    being a miss; cg(g, atol) corrects the factor's solution of K x = g by
-    CG and returns (x, iterations), x None after CG_MAXITER iterations. A
-    miss with a factor held from an earlier solve drops it and refactors,
-    so two factors never coexist; a miss with a fresh factor raises
-    StabilityError. linalg is the caller's scipy.sparse.linalg handle, so
-    every sparse LU is made through the calling module's own `spla`.
+    L+U entry holds 8 bytes against 12.
+
+    A solve is one CG correction of the factor's solution, kept when it
+    took fewer than CG_MAXITER iterations, is finite and has the normwise
+    backward error ||b - K x|| / (||b|| + ||K|| ||x||) of at most LAG_RTOL
+    (Rigal & Gaches, J. ACM 14 (1967); Arioli, Demmel & Duff, SIAM J.
+    Matrix Anal. Appl. 10 (1989)), with ||K|| the largest absolute column
+    sum of the matrix last factored. A miss with a factor held from an
+    earlier solve drops it and refactors, so two factors never coexist; a
+    miss with a fresh factor raises StabilityError. linalg is the caller's
+    scipy.sparse.linalg handle, so every sparse LU is made through the
+    calling module's own `spla`.
     """
 
     def __init__(self, dtype, permc_spec="MMD_AT_PLUS_A"):
         self.dtype = dtype
         self.permc_spec = permc_spec
         self._precondition = None     # held preconditioner y -> P^-1 y
+        self._norm = 0.0              # ||K|| of the held factor's K
         self.factor_nnz = 0           # entries held in the factor
         self.factorizations = 0
         self.reused_solves = 0        # solves with a factor of an earlier step
@@ -174,16 +182,14 @@ class LaggedLU:
         next solve factors afresh."""
         self._precondition = None
 
-    def solve(self, linalg, K, b, attempt=None):
-        """attempt(cg), by default the x with ||b - K x|| <= LAG_RTOL ||b||;
-        raises StabilityError on a non-finite b. A fresh factor is the LU of
-        K in the solver's column order."""
+    def solve(self, linalg, K, b):
+        """x of K x = b within the backward-error bound; raises
+        StabilityError on a non-finite b. A fresh factor is the LU of K in
+        the solver's column order."""
         if not np.all(np.isfinite(b)):
             raise StabilityError("non-finite right-hand side")
-        attempt = attempt or functools.partial(_solve_to_bound, K, b)
-        cg = functools.partial(self._cg, K)
         if self._precondition is not None:
-            x = attempt(cg)
+            x = self._cg(K, b)
             if x is not None:
                 self.reused_solves += 1
                 return x
@@ -191,45 +197,46 @@ class LaggedLU:
             self._precondition = None
         self._precondition = self._factor(linalg, K)
         self.factorizations += 1
-        x = attempt(cg)
+        x = self._cg(K, b)
         if x is None:
             raise StabilityError("solve with a fresh factor returned non-finite"
-                                 " values or missed its residual bound")
+                                 " values or missed its backward-error bound")
         return x
 
     def _factor(self, linalg, K):
         """The preconditioner y -> K^-1 y of a fresh LU of K in dtype."""
+        K = K.astype(self.dtype, copy=False)
+        # ||K|| by blocks of 256 columns: a temporary |K| of the whole matrix
+        # stays resident through splu and raises the factorization's peak
+        # memory
+        self._norm = max(float(abs(K[:, j:j + 256]).sum(axis=0).max())
+                         for j in range(0, K.shape[1], 256))
         # splu sums duplicates in place, which leaves a canonical K as it
         # is, so a K already in dtype is factored with no copy
-        lu = linalg.splu(K.astype(self.dtype, copy=False),
-                         permc_spec=self.permc_spec, diag_pivot_thresh=0.0,
+        lu = linalg.splu(K, permc_spec=self.permc_spec, diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
         self.factor_nnz = lu.nnz
         # SuperLU takes a right-hand side only in the factor's dtype
         return lambda r: lu.solve(r.astype(self.dtype, copy=False)).astype(
             float, copy=False)
 
-    def _cg(self, K, b, atol):
+    def _cg(self, K, b):
+        """The held factor's solution of K x = b corrected by CG, or None
+        when the correction misses."""
         x = self._precondition(b)
-        dx, iterations = _pcg(K, self._precondition, b - K @ x, atol)
+        dx, iterations = _pcg(K, self._precondition, b - K @ x,
+                              CG_AIM * np.linalg.norm(b))
         self.cg_iterations += iterations
         self.max_cg_iterations = max(self.max_cg_iterations, iterations)
         x += dx
-        return (x if iterations < CG_MAXITER else None), iterations
-
-
-def _solve_to_bound(K, b, cg):
-    """The default attempt of LaggedLU.solve: one CG solve, kept when its
-    explicit residual is at most LAG_RTOL ||b||."""
-    x, iterations = cg(b, CG_AIM * np.linalg.norm(b))
-    if x is None or not np.all(np.isfinite(x)):
-        return None
-    # with no iteration, _pcg already held the residual that cg formed to
-    # CG_AIM ||b||, below the bound
-    if iterations and \
-            np.linalg.norm(b - K @ x) > LAG_RTOL * np.linalg.norm(b):
-        return None
-    return x
+        if iterations == CG_MAXITER or not np.all(np.isfinite(x)):
+            return None
+        # with no iteration, _pcg already held the residual formed above to
+        # CG_AIM ||b||, below the bound
+        if iterations and np.linalg.norm(b - K @ x) > LAG_RTOL * (
+                np.linalg.norm(b) + self._norm * np.linalg.norm(x)):
+            return None
+        return x
 
 
 def _pcg(A, precondition, b, atol):
@@ -832,42 +839,19 @@ class FlowOperators:
 
         solver, a LaggedLU, solves K psi = T^T f with K the StreamSystem of
         this step, applied matrix-free and formed only if solver factors;
-        sweeps K dpsi = T^T r, u += T dpsi, with r the saddle residual and p
-        from the y-face rows of B^T p = f - A u (MacStencils.pressure, exact
-        once T^T r = 0, as range(T) = ker B), repeat until that residual
-        meets LAG_RTOL ||f||, at most REFINE_SWEEPS times. A zero load
-        returns zeros without building K.
+        then u = T psi and p comes from the y-face rows of B^T p = f - A u
+        (MacStencils.pressure, exact once T^T (f - A u) = 0, as range(T) =
+        ker B). B u = 0 holds by construction, B T = 0. A zero load returns
+        zeros without building K.
         """
         if not np.any(f):
             # keeps the rest state an exact fixed point
             return np.zeros(f.size + self.B_dof.shape[0])
-        B, T = self.B_dof, self.T
         G0, G = self.surface_stiffness
         K = StreamSystem.of(self.R, self.Ztop, self.weights(dt), G0 + dt * G,
-                            T)
-
-        def sweeps(cg):
-            bound = LAG_RTOL * np.linalg.norm(f)
-            u, g = np.zeros_like(f), K.Tt @ f
-            # every sweep aims at the first solve's tolerance: a sweep
-            # corrects rounding, so a few digits of its own right-hand side
-            # suffice
-            atol = CG_AIM * np.linalg.norm(g)
-            for _ in range(REFINE_SWEEPS + 1):
-                dpsi, _ = cg(g, atol)
-                if dpsi is None:
-                    return None
-                u = u + T @ dpsi
-                r = f - K.velocity_block(u)
-                p = self._pressure(r)
-                r = r - B.T @ p
-                if math.hypot(np.linalg.norm(r),
-                              np.linalg.norm(B @ u)) <= bound:
-                    return np.concatenate([u, p])
-                g = K.Tt @ r
-            return None
-
-        return solver.solve(spla, K, f, sweeps)
+                            self.T)
+        u = self.T @ solver.solve(spla, K, K.Tt @ f)
+        return np.concatenate([u, self._pressure(f - K.velocity_block(u))])
 
 
 # ============================================================
@@ -917,7 +901,7 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
     correction (None for isothermal runs). FlowOperators.solve solves the
     saddle system in the stream function with problem.saddle_solver, which
     preconditions CG with the float32 LU of an earlier step's K and
-    refactors only when a solve misses its residual bound. Returns the
+    refactors only when a solve misses its backward-error bound. Returns the
     advanced FlowState; raises StabilityError on CFL violation (a NaN
     velocity counts as one), a folded flattening map or a failed solve, and
     SpillError when the surface, given or advanced, leaves the channel.

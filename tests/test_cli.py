@@ -301,6 +301,10 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "missing.json")]) == 2
     path = _write_config(tmp_path, {"nope": 1})
     assert cli.main(["--config", path]) == 2
+    path = _write_config(tmp_path, [1, 2], name="list.json")
+    assert cli.main(["--config", path]) == 2
+    (tmp_path / "taken").write_text("")
+    assert cli.main(["equilibrium", "--out", str(tmp_path / "taken")]) == 2
     path = _write_config(tmp_path, {"time": {"dt": math.nan}}, name="nan.json")
     assert cli.main(["--config", path, "--validate-only"]) == 2
     for i, cfg in enumerate([
@@ -508,6 +512,30 @@ def test_decay_run_does_not_import_scipy_interpolate(tmp_path, jump):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("grid,overrides", [
+    ((24, 16), {"params": {"kappa": 1e3}}),
+    ((24, 16), {"params": {"kappa": 1e4}}),
+    ((24, 16), {"params": {"kappa": 1e3, "gamma_jump": 0.3}}),
+    ((24, 16), {"params": {"kappa": 1e4, "gamma_jump": 0.3}}),
+    ((48, 32), {"eps": 10.0})],
+    ids=["kappa1e3", "kappa1e4", "kappa1e3-curved", "kappa1e4-curved",
+         "eps10"])
+def test_stiff_contact_and_regularization_runs_complete(tmp_path, grid,
+                                                        overrides):
+    # at large kappa or eps, ||K|| ||psi|| dwarfs the load and a residual
+    # bound relative to the load alone lies below rounding; the backward
+    # error accepts the first step's solve with a fresh factor
+    cfg = dict(TINY, mode="decay", grid={"nx": grid[0], "ny": grid[1]},
+               time=dict(TINY["time"], t_end=0.2), **overrides)
+    cfg["initial"] = dict(TINY["initial"], theta_amp=0.01)
+    rc, outdir = _run(tmp_path, cfg)
+    assert rc == 0
+    rep = _report(outdir)
+    assert rep["max_div_residual"] <= 1e-12
+    assert rep["saddle_solver"]["factorizations"] \
+        + rep["saddle_solver"]["reused_solves"] == 10
 
 
 def test_decay_report_holds_factor_sizes(tmp_path):

@@ -385,9 +385,9 @@ def _record_systems(solver):
     """The list of K that solver.solve receives from now on."""
     solve, systems = solver.solve, []
 
-    def recording(linalg, K, b, attempt=None):
+    def recording(linalg, K, b):
         systems.append(K)
-        return solve(linalg, K, b, attempt)
+        return solve(linalg, K, b)
 
     solver.solve = recording
     return systems
@@ -530,25 +530,26 @@ def test_stream_columns_follow_the_dissection_order(params):
         assert sorted(u1.indices[u1.indptr[k]:u1.indptr[k + 1]]) == want
 
 
-@pytest.mark.parametrize("jump", [0.0, 0.3])
-def test_default_decay_takes_one_sweep_per_solve(jump, tmp_path,
-                                                 monkeypatch):
-    # CG applies the same matrix-free K whose saddle residual each sweep
-    # checks, so its first psi meets the bound: one pressure per solve
-    pressures = []
-    pressure = fl.MacStencils.pressure
+@pytest.mark.parametrize("jump,eps", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4)],
+                         ids=["flat", "curved", "eps0.4"])
+def test_default_decay_takes_one_cg_attempt_per_solve(jump, eps, tmp_path,
+                                                      monkeypatch):
+    # every flow solve keeps its first CG attempt under the backward-error
+    # bound, on flat and curved rest states and at eps = 0.4
+    pcg, attempts = fl._pcg, []
 
-    def counted(mac, r):
-        pressures.append(1)
-        return pressure(mac, r)
+    def counted(A, *args):
+        if isinstance(A, fl.StreamSystem):
+            attempts.append(1)
+        return pcg(A, *args)
 
-    monkeypatch.setattr(fl.MacStencils, "pressure", counted)
+    monkeypatch.setattr(fl, "_pcg", counted)
     cfg = cli.load_config(environ={}, overrides={
-        "time": {"t_end": 0.4}, "params": {"gamma_jump": jump}})
+        "eps": eps, "time": {"t_end": 0.4}, "params": {"gamma_jump": jump}})
     report, _ = cli.run_coupled(cfg, cli.validate_config(cfg), str(tmp_path))
     solver = report["saddle_solver"]
     assert solver["factorizations"] + solver["reused_solves"] == 20
-    assert len(pressures) == 20
+    assert len(attempts) == 20
 
 
 def test_dissection_cuts_the_flow_lu_fill(params):
@@ -820,17 +821,25 @@ def test_block_saddle_falls_back_once_on_a_distant_system(params, problem,
         far.solve(solver, np.full_like(f, np.nan), 0.02)
 
 
-def test_block_saddle_raises_when_fresh_factors_miss(problem, zero_fields,
-                                                     grid):
-    # a stream map of another geometry does not span ker B, so no psi
-    # meets the continuity rows and the solve must stop instead of
-    # refactoring forever
-    ops = _system(problem, zero_fields)
-    eta = _centered(0.1 * np.cos(math.pi * grid.xc / grid.ell))
-    ops.T = _system(problem, geo.build_geometry(grid, eta)).T
-    solver = fl.LaggedLU(np.float32)
+def test_lagged_lu_raises_when_a_fresh_factor_misses():
+    # K applies one matrix and factors another far from it, so CG on a
+    # fresh factor misses: the solve must stop instead of refactoring
+    # forever
+    n = 80
+    rng = np.random.default_rng(3)
+    base = _spd(n, rng)
+    far = (base + sp.diags(np.logspace(-4, 4, n))).tocsc()
+
+    class Mismatched:
+        def __matmul__(self, x):
+            return far @ x
+
+        def astype(self, dtype, copy=True):
+            return base.astype(dtype, copy=copy)
+
+    solver = fl.LaggedLU(np.float64)
     with pytest.raises(fl.StabilityError):
-        ops.solve(solver, _momentum_load(ops), 0.02)
+        solver.solve(spla, Mismatched(), rng.standard_normal(n))
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
 

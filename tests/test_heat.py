@@ -217,9 +217,9 @@ def test_crank_nicolson_system_is_held_per_dt(flat_surface, params):
     solve = solver.solve
     systems = []
 
-    def recording(linalg, K, b, attempt=None):
+    def recording(linalg, K, b):
         systems.append(K)
-        return solve(linalg, K, b, attempt)
+        return solve(linalg, K, b)
 
     solver.solve = recording
     state = rebuilt = ht.HeatState(theta=theta0)
