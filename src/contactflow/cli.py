@@ -21,7 +21,6 @@ Exit codes: 0 success, 2 invalid configuration, 3 runtime failure
 """
 
 import argparse
-import copy
 import csv
 import dataclasses
 import functools
@@ -126,34 +125,17 @@ def load_config(path=None, environ=None, overrides=None):
     return cfg
 
 
-def _non_finite_leaf(node, path=""):
-    """Dotted path of the first NaN or infinite number in node, else None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return None
-    for key, val in children:
-        found = _non_finite_leaf(val, "%s.%s" % (path, key) if path else key)
-        if found is not None:
-            return found
-    return None
-
-
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _type_mismatch(node, default, path=""):
-    """(dotted path, wanted type) of the first value whose type is not its
-    default's, else None.
+    """(dotted path, what it must be) of the first value whose type is not
+    its default's, or that is a NaN or infinite number, else None.
 
-    An int default takes only ints and a float default ints or floats; a bool
-    is no number. A list default types every entry like its first, unless
-    its entries differ in type ([mode, amplitude]): then it is a fixed row
-    typed entry by entry.
+    An int default takes only ints and a float default ints or finite
+    floats; a bool is no number. A list default types every entry like its
+    first, unless its entries differ in type ([mode, amplitude]): then it is
+    a fixed row typed entry by entry.
     """
     if isinstance(default, dict):
         children = [(key, node[key], default[key]) for key in default]
@@ -171,6 +153,9 @@ def _type_mismatch(node, default, path=""):
         if isinstance(node, bool) != isinstance(default, bool) \
                 or not isinstance(node, wanted):
             return path, _TYPE_NAMES[type(default)]
+        # non-finite numbers slip past every ordered comparison
+        if isinstance(node, float) and not math.isfinite(node):
+            return path, "a finite number"
         return None
     for key, val, dflt in children:
         found = _type_mismatch(val, dflt,
@@ -182,16 +167,11 @@ def _type_mismatch(node, default, path=""):
 
 def validate_config(cfg):
     """Raise ConstraintError on anything a run would choke on."""
-    bad = _non_finite_leaf(cfg)
-    if bad is not None:
-        raise ConstraintError("%s must be a finite number" % bad)
     bad = _type_mismatch(cfg, default_config())
     if bad is not None:
         raise ConstraintError("%s must be %s" % bad)
-    modes = ("equilibrium", "heat", "coupled", "decay", "corner-probe",
-             "epsilon-sweep")
-    if cfg["mode"] not in modes:
-        raise ConstraintError("mode must be one of %s" % (modes,))
+    if cfg["mode"] not in RUN_MODES:
+        raise ConstraintError("mode must be one of %s" % (tuple(RUN_MODES),))
     # sigma(theta) > 0 must hold over the configured temperatures
     amp = max(1.0, abs(cfg["initial"]["theta_amp"]))
     params = PhysicalParams(**cfg["params"], theta_range=(-amp, amp))
@@ -217,9 +197,7 @@ def validate_config(cfg):
     # the linearity and Cauchy ratios compare neighbouring eps values
     if len(cfg["sweep"]["eps_values"]) < 2:
         raise ConstraintError("sweep.eps_values needs at least two entries")
-    # the table whose t_end sets the step count of each time-stepping mode
-    section = {"heat": "time", "coupled": "time", "decay": "time",
-               "epsilon-sweep": "sweep"}.get(cfg["mode"])
+    section = RUN_MODES[cfg["mode"]][1]
     if section and int(round(cfg[section]["t_end"] / cfg["time"]["dt"])) < 1:
         raise ConstraintError("%s.t_end must exceed time.dt / 2, else the "
                               "run takes no step" % section)
@@ -444,7 +422,7 @@ def _solver_report(solver):
     return {**solver.counts(), "factor_nnz": solver.factor_nnz}
 
 
-def run_coupled(cfg, params, outdir, fit_report=False):
+def run_coupled(cfg, params, outdir):
     problem = build_problem(cfg, params)
     grid = problem.grid
     eta0 = initial_eta(cfg, grid)
@@ -454,11 +432,8 @@ def run_coupled(cfg, params, outdir, fit_report=False):
     heat_state = heat_mod.HeatState(theta=initial_theta(cfg, grid))
     rows, saved, stats = _series_loop(cfg, problem, flow_state, heat_state,
                                       warmup=cfg["time"]["warmup"])
-    times = [r[0] for r in rows]
-    e_tot = [r[diag.SERIES_COLUMNS.index("E_total")] for r in rows]
-    d_tot = [r[diag.SERIES_COLUMNS.index("D_total")] for r in rows]
     report = {
-        "final_E_total": e_tot[-1],
+        "final_E_total": rows[-1][diag.SERIES_COLUMNS.index("E_total")],
         "max_div_residual": stats["max_div"],
         "max_recenter_drift": stats["max_recenter"],
         "contact_speeds_final": list(saved[-1].contact_speeds),
@@ -466,13 +441,21 @@ def run_coupled(cfg, params, outdir, fit_report=False):
         "saddle_solver": _solver_report(problem.saddle_solver),
         "heat_solver": _solver_report(problem.heat_solver),
     }
-    if fit_report:
-        fit = diag.fit_decay(times, e_tot, skip=len(times) // 5)
-        report["decay"] = {
-            "lambda": fit.lam, "r2": fit.r2, "n_used": fit.n_used,
-            "C_bound": diag.cumulative_bound(times, e_tot, d_tot),
-            "E0": e_tot[0],
-        }
+    return report, rows
+
+
+def run_decay(cfg, params, outdir):
+    """A coupled run plus its exponential-decay fit and budget bound."""
+    report, rows = run_coupled(cfg, params, outdir)
+    times = [r[0] for r in rows]
+    e_tot = [r[diag.SERIES_COLUMNS.index("E_total")] for r in rows]
+    d_tot = [r[diag.SERIES_COLUMNS.index("D_total")] for r in rows]
+    fit = diag.fit_decay(times, e_tot, skip=len(times) // 5)
+    report["decay"] = {
+        "lambda": fit.lam, "r2": fit.r2, "n_used": fit.n_used,
+        "C_bound": diag.cumulative_bound(times, e_tot, d_tot),
+        "E0": e_tot[0],
+    }
     return report, rows
 
 
@@ -551,6 +534,18 @@ def run_epsilon_sweep(cfg, params, outdir):
     return report, rows_out
 
 
+# Each run mode's runner, and the config table whose t_end sets the number
+# of steps it takes (None: the mode takes no time step).
+RUN_MODES = {
+    "equilibrium": (run_equilibrium, None),
+    "heat": (run_heat, "time"),
+    "coupled": (run_coupled, "time"),
+    "decay": (run_decay, "time"),
+    "corner-probe": (run_corner_probe, None),
+    "epsilon-sweep": (run_epsilon_sweep, "sweep"),
+}
+
+
 # ============================================================
 # entry point
 # ============================================================
@@ -561,8 +556,7 @@ def main(argv=None):
         description="thermal free-boundary simulator with moving contact "
                     "points")
     ap.add_argument("mode", nargs="?", default=None,
-                    help="equilibrium | heat | coupled | decay | "
-                         "corner-probe | epsilon-sweep")
+                    help=" | ".join(RUN_MODES))
     ap.add_argument("--config", default=None, help="JSON config file")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--validate-only", action="store_true")
@@ -593,16 +587,8 @@ def main(argv=None):
     outdir = cfg["out"]
 
     started = _time.time()
-    runners = {
-        "equilibrium": run_equilibrium,
-        "heat": run_heat,
-        "coupled": run_coupled,
-        "decay": lambda c, p, o: run_coupled(c, p, o, fit_report=True),
-        "corner-probe": run_corner_probe,
-        "epsilon-sweep": run_epsilon_sweep,
-    }
     try:
-        report, rows = runners[cfg["mode"]](cfg, params, outdir)
+        report, rows = RUN_MODES[cfg["mode"]][0](cfg, params, outdir)
     except (flow_mod.StabilityError, flow_mod.SpillError,
             eq_mod.EquilibriumError, RuntimeError) as exc:
         print("runtime failure: %s" % exc, file=sys.stderr)

@@ -781,9 +781,8 @@ class FlowOperators:
     w = weights(dt) and (G0, G) = problem.surface_stiffness. solve()
     applies K = S^T diag(w) S + Z^T (G0 + dt G) Z, S = R T and Z = Ztop T,
     matrix-free (StreamSystem) and forms it only on a step that factors;
-    A(dt) is never formed. The stream map T is built on first use: a zero
-    load and the compatibility check do not build it. B_dof = -hx hs Div
-    is the one divergence held.
+    A(dt) is never formed. T is the stream map of MacStencils.stream, with
+    B_dof T = 0 to rounding; B_dof = -hx hs Div is the one divergence held.
     """
 
     def __init__(self, problem, fields):
@@ -812,7 +811,7 @@ class FlowOperators:
         # -------- flux divergence and its top row --------
         zw2 = met_yf["Jvol"] * met_yf["b"] - met_yf["A"]
         div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
-        self._stream = functools.partial(mac.stream, met_xf["Jvol"], zw2)
+        self.T = mac.stream(met_xf["Jvol"], zw2)
         self._pressure = mac.pressure
         self.B_dof = sp.csr_matrix((div.data * (-hx * hs), div.indices,
                                     div.indptr), shape=div.shape)
@@ -827,11 +826,6 @@ class FlowOperators:
     def weights(self, dt):
         """w of A(dt): the viscous and slip weights, then the mass / dt."""
         return np.concatenate([self._bulk_weights, self.mass / dt])
-
-    @functools.cached_property
-    def T(self):
-        """The stream map of MacStencils.stream: B_dof T = 0 to rounding."""
-        return self._stream()
 
     def solve(self, solver, f, dt):
         """[u, p] of the saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0],
@@ -894,13 +888,13 @@ def _check_surface(problem, eta):
                          % (np.min(zeta), np.max(zeta)))
 
 
-def momentum_step(problem, fields, state, theta=None, *, dt):
+def momentum_step(problem, fields, state, theta, *, dt):
     """One implicit momentum/pressure/surface step of size dt.
 
     theta: node temperatures driving buoyancy and the thermal tension
-    correction (None for isothermal runs). FlowOperators.solve solves the
-    saddle system in the stream function with problem.saddle_solver, which
-    preconditions CG with the float32 LU of an earlier step's K and
+    correction, zeros for an isothermal step. FlowOperators.solve solves
+    the saddle system in the stream function with problem.saddle_solver,
+    which preconditions CG with the float32 LU of an earlier step's K and
     refactors only when a solve misses its backward-error bound. Returns the
     advanced FlowState; raises StabilityError on CFL violation (a NaN
     velocity counts as one), a folded flattening map or a failed solve, and
@@ -925,11 +919,10 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
     rhs = ops.mass_diag * ufull / dt
 
     # buoyancy
-    if theta is not None:
-        theta = np.asarray(theta, float)
-        th_yf = 0.5 * (theta[:-1, :] + theta[1:, :])
-        w2 = ops.mass_diag[mac.n1:]
-        rhs[mac.n1:] += -params.g * th_yf.ravel() * w2
+    theta = np.asarray(theta, float)
+    th_yf = 0.5 * (theta[:-1, :] + theta[1:, :])
+    w2 = ops.mass_diag[mac.n1:]
+    rhs[mac.n1:] += -params.g * th_yf.ravel() * w2
 
     # explicit advection + mesh motion
     adv1, adv2 = _advection(fields, state.u1, state.u2)
@@ -945,7 +938,7 @@ def momentum_step(problem, fields, state, theta=None, *, dt):
     load = (problem.surface_stiffness[1] @ state.eta
             + mac.Dx.T @ (params.sigma1 * grid.hx * rem)
             + mac.ends.T @ (params.kappa * cubic))
-    if theta is not None and params.sigma2 != 0.0:
+    if params.sigma2 != 0.0:
         dxz = mac.Dx @ state.zdot
         flux_nodes = np.empty(nx + 1)
         flux_nodes[1:-1] = (dxe + problem.eps * dxz) * mac.inv32_in + rem
@@ -1004,36 +997,31 @@ def coupled_step(problem, fields, flow, heat_state, dt):
 def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
     """Project raw velocity data onto the discrete divergence-free space.
 
-    The mass-weighted projection onto ker B = range(T) is solved in the
-    stream function: psi = (T^T M T)^-1 T^T M u_raw, a BandedCholesky of the
-    SPD matrix T^T M T, and u = T psi; p stays zero. T's columns are taken
-    back from MacStencils.order to x-major node order, in which T^T M T is
-    a band of half-width ny + 2. eta0 is recentered to exact zero mean
-    and the kinematic speed is seeded from the projected field, so the
-    t = 0 state satisfies the same discrete constraints the stepper
-    preserves.
+    u1_raw and u2_raw are the x- and y-face samples, both given or both
+    None for a start from rest. The mass-weighted projection onto ker B =
+    range(T) is solved in the stream function: psi = (T^T M T)^-1 T^T M
+    u_raw, a BandedCholesky of the SPD matrix T^T M T, and u = T psi; p
+    stays zero. T's columns are taken back from MacStencils.order to
+    x-major node order, in which T^T M T is a band of half-width ny + 2.
+    eta0 is recentered to exact zero mean and the kinematic speed is seeded
+    from the projected field, so the t = 0 state satisfies the same
+    discrete constraints the stepper preserves.
     """
     grid = problem.grid
     eta0 = np.asarray(eta0, float).copy()
     eta0 -= np.mean(eta0)
     state = zero_flow_state(grid)
-    if u1_raw is not None or u2_raw is not None:
-        u1 = np.zeros((grid.nx + 1, grid.ny)) if u1_raw is None \
-            else np.asarray(u1_raw, float)
-        u2 = np.zeros((grid.nx, grid.ny + 1)) if u2_raw is None \
-            else np.asarray(u2_raw, float)
-        fields = geometry.build_geometry(grid, eta0)
-        ops = FlowOperators(problem, fields)
-        mac = problem.stencils
-        T = ops.T[:, np.argsort(mac.order)]
-        MT = sp.diags(ops.mass) @ T
-        u = T @ BandedCholesky(T.T @ MT).solve(
-            MT.T @ mac.full_vector(u1, u2)[mac.free])
-        u1n, u2n = mac.split_full(mac.P @ u)
-        state = FlowState(u1=u1n, u2=u2n, p=np.zeros((grid.nx, grid.ny)),
-                          eta=eta0, zdot=ops.Ztop @ u)
-    else:
-        state.eta = eta0
+    state.eta = eta0
+    if u1_raw is None:
+        return state
+    ops = FlowOperators(problem, geometry.build_geometry(grid, eta0))
+    mac = problem.stencils
+    T = ops.T[:, np.argsort(mac.order)]
+    MT = sp.diags(ops.mass) @ T
+    u = T @ BandedCholesky(T.T @ MT).solve(
+        MT.T @ mac.full_vector(u1_raw, u2_raw)[mac.free])
+    state.u1, state.u2 = mac.split_full(mac.P @ u)
+    state.zdot = ops.Ztop @ u
     return state
 
 

@@ -25,6 +25,11 @@ def _centered(v):
     return v - v.mean()
 
 
+def _cold(grid):
+    """A zero node temperature: the theta of an isothermal step."""
+    return np.zeros((grid.nx + 1, grid.ny + 1))
+
+
 # ------------------------------------------------------------
 # curvature remainder and package exports
 # ------------------------------------------------------------
@@ -120,14 +125,15 @@ def test_perturbation_decays(problem, grid):
 
 def test_momentum_step_requires_dt(problem, zero_fields, grid):
     with pytest.raises(TypeError):
-        fl.momentum_step(problem, zero_fields, fl.zero_flow_state(grid))
+        fl.momentum_step(problem, zero_fields, fl.zero_flow_state(grid),
+                         _cold(grid))
 
 
 def test_cfl_violation_raises(problem, zero_fields, grid):
     state = fl.zero_flow_state(grid)
     state.u1 = state.u1 + 50.0
     with pytest.raises(fl.StabilityError):
-        fl.momentum_step(problem, zero_fields, state, dt=0.05)
+        fl.momentum_step(problem, zero_fields, state, _cold(grid), dt=0.05)
 
 
 def test_spill_raises(problem, grid):
@@ -135,7 +141,7 @@ def test_spill_raises(problem, grid):
     state.eta = _centered(1.4 * np.cos(math.pi * grid.xc / grid.ell))
     fields = geo.build_geometry(grid, state.eta, state.zdot)
     with pytest.raises(fl.SpillError):
-        fl.momentum_step(problem, fields, state, dt=1e-3)
+        fl.momentum_step(problem, fields, state, _cold(grid), dt=1e-3)
 
 
 @pytest.mark.parametrize("nx,ny", [(12, 8), (24, 16)])
@@ -149,7 +155,7 @@ def test_folded_map_raises(params, flat_surface, nx, ny):
     state.eta = _centered(0.3 * np.cos(math.pi * grid.xc / grid.ell))
     fields = geo.build_geometry(grid, state.eta, state.zdot)
     with pytest.raises(fl.StabilityError, match="flattening map folds"):
-        fl.momentum_step(problem, fields, state, dt=0.02)
+        fl.momentum_step(problem, fields, state, _cold(grid), dt=0.02)
 
 
 def test_nan_velocity_raises(problem, zero_fields, grid):
@@ -158,7 +164,7 @@ def test_nan_velocity_raises(problem, zero_fields, grid):
     state.u1 = state.u1.copy()
     state.u1[3, 2] = np.nan
     with pytest.raises(fl.StabilityError):
-        fl.momentum_step(problem, zero_fields, state, dt=0.05)
+        fl.momentum_step(problem, zero_fields, state, _cold(grid), dt=0.05)
 
 
 # ------------------------------------------------------------
@@ -468,7 +474,7 @@ def _first_step_system(problem):
         problem, _centered(1e-2 * np.cos(math.pi * grid.xc / grid.ell)))
     systems = _record_systems(problem.saddle_solver)
     fl.momentum_step(problem, geo.build_geometry(grid, state.eta, state.zdot),
-                     state, dt=0.02)
+                     state, _cold(grid), dt=0.02)
     K, = systems
     return K
 
@@ -751,7 +757,7 @@ def test_pressure_back_substitutes_the_y_face_rows(params, jump, size,
 
     monkeypatch.setattr(fl, "BandedCholesky", CountedCholesky)
     state = fl.construct_flow_initial_data(problem, eta)
-    state = fl.momentum_step(problem, fields, state, dt=0.02)
+    state = fl.momentum_step(problem, fields, state, _cold(grid), dt=0.02)
     assert np.any(state.p) and state.div_residual <= 1e-12
     assert built == []
     # the counter sees the band factor of the initial projection
@@ -947,3 +953,45 @@ def test_single_precision_factor_solves_a_stiff_system(params, jump,
     assert solver.counts()["factorizations"] == 1
     assert solver.counts()["fallbacks"] == 0
     assert solver.counts()["max_cg_iterations"] < fl.CG_MAXITER
+
+
+# ------------------------------------------------------------
+# order of the whole coupled run
+# ------------------------------------------------------------
+
+def _coupled_run_end(jump, nx, ny, dt):
+    """The flow state at t = 0.4 of a `coupled` run from surface modes 1
+    and 2, a temperature bump and a raw stream velocity, stepped as the
+    CLI steps."""
+    t_end = 0.4
+    cfg = cli.default_config()
+    cfg["params"]["gamma_jump"] = jump
+    cfg["grid"].update(nx=nx, ny=ny)
+    cfg["time"].update(dt=dt, t_end=t_end)
+    cfg["initial"].update(eta_modes=[[1, 0.1], [2, 0.05]], theta_amp=0.2,
+                          stream_amp=0.05)
+    problem = cli.build_problem(cfg, cli.validate_config(cfg))
+    grid = problem.grid
+    flow = fl.construct_flow_initial_data(problem, cli.initial_eta(cfg, grid),
+                                          *cli.initial_velocity(cfg, grid))
+    heat_state = ht.HeatState(theta=cli.initial_theta(cfg, grid))
+    fields = geo.build_geometry(grid, flow.eta, flow.zdot)
+    for _ in range(int(round(t_end / dt))):
+        flow, heat_state, fields = fl.coupled_step(problem, fields, flow,
+                                                   heat_state, dt)
+    return flow
+
+
+@pytest.mark.parametrize("jump", [0.0, 0.3])
+def test_coupled_run_converges_at_first_order(jump):
+    # grid and dt refined together; measured ratios are 2.26 (flat) and
+    # 2.21 (gamma 0.3) for eta, 1.40 and 1.34 for the left contact speed,
+    # so the whole nonlinear run is first order today
+    runs = [_coupled_run_end(jump, 12 * 2 ** k, 8 * 2 ** k, 0.08 / 2 ** k)
+            for k in range(3)]
+    # eta cell-averaged onto the 12 cells of the coarsest grid
+    etas = [r.eta.reshape(12, -1).mean(axis=1) for r in runs]
+    d_eta = [np.max(np.abs(b - a)) for a, b in zip(etas, etas[1:])]
+    speed = [r.contact_speeds[0] for r in runs]
+    assert d_eta[0] / d_eta[1] > 1.8
+    assert (speed[1] - speed[0]) / (speed[2] - speed[1]) > 1.2
