@@ -12,9 +12,12 @@ epsilon-sweep  regularization study: energy linearity and trajectory Cauchy
 Configuration is a JSON file (--config) merged over built-in defaults, then
 overridden by CONTACTFLOW_* environment variables (double underscore for
 nesting, values parsed as JSON: CONTACTFLOW_PARAMS__MU=0.5) and finally by
-the explicit flags. Every run writes meta.json echoing the fully merged
-config; feeding that file back through --config reproduces series.csv byte
-for byte. Floats are serialized with repr, so round-tripping is exact.
+the explicit flags. Every run writes meta.json, whose "config" table
+echoes the fully merged config. That table, saved as a file of its own and
+fed back through --config (with --out to write elsewhere), reproduces
+series.csv byte for byte. meta.json itself is not a config: its other
+keys ("columns", "versions") are unknown config keys, and --config exits 2
+on it. Floats are serialized with repr, so round-tripping is exact.
 
 Exit codes: 0 success, 2 invalid configuration, 3 runtime failure
 (divergent step, surface spill, solver breakdown).
@@ -305,6 +308,16 @@ def initial_velocity(cfg, grid):
     return u1, u2
 
 
+def initial_state(cfg, problem):
+    """(flow state, heat state) at t = 0 from cfg's initial table: the
+    surface modes and the raw stream velocity, projected onto the discrete
+    divergence-free space, and the temperature."""
+    grid = problem.grid
+    flow_state = flow_mod.construct_flow_initial_data(
+        problem, initial_eta(cfg, grid), *initial_velocity(cfg, grid))
+    return flow_state, heat_mod.HeatState(theta=initial_theta(cfg, grid))
+
+
 def build_problem(cfg, params):
     surface = eq_mod.solve_equilibrium(params, cfg["mean_height"])
     grid = geometry.make_grid(surface, cfg["grid"]["nx"], cfg["grid"]["ny"],
@@ -337,8 +350,9 @@ def run_equilibrium(cfg, params, outdir):
 
 
 def _series_loop(cfg, problem, flow_state, heat_state, step=None,
-                 fields=None, t_end=None, warmup=0.0):
-    """Step the states to t_end, reporting every save_every steps.
+                 fields=None, warmup=0.0):
+    """Step the states to the t_end of the mode's table in RUN_MODES,
+    reporting every save_every steps.
 
     step(fields, flow_state, heat_state, dt) -> (flow_state, heat_state,
     fields of the new state) is one time step from a state whose geometry
@@ -349,9 +363,8 @@ def _series_loop(cfg, problem, flow_state, heat_state, step=None,
     row and the largest divergence residual and recenter drift.
     """
     dt = cfg["time"]["dt"]
-    t_end = cfg["time"]["t_end"] if t_end is None else t_end
     save_every = cfg["time"]["save_every"]
-    nsteps = int(round(t_end / dt))
+    nsteps = int(round(cfg[RUN_MODES[cfg["mode"]][1]]["t_end"] / dt))
     if step is None:
         step = functools.partial(flow_mod.coupled_step, problem)
     if fields is None:
@@ -424,13 +437,8 @@ def _solver_report(solver):
 
 def run_coupled(cfg, params, outdir):
     problem = build_problem(cfg, params)
-    grid = problem.grid
-    eta0 = initial_eta(cfg, grid)
-    u1r, u2r = initial_velocity(cfg, grid)
-    flow_state = flow_mod.construct_flow_initial_data(problem, eta0, u1r,
-                                                      u2r)
-    heat_state = heat_mod.HeatState(theta=initial_theta(cfg, grid))
-    rows, saved, stats = _series_loop(cfg, problem, flow_state, heat_state,
+    rows, saved, stats = _series_loop(cfg, problem,
+                                      *initial_state(cfg, problem),
                                       warmup=cfg["time"]["warmup"])
     report = {
         "final_E_total": rows[-1][diag.SERIES_COLUMNS.index("E_total")],
@@ -488,19 +496,16 @@ def run_corner_probe(cfg, params, outdir):
 
 def run_epsilon_sweep(cfg, params, outdir):
     problem0 = build_problem(cfg, params)
-    grid = problem0.grid
-    eta0 = initial_eta(cfg, grid)
     eps_values = list(cfg["sweep"]["eps_values"])
-    fields_eq = geometry.build_geometry(grid, np.zeros(grid.nx))
+    fields_eq = geometry.build_geometry(problem0.grid,
+                                        np.zeros(problem0.grid.nx))
 
     e0_eps, trajectories = [], []
     rows_out = None
     for eps in eps_values:
         problem = dataclasses.replace(problem0, eps=eps)
-        flow_state = flow_mod.construct_flow_initial_data(problem, eta0)
-        heat_state = heat_mod.HeatState(theta=initial_theta(cfg, grid))
-        rows, saved, _ = _series_loop(cfg, problem, flow_state, heat_state,
-                                      t_end=cfg["sweep"]["t_end"])
+        rows, saved, _ = _series_loop(cfg, problem,
+                                      *initial_state(cfg, problem))
         e0_eps.append(rows[0][diag.SERIES_COLUMNS.index("E_eps")])
         trajectories.append(saved)
         if rows_out is None:

@@ -14,10 +14,13 @@ faces, p in cells. The pieces:
   * A_slip: Navier friction beta (u.tau)(v.tau) on bottom and walls, traces
     extrapolated from the first two interior layers. u.nu = 0 is strong
     (wall u1 and bottom u2 eliminated).
-  * B u = flux-form divergence: (Jvol div_calA u)_cell = div_ref Z with
-    Z1 = Jvol u1 and Z2 = (Jvol b - A) ubar1 + u2. The top value of Z2 is
-    exactly u.N, so sum_cells of the divergence telescopes to the surface
-    flux and discrete volume bookkeeping is exact to solver precision.
+  * B u = -hx hs times the flux-form divergence: (Jvol div_calA u)_cell =
+    div_ref Z with Z1 = Jvol u1 and Z2 = (Jvol b - A) ubar1 + u2, the face
+    flux Z = Jvol c^T u. The top value of Z2 is exactly u.N, so sum_cells
+    of the divergence telescopes to the surface flux and discrete volume
+    bookkeeping is exact to solver precision. Z is held on all faces;
+    FlowOperators takes Ztop, its top rows, and the divergence, its
+    reference differences across each cell, from it, and never forms B.
   * A_srf = Ztop^T G(dt) Ztop, the traction integral int T (v.N) with the
     curvature flux integrated by parts, eta~ = eta^n + dt zdot substituted
     and the contact law at the endpoints: G(dt) = G0 + dt G on the top
@@ -27,10 +30,10 @@ faces, p in cells. The pieces:
 
 Every implicit bulk operator is a fixed stencil weighted by the metric: the
 rows R of the velocity block are linear in the cell coefficients c12 and
-c22, and the divergence and its top row are linear in the face weights
-(Jvol, Jvol b - A). Their stencils are Kronecker products of 1-D stencils,
-and MacStencils builds the sparsity patterns of R, Div and Ztop on the free
-dofs once per problem; FlowOperators fills them with each step's metric.
+c22, and the flux Z is linear in the face weights (Jvol, Jvol b - A).
+Their stencils are Kronecker products of 1-D stencils, and MacStencils
+builds the sparsity patterns of R, Z and the stream map T on the free dofs
+once per problem; FlowOperators fills them with each step's metric.
 
 Advection, buoyancy and the mesh-motion term are explicit, so the overall
 splitting is first order in dt and each step is one linear saddle solve.
@@ -47,13 +50,13 @@ discrete stream function instead, the null-space method for saddle systems
 the nodes and vanishes on the walls and the bottom; the fluxes Z1 = d_s psi
 and Z2 = -d_x psi have zero flux divergence identically, and the stream map
 T takes psi to u1 = Z1/Jvol, u2 = Z2 - (Jvol b - A) ubar1, so B T = 0 and
-Div u stay at rounding level. The step solves the SPD system K psi = T^T f,
-K = S^T diag(w) S + Z^T G(dt) Z with S = R T and Z = Ztop T, on the
-(nx - 1) ny free nodes. The pressure comes from the y-face rows of
-B^T p = f - A u, the fundamental-basis form of the same method: on the
-free y faces B = -hx hs kron(I, d_s) is square, metric free and
-bidiagonal in each column, so p is a cumulative sum down from the top
-face (MacStencils.pressure) and no pressure Laplacian is formed. Near
+the divergence of u = T psi stays at rounding level. The step solves the
+SPD system K psi = T^T f, K = S^T diag(w) S + Q^T G(dt) Q with S = R T
+and Q = Ztop T, on the (nx - 1) ny free nodes. The pressure comes from
+the y-face rows of B^T p = f - A u, the fundamental-basis form of the same
+method: on the free y faces B = -hx hs kron(I, d_s) is square, metric
+free and bidiagonal in each column, so p is a cumulative sum down from
+the top face (MacStencils.pressure) and no pressure Laplacian is formed. Near
 rest K moves by O(|eta|) from one step to the next, so a run factors the
 first step's K once, in float32, and preconditions conjugate gradients
 (`_pcg`) with that LU on later steps. CG applies K matrix-free as T^T A T
@@ -69,7 +72,8 @@ solve on one rule, its normwise backward error ||b - K x|| / (||b|| +
 alone would lie below the rounding floor of K x wherever ||K|| ||x||
 dwarfs the load, as it does at large kappa or eps. The flow then forms
 u = T psi and p once. Continuity needs no check in the solve, since
-B T = 0; momentum_step reports max |Div u| as div_residual.
+B T = 0; momentum_step reports the largest cell divergence
+(FlowOperators.divergence) as div_residual.
 
 The curvature remainder
 
@@ -429,15 +433,13 @@ class _Slots(typing.NamedTuple):
     ncols: int
 
 
-def _slots(M, cols=None):
-    """Slot table of the stencil M, on its own entries or, given cols, on
-    those slot columns (M must have no entry outside them)."""
+def _slots(M):
+    """Slot table of the stencil M on its own entries."""
     M = sp.csr_matrix(M)
-    if cols is None:
-        counts = np.diff(M.indptr)
-        rows = np.repeat(np.arange(M.shape[0]), counts)
-        cols = np.full((M.shape[0], max(counts.max(), 1)), -1)
-        cols[rows, np.arange(M.nnz) - M.indptr[rows]] = M.indices
+    counts = np.diff(M.indptr)
+    rows = np.repeat(np.arange(M.shape[0]), counts)
+    cols = np.full((M.shape[0], max(counts.max(), 1)), -1)
+    cols[rows, np.arange(M.nnz) - M.indptr[rows]] = M.indices
     vals = M.toarray()[np.arange(M.shape[0])[:, None], cols]
     return _Slots(cols, np.where(cols >= 0, vals, 0.0), M.shape[1])
 
@@ -454,11 +456,6 @@ class _SlotColumns:
         return np.where(empty, -1, cols).reshape(cols.shape[0] * cols.shape[1],
                                                  -1)
 
-    @staticmethod
-    def add(first, *rest):
-        """Terms laid out on the same slots share their columns."""
-        return first
-
 
 class _SlotValues:
     """Reads a slot description as its values."""
@@ -473,10 +470,6 @@ class _SlotValues:
             scale = scale[..., None, None]
         vals = scale * (X.vals[:, None, :, None] * Y.vals[None, :, None, :])
         return vals.reshape(vals.shape[0] * vals.shape[1], -1)
-
-    @staticmethod
-    def add(*terms):
-        return sum(terms)
 
 
 class _SlotPattern:
@@ -556,8 +549,11 @@ class MacStencils:
         cell, with G_ab the gradient of u_b along a reference axis a, the
         slip rows on the bottom and walls and an identity row per dof for
         the mass. A_visc + A_slip + M/dt = R^T diag(w) R;
-      * the flux divergence Div and its top row Ztop, linear in
-        zw = (Jvol, Jvol b - A) of the faces;
+      * the face flux Z from the dofs to all faces, Z1 = zw1 u1 on the x
+        faces and Z2 = zw2 ubar1 + u2 on the y faces, linear in
+        zw = (zw1, zw2) = (Jvol, Jvol b - A) of the faces. Its rows on the
+        walls and the bottom are empty, its top rows are Ztop (exactly u.N)
+        and its differences across a cell are the cell divergence;
       * the stream map T from the free nodes (psi = 0 on the walls and the
         bottom) to the dofs, u1 = d_s psi / Jvol and u2 = -d_x psi -
         (Jvol b - A) ubar1, whose ubar1 slots carry the 1/Jvol of the x face
@@ -565,7 +561,7 @@ class MacStencils:
       * `order`, the nested dissection of the x-major (nx - 1) x ny free
         nodes, which numbers them: T's column k reads node order[k], so K
         and every stream-function vector come in this order and the flow's
-        held LU factors K as formed. A row of S = R T or of Z = Ztop T reads
+        held LU factors K as formed. A row of S = R T or of Q = Ztop T reads
         nodes at most 3 apart along either axis, so K couples none further
         apart and the separators are 3 nodes wide. In x-major node order K
         would be a band of half-width 3 ny + 3 instead.
@@ -576,7 +572,7 @@ class MacStencils:
 
     def __init__(self, grid, beta):
         nx, ny, hx, hs = grid.nx, grid.ny, grid.hx, grid.hs
-        self.nx, self.ny, self.hx = nx, ny, hx
+        self.nx, self.ny, self.hx, self.hs = nx, ny, hx, hs
         self.n1 = (nx + 1) * ny
 
         # 1-D stencils: x stencils over faces (nx+1) or cells (nx), s
@@ -585,26 +581,20 @@ class MacStencils:
         self._mx, self._ms = _slots(_mean(nx)), _slots(_mean(ny))
         self._cx, self._cs = _slots(_cdiff(nx, hx)), _slots(_cdiff(ny, hs))
         self._ix, self._iy = _slots(sp.eye(nx)), _slots(sp.eye(ny))
-        # the free x faces, the free s faces and the top s face
+        self._ixf, self._isf = _slots(sp.eye(nx + 1)), _slots(sp.eye(ny + 1))
+        # the free x faces and the free s faces
         self._fx = _slots(sp.eye(nx - 1, nx + 1, 1))
         self._fs = _slots(sp.eye(ny, ny + 1, 1))
-        self._top = _slots(sp.eye(1, ny + 1, ny))
-        # extrapolation to the walls, the bottom and the top
+        # extrapolation to the walls and the bottom
         self._walls = _slots(_ends(nx)[0]), _slots(_ends(nx)[1])
-        self._bottom, self._top_avg = _slots(_ends(ny)[0]), _slots(_ends(ny)[1])
-        # the u1 columns of a cell's flux divergence: faces i, i+1 (the
-        # slots of dx and mx) by cells j-1, j, j+1. On them sit u1 itself
-        # (mid), u1 averaged to the y face below the cell (lo) and above it
-        # (hi): zero at the bottom, extrapolated to the top
-        j = np.arange(ny)[:, None] + np.arange(-1, 2)
-        j[(j < 0) | (j >= ny)] = -1
-        avg = sp.vstack([sp.csr_matrix((1, ny)), _mean(ny - 1), _ends(ny)[1]],
-                        "csr")
-        self._mid = _slots(sp.eye(ny), j)
-        self._lo, self._hi = _slots(avg[:-1], j), _slots(avg[1:], j)
+        self._bottom = _slots(_ends(ny)[0])
+        # u1 averaged over s from the cells to the y faces: zero at the
+        # bottom, extrapolated to the top
+        self._avg = _slots(sp.vstack([sp.csr_matrix((1, ny)), _mean(ny - 1),
+                                      _ends(ny)[1]]))
         # ubar1 on the free y faces from d_s psi: the node columns of each
         # cell's d_s, and the cell that each slot reads
-        faces = _slots(avg[1:])
+        faces = _Slots(self._avg.cols[1:], self._avg.vals[1:], ny)
         self._ubar = _Slots(
             self._ds.cols[faces.cols].reshape(ny, -1),
             (faces.vals[:, :, None]
@@ -636,19 +626,18 @@ class MacStencils:
         dof_of = np.full(self.P.shape[0], -1)
         dof_of[self.free] = np.arange(self.free.size)
 
-        zero1, zero2 = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))
         self._rows = _SlotPattern(self._row_blocks(_SlotColumns, 0.0, 0.0),
                                   dof_of, self.free.size)
-        div, ztop = self._flux_blocks(_SlotColumns, zero1, zero2)
-        self._div = _SlotPattern(div, dof_of, self.free.size)
-        self._ztop = _SlotPattern(ztop, dof_of, self.free.size)
+        self._flux = _SlotPattern(self._flux_blocks(_SlotColumns, 0.0, 0.0),
+                                  dof_of, self.free.size)
         # the free nodes of psi, between the walls and above the bottom,
         # numbered in their nested dissection
         self.order = nested_dissection(nx - 1, ny, 3)
         node_of = np.full((nx + 1, ny + 1), -1)
         node_of[1:nx, 1:] = np.argsort(self.order).reshape(nx - 1, ny)
         self._stream = _SlotPattern(
-            self._stream_blocks(_SlotColumns, 1.0 + zero1, zero2),
+            self._stream_blocks(_SlotColumns, np.ones((nx + 1, ny)),
+                                np.zeros((nx, ny + 1))),
             node_of.ravel(), (nx - 1) * ny)
 
     def _row_blocks(self, t, c12, c22):
@@ -670,23 +659,11 @@ class MacStencils:
         ]
 
     def _flux_blocks(self, t, zw1, zw2):
-        """Row blocks of Div and of Ztop, read by t.
-
-        The flux is Z1 = zw1 u1 on the x faces and Z2 = zw2 ubar1 + u2 on
-        the y faces; (Div u)_cell is its difference across the cell and
-        Ztop u is Z2 on the top faces, exactly u.N.
-        """
-        dx, ds = self._dx, self._ds.vals
-        left = _Slots(dx.cols, dx.vals * [1.0, 0.0], dx.ncols)
-        right = _Slots(dx.cols, dx.vals * [0.0, 1.0], dx.ncols)
-        div = [t.add(t.kron(left, self._mid, 0, zw1[:-1]),
-                     t.kron(right, self._mid, 0, zw1[1:]),
-                     t.kron(self._mx, self._lo, 0, ds[:, 0] * zw2[:, :-1]),
-                     t.kron(self._mx, self._hi, 0, ds[:, 1] * zw2[:, 1:])),
-               t.kron(self._ix, self._ds, self.n1, 1.0)]
-        ztop = [t.kron(self._mx, self._top_avg, 0, zw2[:, -1:]),
-                t.kron(self._ix, self._top, self.n1, 1.0)]
-        return [div], [ztop]
+        """Row blocks of Z, read by t: Z1 = zw1 u1 on the x faces, then
+        Z2 = zw2 ubar1 + u2 on the y faces."""
+        return [[t.kron(self._ixf, self._iy, 0, zw1)],
+                [t.kron(self._mx, self._avg, 0, zw2),
+                 t.kron(self._ix, self._isf, self.n1, 1.0)]]
 
     def _stream_blocks(self, t, zw1, zw2):
         """Row blocks of T, read by t: u1 on the free x faces, then u2 on
@@ -703,10 +680,10 @@ class MacStencils:
         return self._rows.fill(self._row_blocks(_SlotValues, c12, c22))
 
     def flux(self, zw1, zw2):
-        """(Div, Ztop) on the dofs for the face weights zw1 = Jvol on the x
-        faces and zw2 = Jvol b - A on the y faces."""
-        div, ztop = self._flux_blocks(_SlotValues, zw1, zw2)
-        return self._div.fill(div), self._ztop.fill(ztop)
+        """Z from the dofs to all faces for the face weights zw1 = Jvol on
+        the x faces and zw2 = Jvol b - A on the y faces; the rows of the
+        wall and bottom faces are empty."""
+        return self._flux.fill(self._flux_blocks(_SlotValues, zw1, zw2))
 
     def stream(self, zw1, zw2):
         """T on the free nodes and dofs for the face weights of flux()."""
@@ -717,9 +694,11 @@ class MacStencils:
         return T
 
     def pressure(self, r):
-        """p with B^T p = r on the free y faces, B = -hx hs Div: there B^T
-        is -hx times the transposed d_s of each cell column, metric free,
-        and the top face is free, so p[i, j] = -(1/hx) sum_{k>=j} r2[i, k]."""
+        """p with B^T p = r on the free y faces, B = -hx hs [kron(d_x, I) |
+        kron(I, d_s)] Z. Z2 holds u2 with unit weight, so on the u2 columns
+        B^T is -hx times the transposed d_s of each cell column, metric
+        free, and the top face is free: p[i, j] = -(1/hx) sum_{k>=j} r2[i,
+        k]."""
         r2 = r[-self.nx * self.ny:].reshape(self.nx, self.ny)
         return np.cumsum(r2[:, ::-1], axis=1)[:, ::-1].ravel() / -self.hx
 
@@ -736,7 +715,7 @@ class MacStencils:
 # ============================================================
 
 class StreamSystem(typing.NamedTuple):
-    """K = S^T diag(w) S + Z^T Gdt Z, S = R T and Z = Ztop T, held as its
+    """K = S^T diag(w) S + Q^T Gdt Q, S = R T and Q = Ztop T, held as its
     factors: K @ psi is T^T A T psi, matrix-free, with A u =
     velocity_block(u), and astype(dtype) forms K in CSC, always a fresh
     matrix, for the one use that needs its entries: a factorization. psi
@@ -766,23 +745,26 @@ class StreamSystem(typing.NamedTuple):
         return self.Tt @ self.velocity_block(self.T @ psi)
 
     def astype(self, dtype, copy=True):
-        S, Z = self.R @ self.T, self.Ztop @ self.T
-        K = S.T @ (sp.diags(self.w) @ S) + Z.T @ (self.Gdt @ Z)
+        S, Q = self.R @ self.T, self.Ztop @ self.T
+        K = S.T @ (sp.diags(self.w) @ S) + Q.T @ (self.Gdt @ Q)
         return K.tocsc().astype(dtype, copy=False)
 
 
 class FlowOperators:
     """The metric-dependent pieces of one momentum solve, all on the dofs:
-    the patterns of problem.stencils filled with c12, c22, Jvol and
-    Jvol b - A of fields.
+    the patterns of problem.stencils, held as `stencils`, filled with c12,
+    c22, Jvol and Jvol b - A of fields.
 
-    A step of size dt has the velocity block A(dt) = R^T diag(w) R +
-    Ztop^T (G0 + dt G) Ztop: R holds the bulk rows (viscous, slip, mass),
-    w = weights(dt) and (G0, G) = problem.surface_stiffness. solve()
-    applies K = S^T diag(w) S + Z^T (G0 + dt G) Z, S = R T and Z = Ztop T,
-    matrix-free (StreamSystem) and forms it only on a step that factors;
-    A(dt) is never formed. T is the stream map of MacStencils.stream, with
-    B_dof T = 0 to rounding; B_dof = -hx hs Div is the one divergence held.
+    Z is the face flux of MacStencils.flux and Ztop its top rows, the
+    kinematic trace u.N. A step of size dt has the velocity block A(dt) =
+    R^T diag(w) R + Ztop^T (G0 + dt G) Ztop: R holds the bulk rows
+    (viscous, slip, mass), w = weights(dt) and (G0, G) =
+    problem.surface_stiffness. solve() applies K = S^T diag(w) S +
+    Q^T (G0 + dt G) Q, S = R T and Q = Ztop T, matrix-free (StreamSystem)
+    and forms it only on a step that factors; A(dt) is never formed. T is
+    the stream map of MacStencils.stream, whose velocities have zero
+    divergence() to rounding. No divergence matrix is formed: B = -hx hs
+    [kron(d_x, I) | kron(I, d_s)] Z is applied as -hx hs divergence(u).
     """
 
     def __init__(self, problem, fields):
@@ -808,13 +790,13 @@ class FlowOperators:
                                  "measure %.3g, smallest velocity mass %.3g"
                                  % (low_cell, low_mass))
 
-        # -------- flux divergence and its top row --------
+        # -------- face flux, its top row and the stream map --------
         zw2 = met_yf["Jvol"] * met_yf["b"] - met_yf["A"]
-        div, self.Ztop = mac.flux(met_xf["Jvol"], zw2)
+        self.Z = mac.flux(met_xf["Jvol"], zw2)
+        # the top y faces, the last of each cell column: Z2 there is u.N
+        self.Ztop = self.Z[mac.n1 + mac.ny::mac.ny + 1]
         self.T = mac.stream(met_xf["Jvol"], zw2)
-        self._pressure = mac.pressure
-        self.B_dof = sp.csr_matrix((div.data * (-hx * hs), div.indices,
-                                    div.indptr), shape=div.shape)
+        self.stencils = mac
 
         # -------- velocity block --------
         self.R = mac.rows(met_c["c12"], met_c["c22"])
@@ -827,9 +809,19 @@ class FlowOperators:
         """w of A(dt): the viscous and slip weights, then the mass / dt."""
         return np.concatenate([self._bulk_weights, self.mass / dt])
 
+    def divergence(self, u):
+        """The cell divergences (Jvol div_calA u)_cell of the dofs u, x-major
+        (nx, ny) flattened: the reference differences of Z u across each
+        cell, d_x Z1 + d_s Z2."""
+        mac = self.stencils
+        Z1, Z2 = mac.split_full(self.Z @ u)
+        return ((Z1[1:] - Z1[:-1]) / mac.hx
+                + (Z2[:, 1:] - Z2[:, :-1]) / mac.hs).ravel()
+
     def solve(self, solver, f, dt):
         """[u, p] of the saddle system [[A, B^T], [B, 0]] [u; p] = [f; 0],
-        A = A(dt) and B = B_dof, on the divergence-free velocities u = T psi.
+        A = A(dt) and B u = -hx hs divergence(u), on the divergence-free
+        velocities u = T psi.
 
         solver, a LaggedLU, solves K psi = T^T f with K the StreamSystem of
         this step, applied matrix-free and formed only if solver factors;
@@ -840,12 +832,13 @@ class FlowOperators:
         """
         if not np.any(f):
             # keeps the rest state an exact fixed point
-            return np.zeros(f.size + self.B_dof.shape[0])
+            return np.zeros(f.size + self.cell_measure.size)
         G0, G = self.surface_stiffness
         K = StreamSystem.of(self.R, self.Ztop, self.weights(dt), G0 + dt * G,
                             self.T)
         u = self.T @ solver.solve(spla, K, K.Tt @ f)
-        return np.concatenate([u, self._pressure(f - K.velocity_block(u))])
+        return np.concatenate([u, self.stencils.pressure(
+            f - K.velocity_block(u))])
 
 
 # ============================================================
@@ -895,8 +888,10 @@ def momentum_step(problem, fields, state, theta, *, dt):
     correction, zeros for an isothermal step. FlowOperators.solve solves
     the saddle system in the stream function with problem.saddle_solver,
     which preconditions CG with the float32 LU of an earlier step's K and
-    refactors only when a solve misses its backward-error bound. Returns the
-    advanced FlowState; raises StabilityError on CFL violation (a NaN
+    refactors only when a solve misses its backward-error bound. The new
+    state's zdot is Ztop u and its div_residual the largest cell divergence
+    |FlowOperators.divergence(u)|, at rounding level as u = T psi. Returns
+    the advanced FlowState; raises StabilityError on CFL violation (a NaN
     velocity counts as one), a folded flattening map or a failed solve, and
     SpillError when the surface, given or advanced, leaves the channel.
     """
@@ -954,7 +949,7 @@ def momentum_step(problem, fields, state, theta, *, dt):
 
     u1_new, u2_new = mac.split_full(mac.P @ u_new)
     zdot = ops.Ztop @ u_new
-    div_res = float(np.max(np.abs(ops.B_dof @ u_new))) / (grid.hx * grid.hs)
+    div_res = float(np.max(np.abs(ops.divergence(u_new))))
 
     eta_new = state.eta + dt * zdot
     drift = float(np.sum(eta_new) * grid.hx / (2.0 * grid.ell))
@@ -1027,14 +1022,14 @@ def construct_flow_initial_data(problem, eta0, u1_raw=None, u2_raw=None):
 
 def check_compatibility(problem, fields, state):
     """Discrete residuals of the constraints the stepper enforces
-    structurally: divergence and kinematic trace of the free faces, wall
-    flux and zero mean."""
+    structurally: the largest cell divergence (FlowOperators.divergence),
+    the kinematic trace Ztop u - zdot, the wall flux and the zero mean."""
     grid = problem.grid
     mac = problem.stencils
     ops = FlowOperators(problem, fields)
     u = mac.full_vector(state.u1, state.u2)[mac.free]
     return {
-        "div": float(np.max(np.abs(ops.B_dof @ u))) / (grid.hx * grid.hs),
+        "div": float(np.max(np.abs(ops.divergence(u)))),
         "wall_flux": float(max(np.max(np.abs(state.u1[0])),
                                np.max(np.abs(state.u1[-1])))),
         "kinematic": float(np.max(np.abs(ops.Ztop @ u - state.zdot))),

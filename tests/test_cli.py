@@ -600,6 +600,40 @@ def test_epsilon_sweep_mode_report(tmp_path):
     assert rep["cauchy_sups"][0] > 0.0
 
 
+def test_epsilon_sweep_starts_from_the_raw_stream_velocity(tmp_path):
+    # the sweep builds its start state as a coupled run does, so
+    # stream_amp reaches the flow of every eps
+    cfg = dict(TINY, mode="epsilon-sweep")
+    cfg["initial"] = dict(TINY["initial"], stream_amp=0.05)
+    cfg["sweep"] = {"eps_values": [0.2, 0.1], "t_end": 0.04}
+    rc, outdir = _run(tmp_path, cfg)
+    assert rc == 0
+    with open(outdir / "series.csv", newline="") as fh:
+        got = list(csv.DictReader(fh))
+    assert float(got[0]["E_u_L2"]) > 0.0
+
+
+def test_warmup_steps_before_the_first_row(tmp_path):
+    # warmup steps are taken and not reported: the run then continues from
+    # the warmed state with its clock reset, so its rows are the later rows
+    # of a run without warmup, apart from t
+    base = dict(TINY, mode="coupled")
+    base["initial"] = dict(TINY["initial"], theta_amp=0.01, stream_amp=0.05)
+    warm = dict(base, time={"dt": 0.02, "t_end": 0.04, "save_every": 1,
+                            "warmup": 0.04})
+    cold = dict(base, time={"dt": 0.02, "t_end": 0.08, "save_every": 1})
+    rows = []
+    for name, cfg in (("warm", warm), ("cold", cold)):
+        rc, outdir = _run(tmp_path, cfg, out=name)
+        assert rc == 0
+        with open(outdir / "series.csv", newline="") as fh:
+            rows.append(list(csv.reader(fh))[1:])
+    warm_rows, cold_rows = rows
+    assert len(warm_rows) == 3 and len(cold_rows) == 5
+    assert [float(r[0]) for r in warm_rows] == [0.0, 0.02, 0.04]
+    assert [r[1:] for r in warm_rows] == [r[1:] for r in cold_rows[2:]]
+
+
 def test_serial_rerun_is_byte_identical(tmp_path):
     cfg = dict(TINY, mode="decay", w3=0.5)
     rc_a, out_a = _run(tmp_path, cfg, out="a")

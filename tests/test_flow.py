@@ -17,7 +17,7 @@ from contactflow import flow as fl
 from contactflow import geometry as geo
 from contactflow import heat as ht
 
-from _blocks import velocity_block
+from _blocks import divergence_block, velocity_block
 
 
 def _centered(v):
@@ -258,7 +258,7 @@ def test_assembly_is_symmetric_and_conservative(params, jump, monkeypatch):
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     # discrete divergence theorem: the cell divergences of any admissible
     # velocity sum to its surface flux
-    cells = -np.asarray(ops.B_dof.sum(axis=0)).ravel() / grid.hx
+    cells = -np.asarray(divergence_block(ops).sum(axis=0)).ravel() / grid.hx
     surface = np.asarray(ops.Ztop.sum(axis=0)).ravel()
     assert np.max(np.abs(cells - surface)) <= 1e-14 * np.max(np.abs(surface))
 
@@ -686,8 +686,8 @@ def test_pcg_raises_on_non_positive_curvature(A):
 def _direct_saddle(ops, solver, f, dt):
     """Reference for FlowOperators.solve: assembles [[A, B^T], [B, 0]] and
     factors it afresh for every system."""
-    K = sp.bmat([[velocity_block(ops, dt), ops.B_dof.T], [ops.B_dof, None]],
-                format="csc")
+    B = divergence_block(ops)
+    K = sp.bmat([[velocity_block(ops, dt), B.T], [B, None]], format="csc")
     return spla.spsolve(K, np.concatenate([f, np.zeros(K.shape[0] - f.size)]))
 
 
@@ -706,9 +706,9 @@ def _momentum_load(ops, seed=5):
 def _saddle_residual(ops, f, x, dt):
     """||[f - A u - B^T p; B u]|| of a solution x = [u, p], A = A(dt)."""
     u, p = x[:f.size], x[f.size:]
-    A = velocity_block(ops, dt)
-    return math.hypot(np.linalg.norm(f - A @ u - ops.B_dof.T @ p),
-                      np.linalg.norm(ops.B_dof @ u))
+    A, B = velocity_block(ops, dt), divergence_block(ops)
+    return math.hypot(np.linalg.norm(f - A @ u - B.T @ p),
+                      np.linalg.norm(B @ u))
 
 
 @pytest.mark.parametrize("size", [(24, 16), (48, 32)], ids=["24x16", "48x32"])
@@ -719,7 +719,7 @@ def test_stream_map_spans_divergence_free_velocities(params, jump, size):
     problem = dataclasses.replace(problem, grid=grid)
     ops = fl.FlowOperators(problem, geo.build_geometry(grid,
                                                        np.zeros(grid.nx)))
-    B, T = ops.B_dof, ops.T
+    B, T = divergence_block(ops), ops.T
     assert abs(B @ T).max() <= 1e-15 * abs(B).max() * abs(T).max()
     # one unknown per free node: the dimension of ker B, as B is onto
     assert T.shape == (B.shape[1], B.shape[1] - B.shape[0])
@@ -738,13 +738,14 @@ def test_pressure_back_substitutes_the_y_face_rows(params, jump, size,
     zdot = _centered(1e-2 * np.sin(math.pi * grid.xc / grid.ell))
     fields = geo.build_geometry(grid, eta, zdot)
     ops = fl.FlowOperators(problem, fields)
-    # the y-face columns of B_dof, the last nx ny dofs, hold no metric:
+    # the y-face columns of B, the last nx ny dofs, hold no metric:
     # -hx times a lower bidiagonal (1, -1) in each cell column
+    B = divergence_block(ops)
     want = -grid.hx * sp.kron(sp.eye(nx), sp.eye(ny) - sp.eye(ny, k=-1))
-    got = ops.B_dof.toarray()[:, -nx * ny:]
+    got = B.toarray()[:, -nx * ny:]
     assert np.max(np.abs(got - want.toarray())) <= 1e-15 * grid.hx
     p0 = np.random.default_rng(3).standard_normal(nx * ny)
-    p = problem.stencils.pressure(ops.B_dof.T @ p0)
+    p = problem.stencils.pressure(B.T @ p0)
     assert np.linalg.norm(p - p0) <= 1e-13 * np.linalg.norm(p0)
 
     # a momentum step factors nothing but the held LU of K
@@ -901,10 +902,10 @@ def test_projection_matches_direct_saddle_solve(params, jump):
     mac = problem.stencils
     ops = fl.FlowOperators(problem, geo.build_geometry(grid, state.eta))
     mass = ops.mass_diag[mac.free]
-    K = sp.bmat([[sp.diags(mass), ops.B_dof.T], [ops.B_dof, None]],
-                format="csc")
+    B = divergence_block(ops)
+    K = sp.bmat([[sp.diags(mass), B.T], [B, None]], format="csc")
     rhs = np.concatenate([mass * mac.full_vector(u1, u2)[mac.free],
-                          np.zeros(ops.B_dof.shape[0])])
+                          np.zeros(B.shape[0])])
     ref = mac.P @ spla.spsolve(K, rhs)[:mac.free.size]
     got = mac.full_vector(state.u1, state.u2)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -971,11 +972,8 @@ def _coupled_run_end(jump, nx, ny, dt):
     cfg["initial"].update(eta_modes=[[1, 0.1], [2, 0.05]], theta_amp=0.2,
                           stream_amp=0.05)
     problem = cli.build_problem(cfg, cli.validate_config(cfg))
-    grid = problem.grid
-    flow = fl.construct_flow_initial_data(problem, cli.initial_eta(cfg, grid),
-                                          *cli.initial_velocity(cfg, grid))
-    heat_state = ht.HeatState(theta=cli.initial_theta(cfg, grid))
-    fields = geo.build_geometry(grid, flow.eta, flow.zdot)
+    flow, heat_state = cli.initial_state(cfg, problem)
+    fields = geo.build_geometry(problem.grid, flow.eta, flow.zdot)
     for _ in range(int(round(t_end / dt))):
         flow, heat_state, fields = fl.coupled_step(problem, fields, flow,
                                                    heat_state, dt)
